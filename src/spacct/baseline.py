@@ -145,6 +145,8 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
 
     Returns k_max = 0 when not even a single query qualifies.
     """
+    if not all(math.isfinite(x) for x in (target_epsilon, target_delta, sigma_target)):
+        raise DomainError("targets must be finite")
     if sigma_target <= 0.0:
         raise DomainError("sigma_target must be positive")
     if n < 1:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .baseline import max_dp_queries
 from .compose import composition_delta
+from .curve import epsilon_grid
 from .errors import CapacityError, DomainError
 from .oracle import MATRIX_EPSILONS, exact_mechanism_law, mc_distinguish, verification_matrix
 from .scenario_io import load_scenario
@@ -49,17 +50,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _parse_eps_list(text: str) -> tuple[float, ...]:
-    try:
-        eps = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise DomainError(f"bad epsilon list {text!r}") from exc
-    if not eps:
-        raise DomainError("epsilon list is empty")
-    if any(e < 0 for e in eps):
-        raise DomainError("epsilons must be nonnegative")
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise DomainError("epsilons must be strictly increasing")
-    return eps
+    return epsilon_grid(tok for tok in text.split(",") if tok.strip() != "")
 
 
 def cmd_curve(args) -> int:

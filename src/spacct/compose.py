@@ -229,10 +229,12 @@ def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
                      template_cap: int = 10**6, prefix_cap: int = PREFIX_CAP) -> CompositionReport:
     """Adaptive bound for arbitrary entry models, by full enumeration.
 
-    For each block k, averages over templates conditioned on the critical
-    index landing there; inside each template, averages the per-prefix
-    divergence of the chosen query against the product law of the earlier
-    blocks' answers. Tiny instances only.
+    For each block k, averages over templates of blocks 1..k conditioned on
+    the critical index landing in block k (later blocks cannot change block
+    k's term); inside each template, averages the per-prefix divergence of
+    the chosen query against the product law of the earlier blocks'
+    answers. `template_cap` bounds each block's truncated template count.
+    Tiny instances only.
     """
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
@@ -244,7 +246,7 @@ def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
     m = spec.format.num_blocks
     terms = []
     for k in range(1, m + 1):
-        law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
+        law = PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), restriction=(j, k))
         template_terms = []
         for template, w in enumerate_templates(law, cap=template_cap):
             def walk(level: int, prefix: tuple[int, ...], prob: float) -> float:

@@ -139,13 +139,23 @@ def property_query_answer_law(size: int, p: float, critical_value: int) -> Pmf:
     return shift(binomial(size - 1, p), critical_value)
 
 
-def eval_curve(p_by_value: dict, epsilons) -> PrivacyCurve:
-    """Evaluate d_hat on a strictly increasing epsilon grid."""
-    eps = [float(e) for e in epsilons]
+def epsilon_grid(epsilons) -> tuple[float, ...]:
+    """Validate an epsilon grid: nonempty, finite, nonnegative and strictly
+    increasing. A NaN epsilon would otherwise report delta = 0."""
+    try:
+        eps = tuple(float(e) for e in epsilons)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"epsilons must be numbers: {exc}") from exc
     if not eps:
         raise DomainError("epsilon grid must be nonempty")
-    if any(e < 0.0 for e in eps):
-        raise DomainError("epsilons must be nonnegative")
+    if not all(math.isfinite(e) and e >= 0.0 for e in eps):
+        raise DomainError("epsilons must be finite and nonnegative")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise DomainError("epsilon grid must be strictly increasing")
-    return PrivacyCurve(tuple(CurvePoint(e, d_hat(p_by_value, e)) for e in eps))
+    return eps
+
+
+def eval_curve(p_by_value: dict, epsilons) -> PrivacyCurve:
+    """Evaluate d_hat on a strictly increasing epsilon grid."""
+    points = (CurvePoint(e, d_hat(p_by_value, e)) for e in epsilon_grid(epsilons))
+    return PrivacyCurve(tuple(points))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec
-from .curve import hockey_stick
+from .curve import d_hat
 from .distkit import Pmf
 from .errors import CapacityError, DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
@@ -42,18 +42,27 @@ class ExactMechanismLaw:
     radix: tuple[int, ...]
 
     def delta(self, epsilon: float) -> float:
-        best = 0.0
-        values = list(self.laws)
-        for v in values:
-            for w in values:
-                if v != w:
-                    best = max(best, hockey_stick(self.laws[v], self.laws[w], epsilon))
-        return best
+        return d_hat(self.laws, epsilon)
 
 
 class McEstimate(NamedTuple):
     estimate: float
     half_width: float
+
+
+def _plane_lookup(entries: np.ndarray):
+    """Per-query (rows x entries) indicator planes of an int8 entry array
+    shaped (rows, n, attributes), cached by attribute and negation."""
+    cache: dict[tuple[int, bool], np.ndarray] = {}
+
+    def plane_for(query: PropertyQuery) -> np.ndarray:
+        key = (query.attribute, query.negate)
+        if key not in cache:
+            plane = entries[:, :, query.attribute]
+            cache[key] = 1 - plane if query.negate else plane
+        return cache[key]
+
+    return plane_for
 
 
 def _flat_multipliers(radix: tuple[int, ...]) -> np.ndarray:
@@ -133,14 +142,7 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
         entries[:, noncrit, :] = bits
         for t in range(num_attrs):
             entries[:, j0, t] = (v >> t) & 1
-        plane_cache: dict[tuple[int, bool], np.ndarray] = {}
-
-        def plane_for(query: PropertyQuery) -> np.ndarray:
-            key = (query.attribute, query.negate)
-            if key not in plane_cache:
-                plane = entries[:, :, query.attribute]
-                plane_cache[key] = 1 - plane if query.negate else plane
-            return plane_cache[key]
+        plane_for = _plane_lookup(entries)
 
         for template, w in templates:
             blocks0 = [np.asarray(block, dtype=np.int64) - 1 for block in template.index_lists]
@@ -197,14 +199,7 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon: float,
         entries = (rng.random((trials, n, num_attrs)) < probs[None]).astype(np.int8)
         for t in range(num_attrs):
             entries[:, j0, t] = (v >> t) & 1
-        plane_cache: dict[tuple[int, bool], np.ndarray] = {}
-
-        def plane_for(query: PropertyQuery) -> np.ndarray:
-            key = (query.attribute, query.negate)
-            if key not in plane_cache:
-                plane = entries[:, :, query.attribute]
-                plane_cache[key] = 1 - plane if query.negate else plane
-            return plane_cache[key]
+        plane_for = _plane_lookup(entries)
 
         def get_answers(query: PropertyQuery, rows: np.ndarray, k: int) -> np.ndarray:
             plane = plane_for(query)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec
+from .curve import epsilon_grid
 from .errors import DomainError
 from .partition import TemplateFormat
 from .spc import (
@@ -160,14 +161,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     else:
         _fail(f"queries.mode must be nonadaptive or adaptive, got {qmode!r}")
 
-    eps = doc["epsilons"]
-    if not isinstance(eps, list) or not eps:
-        _fail("epsilons must be a nonempty list")
-    epsilons = tuple(float(e) for e in eps)
-    if any(e < 0 for e in epsilons):
-        _fail("epsilons must be nonnegative")
-    if any(b <= a for a, b in zip(epsilons, epsilons[1:])):
-        _fail("epsilons must be strictly increasing")
+    if not isinstance(doc["epsilons"], list):
+        _fail("epsilons must be a list")
+    epsilons = epsilon_grid(doc["epsilons"])
 
     mode_doc = doc.get("mode", "enumerate")
     seed = int(doc.get("seed", 0))

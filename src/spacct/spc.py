@@ -1,16 +1,17 @@
 """Scenarios, the property-query kernel, and sampling privacy curves.
 
 A sampling privacy curve (SPC) is the expected two-sided divergence of the
-per-template answer laws, taken over templates drawn with the critical index
-conditioned into the queried block. For iid entries it collapses to a single
-divergence at the sample size; with adversary-known entries it becomes a
-hypergeometric mixture with a cheap threshold upper bound.
+queried block's answer laws, taken over the block's co-members when the
+critical index is conditioned into it. For iid entries it collapses to a
+single divergence at the sample size; with adversary-known entries it
+becomes a hypergeometric mixture with a cheap threshold upper bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +19,8 @@ import numpy as np
 from . import distkit
 from .curve import d_hat, property_query_answer_law
 from .distkit import Pmf, hypergeometric, poisson_binomial, shift
-from .errors import DomainError
-from .partition import PartitionLaw, Template, enumerate_templates, sample_template, TEMPLATE_CAP
+from .errors import CapacityError, DomainError
+from .partition import TEMPLATE_CAP, PartitionLaw
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,6 @@ class Scenario:
         return self.entries.matrix(self.n)
 
 
-def value_bit(value: int, attribute: int) -> int:
-    """Attribute bit of an encoded entry value (attribute t is bit t)."""
-    return (value >> attribute) & 1
-
-
 @dataclass(frozen=True)
 class PropertyQuery:
     """Counts block entries whose attribute equals the target.
@@ -177,16 +173,6 @@ class PropertyQuery:
         col = rows[:, self.attribute]
         return 1.0 - col if self.negate else col
 
-    def indicator(self, value: int) -> int:
-        bit = value_bit(value, self.attribute)
-        return 1 - bit if self.negate else bit
-
-    def conditional_law(self, rows: np.ndarray, critical_value: int) -> Pmf:
-        """Answer law on a block given the critical entry's value; `rows`
-        holds the block's non-critical entry parameters."""
-        base = poisson_binomial(self.success_probs(rows)) if rows.shape[0] else distkit.point(0)
-        return shift(base, self.indicator(critical_value))
-
     def indicator_laws(self, rows: np.ndarray) -> dict[int, Pmf]:
         """The two conditional answer laws a block can have, keyed by the
         predicate's value on the critical entry. Critical values with equal
@@ -206,7 +192,10 @@ class SpcEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class Enumerate:
-    """Exhaustive expectation over the template law."""
+    """Exhaustive expectation over the critical index's co-member subsets.
+
+    `cap` bounds the subset count C(n - 1, n_k - 1), checked before any work.
+    """
 
     cap: int = TEMPLATE_CAP
 
@@ -308,21 +297,16 @@ def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsi
     return min(1.0, (1.0 - head) + head * delta_phi)
 
 
-def _template_delta(scenario: Scenario, template: Template, block: int,
-                    query: PropertyQuery, epsilon: float, probs: np.ndarray) -> float:
-    j = scenario.critical_index
-    members = [i for i in template.block(block) if i != j]
-    rows = probs[[i - 1 for i in members], :]
-    return d_hat(query.indicator_laws(rows), epsilon)
-
-
 def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
                 epsilon: float, mode: Enumerate | MonteCarlo = Enumerate()) -> SpcEstimate:
-    """Expected per-template divergence under a law restricted to (j, k).
+    """Expected divergence of block k's answer laws under a law restricted to (j, k).
 
-    Per-template answer laws are Poisson-binomial counts of the block's
-    entries (shifted by the critical value). Enumerate mode is exact;
-    MonteCarlo averages over sampled templates.
+    Block k's answer laws are Poisson-binomial counts of the critical
+    index's n_k - 1 co-members (shifted by the critical value), and under
+    the restricted law those co-members are a uniform subset of the other
+    n - 1 indices; the other blocks never enter. Enumerate mode averages
+    over every such subset exactly; MonteCarlo averages over subsets drawn
+    by the same seeded shuffle as partition.sample_template.
     """
     if law.restriction is None:
         raise DomainError("spc_general requires a law restricted to (critical index, block)")
@@ -332,17 +316,27 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     if law.n != scenario.n:
         raise DomainError("law and scenario disagree on n")
     probs = scenario.probs_matrix()
+    others = np.delete(np.arange(law.n), j - 1)
+    picks = law.format.sizes[k - 1] - 1
+
+    def block_delta(co_members) -> float:
+        return d_hat(query.indicator_laws(probs[co_members, :]), epsilon)
+
     if isinstance(mode, Enumerate):
-        terms = [
-            w * _template_delta(scenario, tpl, k, query, epsilon, probs)
-            for tpl, w in enumerate_templates(law, cap=mode.cap)
-        ]
+        count = math.comb(law.n - 1, picks)
+        if count > mode.cap:
+            raise CapacityError(
+                f"{count} co-member subsets exceed the cap of {mode.cap}; "
+                "use Monte-Carlo sampling")
+        weight = 1.0 / count
+        terms = [weight * block_delta(list(co)) for co in combinations(others, picks)]
         return SpcEstimate(min(1.0, math.fsum(terms)), None)
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
+    # block k's co-members follow the blocks before it in sample_template's shuffle
+    start = sum(law.format.sizes[: k - 1])
     values = np.empty(mode.trials)
     for t in range(mode.trials):
-        tpl = sample_template(law, rng)
-        values[t] = _template_delta(scenario, tpl, k, query, epsilon, probs)
+        values[t] = block_delta(rng.permutation(others)[start : start + picks])
     mean = float(values.mean())
     spread = float(values.std(ddof=1)) if mode.trials > 1 else 0.0
     return SpcEstimate(mean, 1.96 * spread / math.sqrt(mode.trials))

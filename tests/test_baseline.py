@@ -141,3 +141,9 @@ class TestMaxDpQueries:
     def test_rejects_bad_sigma(self):
         with pytest.raises(DomainError):
             max_dp_queries(0.01, 0.01, 0.0, 100)
+
+    def test_rejects_non_finite_targets(self):
+        for args in ((math.nan, 0.01, 0.01), (0.01, math.nan, 0.01), (math.inf, 0.01, 0.01),
+                     (0.01, 0.01, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                max_dp_queries(*args, 100)

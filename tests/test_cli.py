@@ -67,6 +67,12 @@ class TestCurveCommand:
         assert code == 0 and out == ""
         assert target.read_text().startswith("epsilon,delta\n")
 
+    def test_nan_epsilon_exits_2_without_delta(self, capsys):
+        code, out, err = run(capsys, "curve", "--n", "16", "--p", "0.5", "--eps", "0.1,nan")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_csv_uses_linefeeds_and_decimal_points(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "128", "--p", "0.5", "--eps", "0.1")
         assert code == 0
@@ -146,6 +152,30 @@ class TestComposeCommand:
         assert code == 3
         assert "cap" in err
 
+    def test_sixteen_entries_four_blocks_enumerate(self, capsys, tmp_path):
+        # 455 co-member subsets per block; whole templates would exceed the cap
+        doc = self.scenario_doc()
+        doc.update(n=16, format=[4, 4, 4, 4], critical_index=7,
+                   entry_model={"kind": "explicit", "probs": [0.1 + 0.05 * i for i in range(16)]},
+                   queries={"mode": "nonadaptive", "list": [{"attribute": 0}] * 4})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert len(report["per_block"]) == 4
+        assert 0.0 < report["total_delta"] <= 1.0
+
+    def test_nan_epsilon_exits_2_without_delta(self, capsys, tmp_path):
+        doc = self.scenario_doc()
+        doc["epsilons"] = ["nan"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_invalid_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"schema_version": 1}))
@@ -190,3 +220,10 @@ class TestDpCompareCommand:
         rows = parse_csv(out)
         assert rows[0][-1] == "k_max"
         assert int(rows[1][-1]) >= 1
+
+    def test_nan_epsilon_exits_2_without_delta(self, capsys):
+        code, out, err = run(capsys, "dp-compare", "--eps", "nan", "--delta", "0.0163",
+                             "--sigma", "0.0153", "--n", "32768")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err

@@ -1,10 +1,14 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spacct import (
+    CapacityError,
     DomainError,
     Enumerate,
     ExplicitEntries,
@@ -15,13 +19,16 @@ from spacct import (
     PropertyQuery,
     Scenario,
     TemplateFormat,
+    d_hat,
+    enumerate_templates,
+    sample_template,
     spc_general,
     spc_iid,
     spc_known_entries,
     spc_known_entries_threshold_bound,
 )
 
-from rational_ref import dhat_shift_pair, hyper_pmf_exact
+from rational_ref import block_answer_law, dhat_shift_pair, hockey_stick_dicts, hyper_pmf_exact
 
 
 class TestScenario:
@@ -196,6 +203,87 @@ class TestSpcGeneral:
         vals = [spc_general(sc, law, PropertyQuery(), e).value for e in (0.0, 0.5, 2.0)]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert vals == sorted(vals, reverse=True)
+
+
+@st.composite
+def restricted_explicit_cases(draw):
+    """Explicit scenario (n <= 8), 1-3 block format, and a restricted law."""
+    n = draw(st.integers(1, 8))
+    sizes, left = [], n
+    for _ in range(draw(st.integers(1, 3))):
+        if left == 0:
+            break
+        size = draw(st.integers(1, left))
+        sizes.append(size)
+        left -= size
+    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    j = draw(st.integers(1, n))
+    k = draw(st.integers(1, len(sizes)))
+    scenario = Scenario(n, ExplicitEntries(tuple((p,) for p in probs)), critical_index=j)
+    law = PartitionLaw(n, TemplateFormat(tuple(sizes)), restriction=(j, k))
+    return scenario, law, PropertyQuery(negate=draw(st.booleans()))
+
+
+def _template_block_delta(scenario, template, law, query, eps):
+    j, k = law.restriction
+    members = [i - 1 for i in template.block(k) if i != j]
+    return d_hat(query.indicator_laws(scenario.probs_matrix()[members, :]), eps)
+
+
+class TestSpcGeneralSubsets:
+    """The co-member subset evaluation against whole-template references."""
+
+    @given(case=restricted_explicit_cases(), eps=st.sampled_from((0.0, 0.3, 1.0)))
+    @settings(max_examples=40, deadline=None)
+    def test_enumerate_matches_template_average(self, case, eps):
+        scenario, law, query = case
+        expected = math.fsum(
+            w * _template_block_delta(scenario, tpl, law, query, eps)
+            for tpl, w in enumerate_templates(law)
+        )
+        got = spc_general(scenario, law, query, eps)
+        assert got.value == pytest.approx(expected, abs=1e-12)
+
+    @given(case=restricted_explicit_cases(), trials=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_monte_carlo_equals_sample_template_loop(self, case, trials, seed):
+        scenario, law, query = case
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        values = np.array([
+            _template_block_delta(scenario, sample_template(law, rng), law, query, 0.3)
+            for _ in range(trials)
+        ])
+        got = spc_general(scenario, law, query, 0.3, MonteCarlo(trials, seed=seed))
+        assert got.value == float(values.mean())
+        assert got.half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(trials)
+
+    def test_sixteen_entries_four_blocks_of_four(self):
+        # 15.8M restricted templates per block, but only C(15, 3) = 455 subsets
+        probs = [float(p) for p in np.random.default_rng(16).uniform(0.05, 0.95, 16)]
+        j, eps = 5, 0.3
+        scenario = Scenario(16, ExplicitEntries(tuple((p,) for p in probs)), critical_index=j)
+        others = [p for i, p in enumerate(probs, start=1) if i != j]
+        for negate in (False, True):
+            deltas = []
+            for co in combinations(others, 3):
+                law0 = block_answer_law(list(co), 0, negate)
+                law1 = block_answer_law(list(co), 1, negate)
+                deltas.append(max(hockey_stick_dicts(law1, law0, eps),
+                                  hockey_stick_dicts(law0, law1, eps)))
+            assert len(deltas) == 455
+            for k in (1, 4):
+                law = PartitionLaw(16, TemplateFormat((4, 4, 4, 4)), restriction=(j, k))
+                got = spc_general(scenario, law, PropertyQuery(negate=negate), eps)
+                assert got.value == pytest.approx(math.fsum(deltas) / 455, abs=1e-12)
+
+    def test_cap_counts_co_member_subsets(self):
+        # C(9, 2) = 36 subsets for a block of 3 among 10 entries
+        scenario = Scenario(10, ExplicitEntries(((0.5,),) * 10))
+        law = PartitionLaw(10, TemplateFormat((3, 3, 3)), restriction=(1, 2))
+        with pytest.raises(CapacityError, match="36"):
+            spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate(cap=10))
+        assert spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate(cap=36)).value > 0.0
 
 
 def _pair_delta(member_p: float, eps: float, shifted_first: bool) -> float:
