@@ -26,8 +26,8 @@ from .curve import (
     d_hat,
     eval_curve,
     hockey_stick,
-    hockey_stick_threshold,
     property_query_answer_law,
+    shift_pair_delta,
 )
 from .distkit import Pmf, binomial, cdf, hypergeometric, mixture, point, poisson_binomial, shift
 from .errors import CapacityError, DomainError

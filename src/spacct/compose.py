@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .curve import d_hat
-from .distkit import binomial, shift
+from .curve import d_hat, shift_pair_delta
+from .distkit import binomial
 from .errors import CapacityError, DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates
 from .spc import (
@@ -135,9 +135,7 @@ def _iid_block_dhat(scenario: Scenario, query: PropertyQuery, size: int,
                     epsilon: float, cache: dict) -> float:
     key = (query.attribute, query.negate, size)
     if key not in cache:
-        p = _iid_attr_p(scenario, query)
-        base = binomial(size - 1, p)
-        cache[key] = d_hat({0: base, 1: shift(base, 1)}, epsilon)
+        cache[key] = shift_pair_delta(size - 1, _iid_attr_p(scenario, query), epsilon)
     return cache[key]
 
 

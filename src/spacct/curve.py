@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .distkit import Pmf, binomial, shift
 from .errors import DomainError
@@ -76,41 +77,16 @@ def _scale(epsilon: float) -> float:
     return math.exp(min(epsilon, _EXP_CAP))
 
 
-def _aligned(p: Pmf, q: Pmf) -> tuple[np.ndarray, np.ndarray]:
-    lo = min(p.offset, q.offset)
-    hi = max(p.top, q.top)
-    pa = np.zeros(hi - lo + 1)
-    qa = np.zeros(hi - lo + 1)
-    pa[p.offset - lo : p.offset - lo + p.masses.size] = p.masses
-    qa[q.offset - lo : q.offset - lo + q.masses.size] = q.masses
-    return pa, qa
-
-
 def hockey_stick(p: Pmf, q: Pmf, epsilon: float) -> float:
     """sum_a max(0, p(a) - e^eps * q(a)) over the union support (direct sum)."""
-    pa, qa = _aligned(p, q)
-    diff = pa - _scale(epsilon) * qa
+    lo = min(p.offset, q.offset)
+    diff = np.zeros(max(p.top, q.top) - lo + 1)
+    diff[p.offset - lo : p.offset - lo + p.masses.size] = p.masses
+    diff[q.offset - lo : q.offset - lo + q.masses.size] -= _scale(epsilon) * q.masses
     pos = diff[diff > 0.0]
     if pos.size == 0:
         return 0.0
     return min(1.0, math.fsum(pos.tolist()))
-
-
-def hockey_stick_threshold(p: Pmf, q: Pmf, epsilon: float) -> float:
-    """Threshold evaluation: max over t of P(A >= t) - e^eps * Q(A >= t).
-
-    Equals the direct sum whenever p/q is nondecreasing on the union support
-    (monotone likelihood ratio), e.g. for a binomial against its shift. The
-    maximization over all suffix sets resolves ties at the threshold: a
-    boundary point enters the optimal set iff it increases delta.
-    """
-    scale = _scale(epsilon)
-    pa, qa = _aligned(p, q)
-    # suffix sums in extended precision keep the 1e-12 agreement with fsum
-    sp = np.cumsum(pa[::-1].astype(np.longdouble))
-    sq = np.cumsum(qa[::-1].astype(np.longdouble))
-    best = np.max(sp - np.longdouble(scale) * sq)
-    return min(1.0, max(0.0, float(best)))
 
 
 def d_hat(p_by_value: dict, epsilon: float) -> float:
@@ -124,6 +100,40 @@ def d_hat(p_by_value: dict, epsilon: float) -> float:
             if i != j:
                 best = max(best, hockey_stick(pv, pw, epsilon))
     return best
+
+
+def _shift_up_delta(u: np.ndarray, p: float, scale: float) -> np.ndarray:
+    """Hockey-stick divergence of B + 1 against B, B ~ Bin(u, p).
+
+    The optimal set is {a >= t}, t = floor((u+1) p / (p + q e^-eps)) + 1 (the
+    ratio test divided through by e^eps, so nothing overflows), and
+    delta(t) = P(B > t-2) - e^eps P(B > t-1) is taken at t and both
+    neighbours, with P(B > k) = I_p(k + 1, u - k) for 0 <= k < u.
+    """
+    t = np.floor((u + 1.0) * p / (p + (1.0 - p) / scale)) + 1.0
+    k, u = t[..., None] + np.arange(-3.0, 1.0), u[..., None]
+    inside = (k >= 0.0) & (k < u)
+    tails = betainc(np.where(inside, k + 1.0, 1.0), np.where(inside, u - k, 1.0), p)
+    above = np.where(inside, tails, np.where(k < 0.0, 1.0, 0.0))
+    return np.max(above[..., :-1] - scale * above[..., 1:], axis=-1)
+
+
+def shift_pair_delta(u, p: float, epsilon: float):
+    """Two-sided hockey-stick divergence between B + 1 and B, B ~ Bin(u, p).
+
+    d_hat of a property query's answer laws over u iid entries, in closed
+    form: the likelihood ratio b(a-1)/b(a) = a q / ((u-a+1) p) is monotone,
+    so each direction is one tail difference at a threshold, and the
+    reflection a -> u + 1 - a maps B against B + 1 to B' + 1 against B',
+    B' ~ Bin(u, q). An array `u` gives the scalar results bit for bit.
+    """
+    scale = _scale(epsilon)
+    u = np.asarray(u, dtype=np.float64)
+    if not 0.0 <= p <= 1.0 or np.any(u < 0.0):
+        raise DomainError(f"need u >= 0 and p in [0, 1], got p={p!r}")
+    both = np.maximum(_shift_up_delta(u, p, scale), _shift_up_delta(u, 1.0 - p, scale))
+    delta = np.clip(both, 0.0, 1.0)
+    return float(delta) if delta.ndim == 0 else delta
 
 
 def property_query_answer_law(size: int, p: float, critical_value: int) -> Pmf:

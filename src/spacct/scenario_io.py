@@ -46,6 +46,26 @@ def _fail(msg: str) -> None:
     raise DomainError(f"scenario file: {msg}")
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _prob(value, what: str) -> float:
+    """A JSON number; range checks are left to the entry models."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _probs(value, what: str) -> tuple[float, ...]:
+    """A number or a list of numbers, one per attribute."""
+    values = value if isinstance(value, list) else [value]
+    return tuple(_prob(v, what) for v in values)
+
+
 def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -61,21 +81,18 @@ def _parse_entry_model(obj) -> IidEntries | ExplicitEntries | KnownEntries:
     kind = obj.get("kind")
     if kind == "iid":
         _require_keys(obj, {"kind", "p"}, {"kind", "p"}, "entry_model")
-        p = obj["p"]
-        return IidEntries(tuple(p) if isinstance(p, list) else (float(p),))
+        return IidEntries(_probs(obj["p"], "entry_model.p"))
     if kind == "explicit":
         _require_keys(obj, {"kind", "probs"}, {"kind", "probs"}, "entry_model")
         if not isinstance(obj["probs"], list) or not obj["probs"]:
             _fail("explicit probs must be a nonempty list")
-        rows = tuple(
-            tuple(r) if isinstance(r, list) else (float(r),) for r in obj["probs"]
-        )
-        return ExplicitEntries(rows)
+        return ExplicitEntries(tuple(_probs(r, "entry_model.probs") for r in obj["probs"]))
     if kind == "known":
         _require_keys(obj, {"kind", "p", "known", "known_positive"},
                       {"kind", "p", "known"}, "entry_model")
-        return KnownEntries(float(obj["p"]), int(obj["known"]),
-                            int(obj.get("known_positive", 0)))
+        return KnownEntries(_prob(obj["p"], "entry_model.p"),
+                            _int(obj["known"], "entry_model.known"),
+                            _int(obj.get("known_positive", 0), "entry_model.known_positive"))
     _fail(f"entry_model kind must be iid, explicit or known, got {kind!r}")
 
 
@@ -83,7 +100,10 @@ def _parse_query(obj) -> PropertyQuery:
     if not isinstance(obj, dict):
         _fail("query descriptors must be objects")
     _require_keys(obj, {"attribute", "negate"}, set(), "query descriptor")
-    return PropertyQuery(int(obj.get("attribute", 0)), bool(obj.get("negate", False)))
+    negate = obj.get("negate", False)
+    if not isinstance(negate, bool):
+        _fail(f"query negate must be true or false, got {negate!r}")
+    return PropertyQuery(_int(obj.get("attribute", 0), "query attribute"), negate)
 
 
 def _parse_tree(obj, depth: int, m: int):
@@ -107,7 +127,7 @@ def _parse_tree(obj, depth: int, m: int):
     return {
         "query": query,
         "next": {
-            "threshold": int(nxt["threshold"]),
+            "threshold": _int(nxt["threshold"], "tree threshold"),
             "low": _parse_tree(nxt["low"], depth + 1, m),
             "high": _parse_tree(nxt["high"], depth + 1, m),
         },
@@ -135,12 +155,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                   "the scenario")
     if doc["schema_version"] != SCHEMA_VERSION:
         _fail(f"unsupported schema_version {doc['schema_version']!r}, expected {SCHEMA_VERSION}")
-    n = int(doc["n"])
+    n = _int(doc["n"], "n")
     entries = _parse_entry_model(doc["entry_model"])
-    scenario = Scenario(n, entries, int(doc.get("critical_index", 1)))
+    scenario = Scenario(n, entries, _int(doc.get("critical_index", 1), "critical_index"))
     if not isinstance(doc["format"], list) or not doc["format"]:
         _fail("format must be a nonempty list of block sizes")
-    fmt = TemplateFormat(tuple(int(s) for s in doc["format"]))
+    fmt = TemplateFormat(tuple(_int(s, "block size") for s in doc["format"]))
     if fmt.total > n:
         _fail(f"format uses {fmt.total} indices but n={n}")
 
@@ -166,14 +186,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     epsilons = epsilon_grid(doc["epsilons"])
 
     mode_doc = doc.get("mode", "enumerate")
-    seed = int(doc.get("seed", 0))
+    seed = _int(doc.get("seed", 0), "seed")
+    if seed < 0:
+        _fail(f"seed must be nonnegative, got {seed}")
     if mode_doc == "enumerate":
         mode: Enumerate | MonteCarlo = Enumerate()
     elif isinstance(mode_doc, dict):
         _require_keys(mode_doc, {"monte_carlo"}, {"monte_carlo"}, "mode")
         mc = mode_doc["monte_carlo"]
+        if not isinstance(mc, dict):
+            _fail("mode.monte_carlo must be an object")
         _require_keys(mc, {"trials"}, {"trials"}, "mode.monte_carlo")
-        mode = MonteCarlo(int(mc["trials"]), seed=seed)
+        mode = MonteCarlo(_int(mc["trials"], "mode.monte_carlo.trials"), seed=seed)
     else:
         _fail(f"mode must be 'enumerate' or a monte_carlo object, got {mode_doc!r}")
     return ScenarioConfig(scenario=scenario, spec=spec, epsilons=epsilons, mode=mode)

@@ -17,10 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distkit
-from .curve import d_hat, property_query_answer_law
+from .curve import d_hat, shift_pair_delta
 from .distkit import Pmf, hypergeometric, poisson_binomial, shift
 from .errors import CapacityError, DomainError
 from .partition import TEMPLATE_CAP, PartitionLaw
+
+# Known-entry mixtures refuse hypergeometric supports with more points than this.
+KNOWN_SUPPORT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -215,14 +218,6 @@ class MonteCarlo:
             raise DomainError("trials must be positive")
 
 
-def _iid_conditional_laws(sample_size: int, p: float, query: PropertyQuery) -> dict[int, Pmf]:
-    success = 1.0 - p if query.negate else p
-    return {
-        c: property_query_answer_law(sample_size, success, c)
-        for c in (0, 1)
-    }
-
-
 def spc_iid(scenario: Scenario, sample_size: int, epsilon: float,
             query: PropertyQuery = PropertyQuery()) -> float:
     """SPC of an iid scenario, conditioned on the critical entry being sampled.
@@ -242,12 +237,17 @@ def spc_iid(scenario: Scenario, sample_size: int, epsilon: float,
             f"{scenario.num_attributes}")
     p = scenario.entries.probs[query.attribute] if isinstance(scenario.entries, IidEntries) \
         else scenario.entries.p
-    return d_hat(_iid_conditional_laws(sample_size, p, query), epsilon)
+    return shift_pair_delta(sample_size - 1, 1.0 - p if query.negate else p, epsilon)
 
 
 def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -> Pmf:
     population = n - 1 if population_excludes_critical else n
-    return hypergeometric(population, v, s - 1)
+    draws = s - 1
+    support = min(draws, v) - max(0, draws - (population - v)) + 1
+    if support > KNOWN_SUPPORT_CAP:
+        raise CapacityError(
+            f"the known-entry mixture has {support} terms, over the cap of {KNOWN_SUPPORT_CAP}")
+    return hypergeometric(population, v, draws)
 
 
 def spc_known_entries(scenario: Scenario, sample_size: int, epsilon: float, *,
@@ -266,13 +266,9 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon: float, *,
         raise DomainError(f"sample size must lie in [1, {scenario.n}]")
     v, p = scenario.entries.known, scenario.entries.p
     weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
-    terms = []
-    for z, w in weights.items():
-        unknown = sample_size - 1 - z
-        delta_z = 1.0 if unknown == 0 else d_hat(
-            {c: shift(distkit.binomial(unknown, p), c) for c in (0, 1)}, epsilon)
-        terms.append(w * delta_z)
-    return min(1.0, math.fsum(terms))
+    unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1)
+    terms = weights.masses * shift_pair_delta(unknown, p, epsilon)
+    return min(1.0, math.fsum(terms.tolist()))
 
 
 def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsilon: float,
@@ -292,8 +288,7 @@ def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsi
     weights = _known_weights(scenario.n, scenario.entries.known, sample_size,
                              population_excludes_critical)
     head = distkit.cdf(weights, phi)
-    unknown = sample_size - 1 - phi
-    delta_phi = d_hat({c: shift(distkit.binomial(unknown, p), c) for c in (0, 1)}, epsilon)
+    delta_phi = shift_pair_delta(sample_size - 1 - phi, p, epsilon)
     return min(1.0, (1.0 - head) + head * delta_phi)
 
 

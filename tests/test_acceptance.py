@@ -27,12 +27,12 @@ from spacct import (
     d_hat,
     exact_mechanism_law,
     hockey_stick,
-    hockey_stick_threshold,
     hypergeometric,
     mc_distinguish,
     nonadaptive_general,
     nonadaptive_iid,
     property_query_answer_law,
+    shift_pair_delta,
     spc_iid,
     spc_known_entries,
     spc_known_entries_threshold_bound,
@@ -170,10 +170,10 @@ def test_criterion_7_curve_properties():
                 for a in range(min(shifted.offset, base.offset),
                                max(shifted.top, base.top) + 1))
             assert abs(hockey_stick(shifted, base, 0.0) - tv_direct) <= 1e-12
-            # threshold form agrees with the direct sum
+            # closed-form kernel agrees with the direct sum
             e = float(rng.uniform(0.0, 1.5))
-            assert abs(hockey_stick_threshold(shifted, base, e)
-                       - hockey_stick(shifted, base, e)) <= 1e-12
+            assert abs(shift_pair_delta(size - 1, p, e)
+                       - d_hat({0: base, 1: shifted}, e)) <= 1e-12
 
 
 def test_criterion_8_known_entry_mixture_properties():

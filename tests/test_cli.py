@@ -48,6 +48,14 @@ class TestCurveCommand:
         assert code == 0
         assert 0.0 <= float(parse_csv(out)[1][1]) <= 1.0
 
+    def test_oversized_known_entry_mixture_exits_3(self, capsys):
+        # 10^11 mixture terms: refused before any array is allocated
+        code, out, err = run(capsys, "curve", "--n", str(10**12), "--p", "0.5",
+                             "--known", str(10**11), "--sample-size", str(2 * 10**11))
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "16", "--p", "0.5",
                            "--eps", "0.1,0.2", "--format", "json")
@@ -175,6 +183,26 @@ class TestComposeCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("update", [
+        {"entry_model": {"kind": "iid", "p": "abc"}},
+        {"n": [6]},
+        {"n": 6.7},
+        {"n": True},
+        {"mode": {"monte_carlo": {"trials": "x"}}},
+        {"mode": {"monte_carlo": {"trials": 10}}, "seed": -1},
+        {"queries": {"mode": "nonadaptive",
+                     "list": [{"attribute": 0, "negate": "false"}, {"attribute": 0}]}},
+    ])
+    def test_wrong_json_types_exit_2_without_delta(self, capsys, tmp_path, update):
+        doc = self.scenario_doc()
+        doc.update(update)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
 
     def test_invalid_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,14 +12,15 @@ from spacct import (
     d_hat,
     eval_curve,
     hockey_stick,
-    hockey_stick_threshold,
     point,
     property_query_answer_law,
     shift,
+    shift_pair_delta,
 )
+from spacct.cli import main
 from spacct.curve import CurvePoint, PrivacyCurve
 
-from rational_ref import total_variation
+from rational_ref import dhat_shift_pair, total_variation
 
 
 def _as_dict(d):
@@ -87,14 +89,83 @@ class TestThresholdForm:
             eps = float(rng.uniform(0.0, 1.5))
             a = shift(binomial(t, p), 1)
             b = binomial(t, p)
-            direct = hockey_stick(a, b, eps)
-            thresh = hockey_stick_threshold(a, b, eps)
+            direct = d_hat({0: b, 1: a}, eps)
+            thresh = shift_pair_delta(t, p, eps)
             assert thresh == pytest.approx(direct, abs=1e-12)
 
-    def test_tie_at_threshold(self):
-        # e^0 * q == p everywhere for identical laws; optimal set is empty
-        d = binomial(4, 0.5)
-        assert hockey_stick_threshold(d, d, 0.0) == 0.0
+
+def _binom_tail_reference(u: int, p: float, eps: float) -> float:
+    """Both directions from scipy.stats.binom tails at the likelihood-ratio
+    thresholds (located in the e^eps form) and their neighbours."""
+    from scipy.stats import binom
+
+    scale, q = math.exp(eps), 1.0 - p
+    a = math.floor(scale * (u + 1) * p / (q + scale * p)) + 1
+    up = max(binom.sf(t - 2, u, p) - scale * binom.sf(t - 1, u, p) for t in (a - 1, a, a + 1))
+    b = math.ceil((u + 1) * p / (p + scale * q)) - 1
+    down = max(binom.cdf(t, u, p) - scale * binom.cdf(t - 1, u, p) for t in (b - 1, b, b + 1))
+    return max(up, down)
+
+
+_KERNEL_PS = (0.0, 1e-9, 0.02, 0.3, 0.5, 0.98, 1.0 - 1e-9, 1.0,
+              *np.random.default_rng(41).uniform(0.0, 1.0, size=3).tolist())
+
+
+class TestShiftPairDelta:
+    @given(st.integers(0, 40), st.integers(0, 10**6), st.floats(0.0, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_reference(self, u, p_millionths, eps):
+        p = p_millionths / 10**6
+        assert shift_pair_delta(u, p, eps) == pytest.approx(
+            dhat_shift_pair(u + 1, p, eps), abs=1e-13)
+
+    @pytest.mark.parametrize("p", _KERNEL_PS)
+    def test_matches_d_hat(self, p):
+        rng = np.random.default_rng(int(p * 1e6))
+        sizes = (0, 1, 2, 3, 17, 40, 255, 1000, 4096, *rng.integers(0, 4097, size=3).tolist())
+        grid = (0.0, 0.01, 5.0, 50.0, 700.0, 800.0, *rng.uniform(0.0, 5.0, size=3).tolist())
+        for u in sizes:
+            base = binomial(u, p)
+            for eps in grid:
+                direct = d_hat({0: base, 1: shift(base, 1)}, eps)
+                assert abs(shift_pair_delta(u, p, eps) - direct) <= 1e-12, (u, p, eps)
+
+    @pytest.mark.parametrize("u,p", [(0, 0.3), (1, 0.3), (5, 0.5), (40, 0.02),
+                                     (1000, 0.999), (4096, 1e-4), (31514, 0.99979)])
+    def test_huge_epsilon_leaves_only_disjoint_mass(self, u, p):
+        # only mass without a counterpart survives; for the last case a threshold
+        # written as e^eps (u + 1) p / (q + e^eps p) overflows and would report 0
+        expected = max(p**u, (1.0 - p) ** u)
+        assert shift_pair_delta(u, p, 800.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_disjoint_supports_give_one(self):
+        cases = [(0, 0.3)] + [(u, p) for u in (0, 1, 1 << 24) for p in (0.0, 1.0)]
+        for u, p in cases:
+            for eps in (0.0, 0.5, 800.0):
+                assert shift_pair_delta(u, p, eps) == 1.0, (u, p, eps)
+
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        us = np.concatenate((np.arange(0, 300), [1023, 4095, 32767, 1 << 20]))
+        for p in (0.02, 0.5, 0.77):
+            for eps in (0.0, 0.1, 3.0, 800.0):
+                values = shift_pair_delta(us, p, eps)
+                assert values.shape == us.shape
+                assert all(values[i] == shift_pair_delta(int(u), p, eps)
+                           for i, u in enumerate(us))
+
+    def test_rejects_bad_arguments(self):
+        for args in ((4, 1.5, 0.1), (4, float("nan"), 0.1), (-1, 0.5, 0.1), (4, 0.5, -0.1)):
+            with pytest.raises(DomainError):
+                shift_pair_delta(*args)
+
+    @pytest.mark.parametrize("n,expected", [(1 << 20, 5.4783900602e-11),
+                                            (1 << 24, 3.881568031e-98)])
+    def test_curve_beyond_the_normalization_ceiling(self, capsys, n, expected):
+        code = main(["curve", "--n", str(n), "--p", "0.5", "--eps", "0.01", "--format", "json"])
+        assert code == 0
+        delta = json.loads(capsys.readouterr().out)["points"][0]["delta"]
+        assert delta == pytest.approx(expected, rel=1e-10)
+        assert delta == pytest.approx(_binom_tail_reference(n - 1, 0.5, 0.01), rel=1e-9)
 
 
 class TestDhat:
