@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import max_dp_queries
 from .compose import composition_delta
 from .curve import epsilon_grid
@@ -39,6 +41,22 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _plain(value):
+    """numpy scalars and arrays as the Python values json understands."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _emit_json(payload, out: str | None) -> None:
+    """The one JSON writer: a non-finite value is refused, never printed."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise DomainError(f"refusing to print a non-finite value: {exc}") from exc
+    _emit(text + "\n", out)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -81,7 +99,7 @@ def cmd_curve(args) -> int:
             deltas.append(spc_iid(scenario, size, eps))
     if args.format == "json":
         payload = {"points": [{"epsilon": e, "delta": d} for e, d in zip(epsilons, deltas)]}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit(_csv_text(["epsilon", "delta"],
                         [[repr(e), repr(d)] for e, d in zip(epsilons, deltas)]), args.out)
@@ -103,7 +121,7 @@ def cmd_table(args) -> int:
             }
             for c in cells
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         rows = [
             [c.m, f"{c.sigma:.6f}", repr(c.epsilon), f"{c.delta_sp:.6f}",
@@ -128,17 +146,14 @@ def cmd_table(args) -> int:
 
 def cmd_compose(args) -> int:
     config = load_scenario(args.scenario)
-    reports = [
-        composition_delta(config.scenario, config.spec, eps, config.mode).to_dict()
-        for eps in config.epsilons
-    ]
+    grid_report = composition_delta(config.scenario, config.spec, config.epsilons, config.mode)
+    reports = [report.to_dict() for report in grid_report.split()]
     payload: dict = {"reports": reports}
     failed = False
     if args.verify:
-        law = exact_mechanism_law(config.scenario, config.spec)
+        exacts = exact_mechanism_law(config.scenario, config.spec).delta(config.epsilons)
         checks = []
-        for report in reports:
-            exact = law.delta(report["epsilon"])
+        for report, exact in zip(reports, exacts.tolist()):
             margin = report["total_delta"] - exact
             checks.append({
                 "epsilon": report["epsilon"], "exact_delta": exact,
@@ -147,19 +162,25 @@ def cmd_compose(args) -> int:
             })
             failed = failed or margin < -DOMINATION_TOL
         payload["verify"] = checks
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     failed = False
     lines = []
     records = []
     for instance in verification_matrix():
-        law = exact_mechanism_law(instance.scenario, instance.spec)
-        for eps in MATRIX_EPSILONS:
-            exact = law.delta(eps)
-            bound = composition_delta(instance.scenario, instance.spec, eps).total_delta
+        # laws and Monte-Carlo histograms are built once for the whole grid
+        exacts = exact_mechanism_law(instance.scenario, instance.spec).delta(MATRIX_EPSILONS)
+        bounds = composition_delta(instance.scenario, instance.spec, MATRIX_EPSILONS).total_delta
+        if args.trials:
+            mc = mc_distinguish(instance.scenario, instance.spec, MATRIX_EPSILONS,
+                                trials=args.trials, seed=args.seed)
+        for i, eps in enumerate(MATRIX_EPSILONS):
+            exact, bound = float(exacts[i]), float(bounds[i])
             margin = bound - exact
             ok = margin >= -DOMINATION_TOL
             failed = failed or not ok
@@ -168,11 +189,10 @@ def cmd_verify(args) -> int:
                 "bound_delta": bound, "margin": margin, "dominated": ok,
             }
             if args.trials:
-                mc = mc_distinguish(instance.scenario, instance.spec, eps,
-                                    trials=args.trials, seed=args.seed)
-                consistent = abs(mc.estimate - exact) <= 3.0 * mc.half_width + 1e-12
+                estimate, half_width = float(mc.estimate[i]), float(mc.half_width[i])
+                consistent = abs(estimate - exact) <= 3.0 * half_width + 1e-12
                 record.update({
-                    "mc_estimate": mc.estimate, "mc_half_width": mc.half_width,
+                    "mc_estimate": estimate, "mc_half_width": half_width,
                     "mc_consistent": consistent,
                 })
                 failed = failed or not consistent
@@ -186,7 +206,7 @@ def cmd_verify(args) -> int:
                          f" {'ok' if record['mc_consistent'] else 'INCONSISTENT'}")
             lines.append(line)
     if args.json:
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
+        _emit_json(records, args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
     return 1 if failed else 0
@@ -195,7 +215,7 @@ def cmd_verify(args) -> int:
 def cmd_dp_compare(args) -> int:
     calibration = max_dp_queries(args.eps, args.delta, args.sigma, args.n)
     if args.format == "json":
-        _emit(json.dumps(calibration.to_dict(), indent=2) + "\n", args.out)
+        _emit_json(calibration.to_dict(), args.out)
     else:
         d = calibration.to_dict()
         header = list(d)

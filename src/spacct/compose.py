@@ -9,11 +9,12 @@ when queries are chosen adaptively.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .curve import d_hat, shift_pair_delta
+import numpy as np
+
+from .curve import as_grid, d_hat, fsum_terms, shift_pair_delta
 from .distkit import binomial
 from .errors import CapacityError, DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates
@@ -63,8 +64,8 @@ CompositionSpec = NonadaptiveSpec | AdaptiveSpec
 class BlockTerm:
     block: int
     weight: float
-    delta: float
-    half_width: float | None = None
+    delta: float | np.ndarray
+    half_width: float | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,44 @@ class CompositionReport:
     """Per-block divergence terms and their weighted total.
 
     total_delta is clamped to [0, 1]; raw_delta keeps the unclamped sum for
-    diagnostics (aggressive parameters can push the bound above 1).
+    diagnostics (aggressive parameters can push the bound above 1). A
+    report over an epsilon grid holds arrays, one entry per grid point, in
+    its epsilon, delta and half-width fields; `split` gives the
+    single-epsilon reports.
     """
 
-    epsilon: float
+    epsilon: float | np.ndarray
     per_block: tuple[BlockTerm, ...]
-    raw_delta: float
-    total_delta: float
+    raw_delta: float | np.ndarray
+    total_delta: float | np.ndarray
     mode: str
-    total_half_width: float | None = None
+    total_half_width: float | np.ndarray | None = None
+
+    def split(self) -> tuple[CompositionReport, ...]:
+        """One single-epsilon report per grid point, in grid order."""
+        if np.ndim(self.epsilon) == 0:
+            return (self,)
+
+        def column(value) -> list | None:
+            return None if value is None else value.tolist()
+
+        deltas = [column(t.delta) for t in self.per_block]
+        half_widths = [column(t.half_width) for t in self.per_block]
+        total_hw = column(self.total_half_width)
+        return tuple(
+            CompositionReport(
+                epsilon=eps,
+                per_block=tuple(BlockTerm(t.block, t.weight, d[i], None if h is None else h[i])
+                                for t, d, h in zip(self.per_block, deltas, half_widths)),
+                raw_delta=raw,
+                total_delta=total,
+                mode=self.mode,
+                total_half_width=None if total_hw is None else total_hw[i],
+            )
+            for i, (eps, raw, total) in enumerate(zip(self.epsilon.tolist(),
+                                                      self.raw_delta.tolist(),
+                                                      self.total_delta.tolist()))
+        )
 
     def to_dict(self) -> dict:
         out = {
@@ -103,18 +133,21 @@ class CompositionReport:
         return out
 
 
-def _report(epsilon: float, terms: list[BlockTerm], mode: str) -> CompositionReport:
-    raw = math.fsum(t.weight * t.delta for t in terms)
+def _report(epsilon, terms: list[BlockTerm], mode: str) -> CompositionReport:
+    """Weighted totals per grid point; a scalar epsilon gives its single report."""
+    weights = np.array([t.weight for t in terms])[:, None]
+    raw = fsum_terms(weights * np.array([t.delta for t in terms]))
     hws = [t.weight * t.half_width for t in terms if t.half_width is not None]
-    total_hw = math.sqrt(math.fsum(h * h for h in hws)) if hws else None
-    return CompositionReport(
-        epsilon=epsilon,
+    total_hw = np.sqrt(fsum_terms([h * h for h in hws])) if hws else None
+    report = CompositionReport(
+        epsilon=as_grid(epsilon),
         per_block=tuple(terms),
         raw_delta=raw,
-        total_delta=min(1.0, max(0.0, raw)),
+        total_delta=np.minimum(1.0, np.maximum(0.0, raw)),
         mode=mode,
         total_half_width=total_hw,
     )
+    return report if np.ndim(epsilon) else report.split()[0]
 
 
 def _require_fits(scenario: Scenario, fmt: TemplateFormat) -> None:
@@ -132,43 +165,54 @@ def _iid_attr_p(scenario: Scenario, query: PropertyQuery) -> float:
 
 
 def _iid_block_dhat(scenario: Scenario, query: PropertyQuery, size: int,
-                    epsilon: float, cache: dict) -> float:
+                    grid: np.ndarray, cache: dict) -> np.ndarray:
     key = (query.attribute, query.negate, size)
     if key not in cache:
-        cache[key] = shift_pair_delta(size - 1, _iid_attr_p(scenario, query), epsilon)
+        p = _iid_attr_p(scenario, query)
+        cache[key] = np.array([shift_pair_delta(size - 1, p, e) for e in grid.tolist()])
     return cache[key]
 
 
-def nonadaptive_iid(scenario: Scenario, spec: NonadaptiveSpec, epsilon: float) -> CompositionReport:
+def nonadaptive_iid(scenario: Scenario, spec: NonadaptiveSpec, epsilon) -> CompositionReport:
     """Bound for iid entries: sum_k (n_k / n) * divergence at database size n_k."""
     if not scenario.is_iid:
         raise DomainError("nonadaptive_iid requires an iid scenario")
     if not isinstance(spec, NonadaptiveSpec):
         raise DomainError("spec must be nonadaptive")
     _require_fits(scenario, spec.format)
+    grid = as_grid(epsilon)
     cache: dict = {}
     terms = []
     for k, (size, query) in enumerate(zip(spec.format.sizes, spec.queries), start=1):
-        delta = _iid_block_dhat(scenario, query, size, epsilon, cache)
+        delta = _iid_block_dhat(scenario, query, size, grid, cache)
         terms.append(BlockTerm(block=k, weight=size / scenario.n, delta=delta))
     return _report(epsilon, terms, "nonadaptive-iid")
 
 
-def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon: float,
+def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
                         mode: Enumerate | MonteCarlo = Enumerate()) -> CompositionReport:
-    """General-entry bound: per-block SPC under the law restricted to (j, k)."""
+    """General-entry bound: per-block SPC under the law restricted to (j, k).
+
+    An enumerated block term depends only on the block size and the query,
+    so blocks that share both are evaluated once.
+    """
     if not isinstance(spec, NonadaptiveSpec):
         raise DomainError("spec must be nonadaptive")
     _require_fits(scenario, spec.format)
     j = scenario.critical_index
+    grid = as_grid(epsilon)
+    enumerated: dict = {}
     terms = []
     for k, (size, query) in enumerate(zip(spec.format.sizes, spec.queries), start=1):
         law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
-        block_mode = mode
         if isinstance(mode, MonteCarlo):
             # independent per-block streams derived from the one configured seed
             block_mode = MonteCarlo(mode.trials, seed=(mode.seed, k))
-        est = spc_general(scenario, law, query, epsilon, block_mode)
+            est = spc_general(scenario, law, query, grid, block_mode)
+        else:
+            if (size, query) not in enumerated:
+                enumerated[size, query] = spc_general(scenario, law, query, grid, mode)
+            est = enumerated[size, query]
         terms.append(BlockTerm(block=k, weight=size / scenario.n,
                                delta=est.value, half_width=est.half_width))
     return _report(epsilon, terms, "nonadaptive-general")
@@ -184,7 +228,7 @@ def _check_prefix_caps(fmt: TemplateFormat, cap: int) -> None:
             )
 
 
-def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
+def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon,
                  prefix_cap: int = PREFIX_CAP) -> CompositionReport:
     """Adaptive bound for iid entries.
 
@@ -201,14 +245,15 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
     _check_prefix_caps(spec.format, prefix_cap)
     sizes = spec.format.sizes
     m = spec.format.num_blocks
+    grid = as_grid(epsilon)
     cache: dict = {}
-    block_terms: list[list[float]] = [[] for _ in range(m)]
+    block_terms: list[list[np.ndarray]] = [[] for _ in range(m)]
 
     def walk(k: int, prefix: tuple[int, ...], prob: float) -> None:
         query = spec.choose(prefix)
         if not isinstance(query, PropertyQuery):
             raise DomainError(f"adaptive chooser returned {query!r} for prefix {prefix}")
-        block_terms[k].append(prob * _iid_block_dhat(scenario, query, sizes[k], epsilon, cache))
+        block_terms[k].append(prob * _iid_block_dhat(scenario, query, sizes[k], grid, cache))
         if k + 1 < m:
             answer_law = binomial(sizes[k], _iid_attr_p(scenario, query))
             for a, pa in answer_law.items():
@@ -217,13 +262,13 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
 
     walk(0, (), 1.0)
     terms = [
-        BlockTerm(block=k + 1, weight=sizes[k] / scenario.n, delta=math.fsum(block_terms[k]))
+        BlockTerm(block=k + 1, weight=sizes[k] / scenario.n, delta=fsum_terms(block_terms[k]))
         for k in range(m)
     ]
     return _report(epsilon, terms, "adaptive-iid")
 
 
-def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
+def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon,
                      template_cap: int = 10**6, prefix_cap: int = PREFIX_CAP) -> CompositionReport:
     """Adaptive bound for arbitrary entry models, by full enumeration.
 
@@ -242,12 +287,13 @@ def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
     j = scenario.critical_index
     sizes = spec.format.sizes
     m = spec.format.num_blocks
+    grid = as_grid(epsilon)
     terms = []
     for k in range(1, m + 1):
         law = PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), restriction=(j, k))
         template_terms = []
         for template, w in enumerate_templates(law, cap=template_cap):
-            def walk(level: int, prefix: tuple[int, ...], prob: float) -> float:
+            def walk(level: int, prefix: tuple[int, ...], prob: float) -> np.ndarray:
                 query = spec.choose(prefix)
                 if not isinstance(query, PropertyQuery):
                     raise DomainError(
@@ -255,23 +301,28 @@ def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon: float,
                 if level == k - 1:
                     members = [i for i in template.block(k) if i != j]
                     rows = probs[[i - 1 for i in members], :]
-                    return prob * d_hat(query.indicator_laws(rows), epsilon)
+                    return prob * d_hat(query.indicator_laws(rows), grid)
                 rows = probs[[i - 1 for i in template.block(level + 1)], :]
                 answer_law = query.unconditional_law(rows)
-                return math.fsum(
+                return fsum_terms([
                     walk(level + 1, prefix + (a,), prob * pa)
                     for a, pa in answer_law.items() if pa > 0.0
-                )
+                ])
 
             template_terms.append(w * walk(0, (), 1.0))
         terms.append(BlockTerm(block=k, weight=sizes[k - 1] / scenario.n,
-                               delta=math.fsum(template_terms)))
+                               delta=fsum_terms(template_terms)))
     return _report(epsilon, terms, "adaptive-general")
 
 
-def composition_delta(scenario: Scenario, spec: CompositionSpec, epsilon: float,
+def composition_delta(scenario: Scenario, spec: CompositionSpec, epsilon,
                       mode: Enumerate | MonteCarlo = Enumerate()) -> CompositionReport:
-    """Dispatch to the applicable bound for the scenario/spec combination."""
+    """Dispatch to the applicable bound for the scenario/spec combination.
+
+    `epsilon` is a number or a 1-D grid; a grid gives one report whose delta
+    fields are arrays (see CompositionReport.split), with every answer law
+    built once for the whole grid.
+    """
     if isinstance(spec, NonadaptiveSpec):
         if scenario.is_iid:
             return nonadaptive_iid(scenario, spec, epsilon)

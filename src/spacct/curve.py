@@ -77,29 +77,59 @@ def _scale(epsilon: float) -> float:
     return math.exp(min(epsilon, _EXP_CAP))
 
 
-def hockey_stick(p: Pmf, q: Pmf, epsilon: float) -> float:
-    """sum_a max(0, p(a) - e^eps * q(a)) over the union support (direct sum)."""
+def as_grid(epsilon) -> np.ndarray:
+    """An epsilon or a 1-D grid of them as a 1-D array; a scalar is a grid of one."""
+    eps = np.asarray(epsilon, dtype=np.float64)
+    if eps.ndim > 1:
+        raise DomainError("epsilon must be a number or a 1-D grid")
+    return eps.reshape(-1)
+
+
+def per_epsilon(epsilon, values: np.ndarray):
+    """Grid results in the shape of the epsilon argument: a float for a scalar."""
+    return float(values[0]) if np.ndim(epsilon) == 0 else values
+
+
+def fsum_terms(terms) -> np.ndarray:
+    """Per-epsilon math.fsum of a sequence of grid arrays (one row per term).
+
+    fsum is exactly rounded, so each epsilon's sum does not depend on the
+    order of the terms and equals the scalar path's fsum bit for bit.
+    """
+    return np.array([math.fsum(col) for col in np.asarray(terms).T.tolist()])
+
+
+def hockey_stick(p: Pmf, q: Pmf, epsilon):
+    """sum_a max(0, p(a) - e^eps * q(a)) over the union support (direct sum).
+
+    `epsilon` may be a 1-D grid: the (grid x support) difference is built
+    once and each row summed on its own, so every value equals the scalar
+    call's (fsum is exact, so the zeros put in for negative terms change
+    nothing).
+    """
+    grid = as_grid(epsilon)
+    scales = np.array([_scale(e) for e in grid.tolist()])
     lo = min(p.offset, q.offset)
-    diff = np.zeros(max(p.top, q.top) - lo + 1)
-    diff[p.offset - lo : p.offset - lo + p.masses.size] = p.masses
-    diff[q.offset - lo : q.offset - lo + q.masses.size] -= _scale(epsilon) * q.masses
-    pos = diff[diff > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return min(1.0, math.fsum(pos.tolist()))
+    diff = np.zeros((grid.size, max(p.top, q.top) - lo + 1))
+    diff[:, p.offset - lo : p.offset - lo + p.masses.size] = p.masses
+    diff[:, q.offset - lo : q.offset - lo + q.masses.size] -= scales[:, None] * q.masses
+    positive = np.where(diff > 0.0, diff, 0.0).tolist()
+    return per_epsilon(epsilon, np.array([min(1.0, math.fsum(row)) for row in positive]))
 
 
-def d_hat(p_by_value: dict, epsilon: float) -> float:
-    """Max of hockey_stick over ordered pairs of conditional answer laws."""
+def d_hat(p_by_value: dict, epsilon):
+    """Max of hockey_stick over ordered pairs of conditional answer laws,
+    at one epsilon or over a 1-D grid."""
     if len(p_by_value) < 2:
         raise DomainError("need at least two critical values")
     laws = list(p_by_value.values())
-    best = 0.0
+    grid = as_grid(epsilon)
+    best = np.zeros(grid.size)
     for i, pv in enumerate(laws):
         for j, pw in enumerate(laws):
             if i != j:
-                best = max(best, hockey_stick(pv, pw, epsilon))
-    return best
+                best = np.maximum(best, hockey_stick(pv, pw, grid))
+    return per_epsilon(epsilon, best)
 
 
 def _shift_up_delta(u: np.ndarray, p: float, scale: float) -> np.ndarray:
@@ -167,5 +197,6 @@ def epsilon_grid(epsilons) -> tuple[float, ...]:
 
 def eval_curve(p_by_value: dict, epsilons) -> PrivacyCurve:
     """Evaluate d_hat on a strictly increasing epsilon grid."""
-    points = (CurvePoint(e, d_hat(p_by_value, e)) for e in epsilon_grid(epsilons))
-    return PrivacyCurve(tuple(points))
+    eps = epsilon_grid(epsilons)
+    deltas = d_hat(p_by_value, eps).tolist()
+    return PrivacyCurve(tuple(CurvePoint(e, d) for e, d in zip(eps, deltas)))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec
-from .curve import d_hat
+from .curve import as_grid, d_hat, per_epsilon
 from .distkit import Pmf
 from .errors import CapacityError, DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
@@ -41,13 +41,16 @@ class ExactMechanismLaw:
     laws: dict[int, Pmf]
     radix: tuple[int, ...]
 
-    def delta(self, epsilon: float) -> float:
+    def delta(self, epsilon):
+        """d_hat of the joint laws at one epsilon, or an array over a 1-D grid."""
         return d_hat(self.laws, epsilon)
 
 
 class McEstimate(NamedTuple):
-    estimate: float
-    half_width: float
+    """Floats for one epsilon; arrays over the grid when given one."""
+
+    estimate: float | np.ndarray
+    half_width: float | np.ndarray
 
 
 def _plane_lookup(entries: np.ndarray):
@@ -164,22 +167,14 @@ def exact_mechanism_delta(scenario: Scenario, spec: CompositionSpec, epsilon: fl
     return exact_mechanism_law(scenario, spec, cap=cap).delta(epsilon)
 
 
-def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon: float,
-                   trials: int, seed: int) -> McEstimate:
-    """Plug-in divergence estimate from sampled mechanism runs.
-
-    Per critical value, samples (template, database, answers) `trials` times
-    and histograms the answer tuples; the divergence of each ordered pair of
-    empirical laws is evaluated directly. The half-width is the 95% normal
-    approximation for the maximizing pair, treating its optimal answer set
-    as fixed. The estimator's bias is O(answer-space / trials).
+def _mc_histograms(scenario: Scenario, spec: CompositionSpec, trials: int,
+                   seed: int) -> dict[int, np.ndarray]:
+    """Empirical answer-tuple laws of `trials` sampled runs, per critical value.
 
     A master seed is split into one child stream per critical value, and
     each trial's randomness occupies a fixed slice of that stream, so
     results do not depend on evaluation order and reruns are bit-identical.
     """
-    if trials < 10**3:
-        raise DomainError("need at least 1000 trials")
     fmt = spec.format
     n = scenario.n
     num_values = scenario.num_values
@@ -209,11 +204,17 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon: float,
         answers = _answer_matrix(spec, get_answers, trials)
         flat = answers @ mult
         hist[v] = np.bincount(flat, minlength=n_answers) / trials
+    return hist
 
+
+def _mc_estimate(hist: dict[int, np.ndarray], epsilon: float,
+                 trials: int) -> tuple[float, float]:
+    """Plug-in divergence of the empirical laws at one epsilon, with the
+    half-width of its maximizing ordered pair."""
     scale = math.exp(min(epsilon, 700.0))
     best, best_pair = -1.0, (0, 1)
-    for v in range(num_values):
-        for w in range(num_values):
+    for v in hist:
+        for w in hist:
             if v == w:
                 continue
             mask = hist[v] > scale * hist[w]
@@ -226,7 +227,29 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon: float,
     pv = math.fsum(hist[v][mask].tolist())
     pw = math.fsum(hist[w][mask].tolist())
     var = (pv * (1.0 - pv) + scale * scale * pw * (1.0 - pw)) / trials
-    return McEstimate(best, 1.96 * math.sqrt(max(var, 0.0)))
+    return best, 1.96 * math.sqrt(max(var, 0.0))
+
+
+def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon,
+                   trials: int, seed: int) -> McEstimate:
+    """Plug-in divergence estimate from sampled mechanism runs.
+
+    Per critical value, samples (template, database, answers) `trials` times
+    and histograms the answer tuples; the divergence of each ordered pair of
+    empirical laws is evaluated directly. The half-width is the 95% normal
+    approximation for the maximizing pair, treating its optimal answer set
+    as fixed. The estimator's bias is O(answer-space / trials).
+
+    The histograms are sampled once and evaluated at every point of a 1-D
+    epsilon grid, which then gives arrays; each point's estimate equals the
+    single-epsilon call with the same seed.
+    """
+    if trials < 10**3:
+        raise DomainError("need at least 1000 trials")
+    hist = _mc_histograms(scenario, spec, trials, seed)
+    estimates = np.array([_mc_estimate(hist, e, trials) for e in as_grid(epsilon).tolist()])
+    return McEstimate(per_epsilon(epsilon, estimates[:, 0]),
+                      per_epsilon(epsilon, estimates[:, 1]))
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,14 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a boolean or a string."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def _prob(value, what: str) -> float:
     """A JSON number; range checks are left to the entry models."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         _fail(f"{what} must be a number, got {value!r}")
     return float(value)
 
@@ -153,7 +158,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     _require_keys(doc, _TOP_LEVEL_KEYS,
                   {"schema_version", "n", "entry_model", "format", "queries", "epsilons"},
                   "the scenario")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _int(doc["schema_version"], "schema_version") != SCHEMA_VERSION:
         _fail(f"unsupported schema_version {doc['schema_version']!r}, expected {SCHEMA_VERSION}")
     n = _int(doc["n"], "n")
     entries = _parse_entry_model(doc["entry_model"])
@@ -183,6 +188,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     if not isinstance(doc["epsilons"], list):
         _fail("epsilons must be a list")
+    for eps in doc["epsilons"]:
+        if not _is_number(eps):
+            _fail(f"epsilons must be finite numbers, got {eps!r}")
     epsilons = epsilon_grid(doc["epsilons"])
 
     mode_doc = doc.get("mode", "enumerate")

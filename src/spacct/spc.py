@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distkit
-from .curve import d_hat, shift_pair_delta
+from .curve import as_grid, d_hat, fsum_terms, per_epsilon, shift_pair_delta
 from .distkit import Pmf, hypergeometric, poisson_binomial, shift
 from .errors import CapacityError, DomainError
 from .partition import TEMPLATE_CAP, PartitionLaw
@@ -189,8 +189,10 @@ class PropertyQuery:
 
 
 class SpcEstimate(NamedTuple):
-    value: float
-    half_width: float | None = None
+    """Floats for one epsilon; arrays over the grid when given one."""
+
+    value: float | np.ndarray
+    half_width: float | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,7 @@ def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsi
 
 
 def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
-                epsilon: float, mode: Enumerate | MonteCarlo = Enumerate()) -> SpcEstimate:
+                epsilon, mode: Enumerate | MonteCarlo = Enumerate()) -> SpcEstimate:
     """Expected divergence of block k's answer laws under a law restricted to (j, k).
 
     Block k's answer laws are Poisson-binomial counts of the critical
@@ -301,7 +303,8 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     the restricted law those co-members are a uniform subset of the other
     n - 1 indices; the other blocks never enter. Enumerate mode averages
     over every such subset exactly; MonteCarlo averages over subsets drawn
-    by the same seeded shuffle as partition.sample_template.
+    by the same seeded shuffle as partition.sample_template. Each subset's
+    laws are built once and evaluated over the whole epsilon grid.
     """
     if law.restriction is None:
         raise DomainError("spc_general requires a law restricted to (critical index, block)")
@@ -313,9 +316,10 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     probs = scenario.probs_matrix()
     others = np.delete(np.arange(law.n), j - 1)
     picks = law.format.sizes[k - 1] - 1
+    grid = as_grid(epsilon)
 
-    def block_delta(co_members) -> float:
-        return d_hat(query.indicator_laws(probs[co_members, :]), epsilon)
+    def block_delta(co_members) -> np.ndarray:
+        return d_hat(query.indicator_laws(probs[co_members, :]), grid)
 
     if isinstance(mode, Enumerate):
         count = math.comb(law.n - 1, picks)
@@ -325,13 +329,15 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
                 "use Monte-Carlo sampling")
         weight = 1.0 / count
         terms = [weight * block_delta(list(co)) for co in combinations(others, picks)]
-        return SpcEstimate(min(1.0, math.fsum(terms)), None)
+        return SpcEstimate(per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms))), None)
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
-    values = np.empty(mode.trials)
+    values = np.empty((grid.size, mode.trials))
     for t in range(mode.trials):
-        values[t] = block_delta(rng.permutation(others)[start : start + picks])
-    mean = float(values.mean())
-    spread = float(values.std(ddof=1)) if mode.trials > 1 else 0.0
-    return SpcEstimate(mean, 1.96 * spread / math.sqrt(mode.trials))
+        values[:, t] = block_delta(rng.permutation(others)[start : start + picks])
+    # one contiguous row per epsilon, reduced exactly as a 1-D sample
+    means = np.array([row.mean() for row in values])
+    spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])
+    return SpcEstimate(per_epsilon(epsilon, means),
+                       per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))

@@ -2,10 +2,23 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from spacct import d_hat, property_query_answer_law, spc_iid, IidEntries, Scenario
-from spacct.cli import main
+from spacct import (
+    DomainError,
+    IidEntries,
+    Scenario,
+    composition_delta,
+    d_hat,
+    exact_mechanism_law,
+    mc_distinguish,
+    property_query_answer_law,
+    spc_iid,
+    verification_matrix,
+)
+from spacct.cli import _emit_json, main
+from spacct.scenario_io import load_scenario
 
 
 def run(capsys, *argv):
@@ -204,6 +217,42 @@ class TestComposeCommand:
         assert out == ""
         assert "must be" in err
 
+    @pytest.mark.parametrize("update", [
+        {"schema_version": True},
+        {"schema_version": 1.0},
+        {"schema_version": "1"},
+        {"epsilons": ["0.1"]},
+        {"epsilons": [True]},
+        {"epsilons": ["0.1", True]},
+        {"epsilons": [0.1, None]},
+        {"epsilons": [[0.1]]},
+        {"schema_version": True, "epsilons": ["0.1", True]},
+    ])
+    def test_epsilons_and_schema_version_types_exit_2_without_delta(self, capsys, tmp_path,
+                                                                      update):
+        doc = self.scenario_doc()
+        doc.update(update)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
+    def test_grid_reports_equal_per_epsilon_api_reports(self, capsys, tmp_path):
+        doc = self.scenario_doc()
+        doc.update(epsilons=[0.0, 0.1, 1.0], n=8, format=[3, 3],
+                   entry_model={"kind": "explicit", "probs": [0.1 * i for i in range(1, 9)]},
+                   mode={"monte_carlo": {"trials": 40}}, seed=9)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        config = load_scenario(path)
+        assert json.loads(out)["reports"] == [
+            composition_delta(config.scenario, config.spec, eps, config.mode).to_dict()
+            for eps in config.epsilons]
+
     def test_invalid_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"schema_version": 1}))
@@ -232,6 +281,43 @@ class TestVerifyCommand:
         assert code == 0
         records = json.loads(out)
         assert all("mc_estimate" in r for r in records)
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "1000", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
+    def test_records_equal_per_epsilon_api_values(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json", "--trials", "1000", "--seed", "11")
+        assert code == 0
+        records = iter(json.loads(out))
+        for instance in verification_matrix():
+            law = exact_mechanism_law(instance.scenario, instance.spec)
+            for eps in (0.0, 0.1, 1.0):
+                record = next(records)
+                mc = mc_distinguish(instance.scenario, instance.spec, eps, trials=1000, seed=11)
+                assert (record["instance"], record["epsilon"]) == (instance.name, eps)
+                assert record["exact_delta"] == law.delta(eps)
+                assert record["bound_delta"] == composition_delta(
+                    instance.scenario, instance.spec, eps).total_delta
+                assert (record["mc_estimate"], record["mc_half_width"]) == mc
+        assert next(records, None) is None
+
+
+class TestJsonEmitter:
+    def test_numpy_values_print_as_plain_json(self, capsys):
+        _emit_json({"x": np.float64(0.1), "ok": np.bool_(True), "grid": np.array([0.0, 1.5]),
+                    "n": np.int64(3)}, None)
+        out = capsys.readouterr().out
+        assert out == json.dumps({"x": 0.1, "ok": True, "grid": [0.0, 1.5], "n": 3},
+                                 indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_non_finite_values_are_refused(self, capsys, value):
+        with pytest.raises(DomainError, match="non-finite"):
+            _emit_json({"delta": value}, None)
+        assert capsys.readouterr().out == ""
 
 
 class TestDpCompareCommand:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import spacct.compose
 from spacct import (
     AdaptiveSpec,
     CapacityError,
@@ -11,6 +12,7 @@ from spacct import (
     IidEntries,
     MonteCarlo,
     NonadaptiveSpec,
+    PartitionLaw,
     PropertyQuery,
     Scenario,
     TemplateFormat,
@@ -21,6 +23,7 @@ from spacct import (
     nonadaptive_general,
     nonadaptive_iid,
     property_query_answer_law,
+    spc_general,
 )
 
 from rational_ref import adaptive_theorem_sum, dhat_shift_pair, nonadaptive_theorem_sum
@@ -124,6 +127,105 @@ class TestNonadaptiveGeneral:
         mc = nonadaptive_general(sc, spec, 0.1, MonteCarlo(trials=4000, seed=3))
         assert mc.total_half_width is not None
         assert abs(mc.total_delta - exact) <= 4 * mc.total_half_width + 5e-3
+
+
+class TestSharedEnumeratedBlocks:
+    """Enumerated blocks with the same size and query are evaluated once."""
+
+    def test_repeated_query_makes_one_spc_call(self, monkeypatch):
+        probs = [0.1 + 0.05 * i for i in range(16)]
+        sc = Scenario(16, ExplicitEntries(tuple((p,) for p in probs)), critical_index=7)
+        fmt = TemplateFormat((4, 4, 4, 4))
+        query = PropertyQuery()
+        eps = (0.0, 0.3)
+        # the block terms as evaluated one by one
+        per_block = [spc_general(sc, PartitionLaw(16, fmt, restriction=(7, k)), query, eps).value
+                     for k in range(1, 5)]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return spc_general(*args, **kwargs)
+
+        monkeypatch.setattr(spacct.compose, "spc_general", counting)
+        report = nonadaptive_general(sc, NonadaptiveSpec(fmt, (query,) * 4), eps)
+        assert len(calls) == 1
+        for i, one in enumerate(report.split()):
+            assert [t.delta for t in one.per_block] == [float(d[i]) for d in per_block]
+            raw = math.fsum(0.25 * float(d[i]) for d in per_block)
+            assert one.raw_delta == raw and one.total_delta == min(1.0, raw)
+
+    def test_negation_and_size_are_part_of_the_key(self, monkeypatch):
+        sc = Scenario(9, ExplicitEntries(tuple((0.1 * i,) for i in range(1, 10))),
+                      critical_index=2)
+        spec = NonadaptiveSpec(TemplateFormat((2, 3, 2, 2)), (
+            PropertyQuery(), PropertyQuery(), PropertyQuery(negate=True), PropertyQuery()))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return spc_general(*args, **kwargs)
+
+        unshared = nonadaptive_general(sc, spec, 0.2)
+        monkeypatch.setattr(spacct.compose, "spc_general", counting)
+        assert nonadaptive_general(sc, spec, 0.2) == unshared
+        assert len(calls) == 3  # (2, ones), (3, ones), (2, zeros)
+
+    def test_monte_carlo_blocks_keep_their_own_streams(self, monkeypatch):
+        sc = Scenario(8, ExplicitEntries(tuple((0.1 * i,) for i in range(1, 9))))
+        spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return spc_general(*args, **kwargs)
+
+        monkeypatch.setattr(spacct.compose, "spc_general", counting)
+        nonadaptive_general(sc, spec, 0.2, MonteCarlo(trials=50, seed=4))
+        assert len(calls) == 2
+
+
+GRID = (0.0, 0.1, 0.5, 1.0, 750.0)
+
+
+def _grid_cases():
+    explicit = Scenario(7, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.35,), (0.6,), (0.1,),
+                                            (0.9,))), critical_index=3)
+    iid = Scenario(7, IidEntries((0.3,)), critical_index=3)
+
+    def choose(prefix):
+        if not prefix:
+            return PropertyQuery()
+        return PropertyQuery() if prefix[0] >= 1 else PropertyQuery(negate=True)
+
+    flat = NonadaptiveSpec(TemplateFormat((3, 2, 2)),
+                           (PropertyQuery(), PropertyQuery(negate=True), PropertyQuery()))
+    tree = AdaptiveSpec(TemplateFormat((2, 2, 2)), choose)
+    return [
+        ("nonadaptive-iid", iid, flat, Enumerate()),
+        ("nonadaptive-general", explicit, flat, Enumerate()),
+        ("nonadaptive-general", explicit, flat, MonteCarlo(trials=300, seed=(5, 6))),
+        ("adaptive-iid", iid, tree, Enumerate()),
+        ("adaptive-general", explicit, tree, Enumerate()),
+    ]
+
+
+class TestEpsilonGrid:
+    @pytest.mark.parametrize("mode_name, scenario, spec, mode", _grid_cases(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_grid_report_splits_into_scalar_reports(self, mode_name, scenario, spec, mode):
+        report = composition_delta(scenario, spec, GRID, mode)
+        assert report.mode == mode_name
+        assert len(report.per_block) == spec.format.num_blocks
+        singles = [composition_delta(scenario, spec, eps, mode) for eps in GRID]
+        assert list(report.split()) == singles
+        assert [r.to_dict() for r in report.split()] == [r.to_dict() for r in singles]
+
+    def test_scalar_report_is_unchanged(self):
+        sc = Scenario(12, IidEntries((0.4,)))
+        report = nonadaptive_iid(sc, equal_spec(12, 2), 0.1)
+        assert type(report.total_delta) is float and type(report.per_block[0].delta) is float
+        assert report.split() == (report,)
 
 
 class TestAdaptiveIid:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spacct import (
     DomainError,
+    Pmf,
     binomial,
     d_hat,
     eval_curve,
@@ -18,7 +19,7 @@ from spacct import (
     shift_pair_delta,
 )
 from spacct.cli import main
-from spacct.curve import CurvePoint, PrivacyCurve
+from spacct.curve import _EXP_CAP, CurvePoint, PrivacyCurve
 
 from rational_ref import dhat_shift_pair, total_variation
 
@@ -207,6 +208,55 @@ class TestPropertyQueryAnswerLaw:
     def test_rejects_empty_database(self):
         with pytest.raises(DomainError):
             property_query_answer_law(0, 0.5, 1)
+
+
+@st.composite
+def random_pmfs(draw):
+    """A Pmf on a short support at a small offset, interior zeros allowed."""
+    masses = st.sampled_from((0.0, 1e-12, 0.1, 0.3, 1.0, 7.0)) | st.floats(0.0, 1.0)
+    weights = draw(st.lists(masses, min_size=1, max_size=12))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    total = math.fsum(weights)
+    return Pmf(draw(st.integers(-3, 3)), np.array(weights) / total)
+
+
+# every grid holds 0 and a point past the e^eps cap
+epsilon_grids = st.lists(st.floats(0.0, 5.0) | st.floats(_EXP_CAP, 900.0), max_size=6).map(
+    lambda extra: np.array([0.0, *extra, _EXP_CAP + 50.0]))
+
+
+class TestEpsilonGridEvaluation:
+    """An epsilon grid gives, at every point, the scalar call's value bit for bit."""
+
+    @given(p=random_pmfs(), q=random_pmfs(), grid=epsilon_grids)
+    @settings(max_examples=150, deadline=None)
+    def test_hockey_stick_grid_equals_scalar_calls(self, p, q, grid):
+        got = hockey_stick(p, q, grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape
+        for eps, value in zip(grid.tolist(), got.tolist()):
+            assert value == hockey_stick(p, q, eps)
+
+    @given(laws=st.lists(random_pmfs(), min_size=2, max_size=4), grid=epsilon_grids)
+    @settings(max_examples=100, deadline=None)
+    def test_d_hat_grid_equals_scalar_calls(self, laws, grid):
+        by_value = dict(enumerate(laws))
+        got = d_hat(by_value, grid)
+        for eps, value in zip(grid.tolist(), got.tolist()):
+            assert value == d_hat(by_value, eps)
+
+    def test_scalar_epsilon_gives_a_float(self):
+        a, b = shift(binomial(5, 0.4), 1), binomial(5, 0.4)
+        assert type(hockey_stick(a, b, 0.1)) is float
+        assert type(d_hat({0: a, 1: b}, 0.1)) is float
+        assert hockey_stick(a, b, [0.1]).shape == (1,)
+
+    def test_rejects_bad_grids(self):
+        a = binomial(3, 0.5)
+        with pytest.raises(DomainError):
+            hockey_stick(a, a, [[0.1, 0.2]])
+        with pytest.raises(DomainError):
+            d_hat({0: a, 1: shift(a, 1)}, [0.1, -0.2])
 
 
 class TestEvalCurve:

@@ -144,6 +144,17 @@ class TestMcDistinguish:
         mc = mc_distinguish(sc, spec, 1.0, trials=50000, seed=2)
         assert abs(mc.estimate - exact) <= 3 * mc.half_width + 1e-12
 
+    @pytest.mark.parametrize("name", ["n=8 p=0.2 m=2 nonadaptive", "n=4 p=0.5 m=2 adaptive"])
+    def test_epsilon_grid_equals_scalar_calls(self, name):
+        instance = next(i for i in verification_matrix() if i.name == name)
+        grid = mc_distinguish(instance.scenario, instance.spec, MATRIX_EPSILONS,
+                              trials=1000, seed=31)
+        for i, eps in enumerate(MATRIX_EPSILONS):
+            one = mc_distinguish(instance.scenario, instance.spec, eps, trials=1000, seed=31)
+            assert (grid.estimate[i], grid.half_width[i]) == one
+        law = exact_mechanism_law(instance.scenario, instance.spec)
+        assert law.delta(MATRIX_EPSILONS).tolist() == [law.delta(e) for e in MATRIX_EPSILONS]
+
     def test_half_width_shrinks_with_trials(self):
         sc = Scenario(4, IidEntries((0.5,)))
         spec = single_query(4, 2)

@@ -277,6 +277,22 @@ class TestSpcGeneralSubsets:
                 got = spc_general(scenario, law, PropertyQuery(negate=negate), eps)
                 assert got.value == pytest.approx(math.fsum(deltas) / 455, abs=1e-12)
 
+    @given(case=restricted_explicit_cases(), trials=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_epsilon_grid_equals_scalar_calls(self, case, trials, seed):
+        scenario, law, query = case
+        grid = (0.0, 0.05, 0.3, 1.0, 750.0)
+        for mode in (Enumerate(), MonteCarlo(trials, seed=seed)):
+            got = spc_general(scenario, law, query, grid, mode)
+            for i, eps in enumerate(grid):
+                one = spc_general(scenario, law, query, eps, mode)
+                assert got.value[i] == one.value
+                if one.half_width is None:
+                    assert got.half_width is None
+                else:
+                    assert got.half_width[i] == one.half_width
+
     def test_cap_counts_co_member_subsets(self):
         # C(9, 2) = 36 subsets for a block of 3 among 10 entries
         scenario = Scenario(10, ExplicitEntries(((0.5,),) * 10))
