@@ -14,6 +14,7 @@ from .compose import (
     CompositionReport,
     CompositionSpec,
     NonadaptiveSpec,
+    ThresholdTree,
     adaptive_general,
     adaptive_iid,
     composition_delta,
@@ -34,7 +35,6 @@ from .errors import CapacityError, DomainError
 from .oracle import (
     ExactMechanismLaw,
     McEstimate,
-    exact_mechanism_delta,
     exact_mechanism_law,
     mc_distinguish,
     verification_matrix,
@@ -44,7 +44,6 @@ from .partition import (
     Template,
     TemplateFormat,
     enumerate_templates,
-    membership_probability,
     sample_template,
     template_count,
 )

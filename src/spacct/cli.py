@@ -89,14 +89,11 @@ def cmd_curve(args) -> int:
         epsilons = _parse_eps_list(args.eps) if args.eps else DEFAULT_EPS_GRID
     size = args.sample_size if args.sample_size is not None else scenario.n
 
-    deltas = []
-    for eps in epsilons:
-        if isinstance(scenario.entries, KnownEntries) and scenario.entries.known > 0:
-            deltas.append(spc_known_entries(
-                scenario, size, eps,
-                population_excludes_critical=args.population_adjusted))
-        else:
-            deltas.append(spc_iid(scenario, size, eps))
+    if isinstance(scenario.entries, KnownEntries):
+        deltas = spc_known_entries(scenario, size, epsilons,
+                                   population_excludes_critical=args.population_adjusted).tolist()
+    else:
+        deltas = spc_iid(scenario, size, epsilons).tolist()
     if args.format == "json":
         payload = {"points": [{"epsilon": e, "delta": d} for e, d in zip(epsilons, deltas)]}
         _emit_json(payload, args.out)

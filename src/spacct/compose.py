@@ -3,20 +3,21 @@
 Each of the m queries is answered on its own block of a randomly drawn
 partition. The resulting guarantee is a weighted sum over the block that
 receives the critical entry: weight n_k / n times the block's expected
-divergence (nonadaptive), with an extra expectation over answer prefixes
-when queries are chosen adaptively.
+divergence (nonadaptive), with an extra expectation over the nodes of a
+threshold tree when queries are chosen adaptively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache, partial
 
 import numpy as np
+from scipy.special import betainc
 
 from .curve import as_grid, d_hat, fsum_terms, shift_pair_delta
-from .distkit import binomial
-from .errors import CapacityError, DomainError
+from .distkit import Pmf, cdf
+from .errors import DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates
 from .spc import (
     Enumerate,
@@ -25,10 +26,6 @@ from .spc import (
     Scenario,
     spc_general,
 )
-
-# Adaptive evaluation refuses prefix spaces larger than this (per block).
-PREFIX_CAP = 10**5
-
 
 @dataclass(frozen=True)
 class NonadaptiveSpec:
@@ -45,16 +42,47 @@ class NonadaptiveSpec:
 
 
 @dataclass(frozen=True)
-class AdaptiveSpec:
-    """Query k is chosen from the tuple of answers to queries 1..k-1.
+class ThresholdTree:
+    """One node of an adaptive query plan.
 
-    `choose` must return a PropertyQuery for every reachable prefix (the
-    empty tuple selects the first query). Answer spaces are the finite
-    count ranges 0..n_k implied by the format.
+    The node's query is answered on its block. The next block's node is
+    `low` when that answer is below `threshold` and `high` otherwise. A leaf
+    has no threshold and no children.
     """
 
+    query: PropertyQuery
+    threshold: int | None = None
+    low: ThresholdTree | None = None
+    high: ThresholdTree | None = None
+
+
+@dataclass(frozen=True)
+class AdaptiveSpec:
+    """Query k is chosen by the answers to queries 1..k-1 through a threshold
+    tree; every root-to-leaf path has one node per block."""
+
     format: TemplateFormat
-    choose: Callable[[tuple[int, ...]], PropertyQuery]
+    tree: ThresholdTree
+
+    def __post_init__(self) -> None:
+        m = self.format.num_blocks
+
+        def check(node, depth: int) -> None:
+            if not (isinstance(node, ThresholdTree) and isinstance(node.query, PropertyQuery)):
+                raise DomainError(f"need a ThresholdTree with a PropertyQuery, got {node!r}")
+            if node.threshold is None and node.low is None and node.high is None:
+                if depth < m:
+                    raise DomainError(
+                        f"tree path of length {depth} shorter than the {m}-block format")
+            elif depth == m:
+                raise DomainError(f"tree deeper than the {m}-block format")
+            elif not isinstance(node.threshold, int):
+                raise DomainError(f"tree thresholds must be integers, got {node.threshold!r}")
+            else:
+                check(node.low, depth + 1)
+                check(node.high, depth + 1)
+
+        check(self.tree, 1)
 
 
 CompositionSpec = NonadaptiveSpec | AdaptiveSpec
@@ -218,98 +246,103 @@ def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
     return _report(epsilon, terms, "nonadaptive-general")
 
 
-def _check_prefix_caps(fmt: TemplateFormat, cap: int) -> None:
-    product = 1
-    for size in fmt.sizes[:-1]:
-        product *= size + 1
-        if product > cap:
-            raise CapacityError(
-                f"answer prefix space exceeds the cap of {cap}; reduce block sizes"
-            )
+def _tree_sum(tree: ThresholdTree, depth: int, tails, divergence) -> np.ndarray:
+    """Sum over the tree's nodes at `depth` (the root has depth 1) of
+    P(reach node) * divergence(node.query), per grid point. Block answers are
+    independent given the template, so P(reach node) multiplies the branch
+    probabilities tails(level, query, threshold) = (P(answer < threshold),
+    P(answer >= threshold)) along its path; zero-probability branches are skipped."""
+    terms = []
+
+    def walk(node: ThresholdTree, level: int, prob: float) -> None:
+        if level == depth:
+            terms.append(prob * divergence(node.query))
+            return
+        below, above = tails(level, node.query, node.threshold)
+        for child, branch in ((node.low, below), (node.high, above)):
+            if branch > 0.0:
+                walk(child, level + 1, prob * branch)
+
+    walk(tree, 1, 1.0)
+    return fsum_terms(terms)
 
 
-def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon,
-                 prefix_cap: int = PREFIX_CAP) -> CompositionReport:
+def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
     """Adaptive bound for iid entries.
 
-    Block k contributes (n_k / n) times the expectation, over answer
-    prefixes, of the divergence of the query chosen at that prefix. Prefix
-    probabilities multiply unconditioned per-block answer laws, which for
-    iid entries do not depend on where the critical index lands.
+    Block k contributes (n_k / n) times the expectation, over the tree's
+    depth-k nodes, of the divergence of the node's query. Every block's
+    answers are Bin(n_l, p) wherever the critical index lands, so the branch
+    probabilities are binomial tails.
     """
     if not scenario.is_iid:
         raise DomainError("adaptive_iid requires an iid scenario")
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
     _require_fits(scenario, spec.format)
-    _check_prefix_caps(spec.format, prefix_cap)
     sizes = spec.format.sizes
-    m = spec.format.num_blocks
     grid = as_grid(epsilon)
     cache: dict = {}
-    block_terms: list[list[np.ndarray]] = [[] for _ in range(m)]
 
-    def walk(k: int, prefix: tuple[int, ...], prob: float) -> None:
-        query = spec.choose(prefix)
-        if not isinstance(query, PropertyQuery):
-            raise DomainError(f"adaptive chooser returned {query!r} for prefix {prefix}")
-        block_terms[k].append(prob * _iid_block_dhat(scenario, query, sizes[k], grid, cache))
-        if k + 1 < m:
-            answer_law = binomial(sizes[k], _iid_attr_p(scenario, query))
-            for a, pa in answer_law.items():
-                if pa > 0.0:
-                    walk(k + 1, prefix + (a,), prob * pa)
+    def tails(level: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
+        # P(B < t) and P(B >= t) = I_p(t, u - t + 1) for B ~ Bin(u, p), as in shift_pair_delta
+        u, p = sizes[level - 1], _iid_attr_p(scenario, query)
+        if threshold <= 0:
+            return 0.0, 1.0
+        if threshold > u:
+            return 1.0, 0.0
+        return (float(betainc(u - threshold + 1, threshold, 1.0 - p)),
+                float(betainc(threshold, u - threshold + 1, p)))
 
-    walk(0, (), 1.0)
     terms = [
-        BlockTerm(block=k + 1, weight=sizes[k] / scenario.n, delta=fsum_terms(block_terms[k]))
-        for k in range(m)
+        BlockTerm(block=k, weight=size / scenario.n,
+                  delta=_tree_sum(spec.tree, k, tails, partial(
+                      _iid_block_dhat, scenario, size=size, grid=grid, cache=cache)))
+        for k, size in enumerate(sizes, start=1)
     ]
     return _report(epsilon, terms, "adaptive-iid")
 
 
-def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon,
-                     template_cap: int = 10**6, prefix_cap: int = PREFIX_CAP) -> CompositionReport:
+def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
     """Adaptive bound for arbitrary entry models, by full enumeration.
 
     For each block k, averages over templates of blocks 1..k conditioned on
     the critical index landing in block k (later blocks cannot change block
-    k's term); inside each template, averages the per-prefix divergence of
-    the chosen query against the product law of the earlier blocks'
-    answers. `template_cap` bounds each block's truncated template count.
-    Tiny instances only.
+    k's term) the tree sum to depth k: its branch probabilities are tails of
+    the earlier blocks' answer laws, and its divergence is that of block k's
+    laws given the critical value. Answer laws and divergences are built once
+    per (member tuple, query). Tiny instances only.
     """
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
     _require_fits(scenario, spec.format)
-    _check_prefix_caps(spec.format, prefix_cap)
     probs = scenario.probs_matrix()
     j = scenario.critical_index
     sizes = spec.format.sizes
-    m = spec.format.num_blocks
     grid = as_grid(epsilon)
+
+    @cache
+    def answer_law(members: tuple[int, ...], query: PropertyQuery) -> Pmf:
+        return query.unconditional_law(probs[[i - 1 for i in members], :])
+
+    @cache
+    def divergence(co_members: tuple[int, ...], query: PropertyQuery) -> np.ndarray:
+        return d_hat(query.indicator_laws(probs[[i - 1 for i in co_members], :]), grid)
+
+    def tails(blocks, level: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
+        law = answer_law(blocks[level - 1], query)
+        below = cdf(law, threshold - 1)
+        return below, (1.0 - below if threshold <= law.top else 0.0)
+
     terms = []
-    for k in range(1, m + 1):
+    for k in range(1, spec.format.num_blocks + 1):
         law = PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), restriction=(j, k))
         template_terms = []
-        for template, w in enumerate_templates(law, cap=template_cap):
-            def walk(level: int, prefix: tuple[int, ...], prob: float) -> np.ndarray:
-                query = spec.choose(prefix)
-                if not isinstance(query, PropertyQuery):
-                    raise DomainError(
-                        f"adaptive chooser returned {query!r} for prefix {prefix}")
-                if level == k - 1:
-                    members = [i for i in template.block(k) if i != j]
-                    rows = probs[[i - 1 for i in members], :]
-                    return prob * d_hat(query.indicator_laws(rows), grid)
-                rows = probs[[i - 1 for i in template.block(level + 1)], :]
-                answer_law = query.unconditional_law(rows)
-                return fsum_terms([
-                    walk(level + 1, prefix + (a,), prob * pa)
-                    for a, pa in answer_law.items() if pa > 0.0
-                ])
-
-            template_terms.append(w * walk(0, (), 1.0))
+        for template, w in enumerate_templates(law):
+            co_members = tuple(i for i in template.block(k) if i != j)
+            template_terms.append(w * _tree_sum(spec.tree, k,
+                                                partial(tails, template.index_lists),
+                                                partial(divergence, co_members)))
         terms.append(BlockTerm(block=k, weight=sizes[k - 1] / scenario.n,
                                delta=fsum_terms(template_terms)))
     return _report(epsilon, terms, "adaptive-general")

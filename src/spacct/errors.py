@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DomainError(ValueError):
     """An argument violates an operation's precondition."""
@@ -7,3 +9,8 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """An exhaustive computation would exceed its configured cap."""
+
+
+def magnitude(count: int) -> str:
+    """A count for a message; math.log10 takes any int, where float() overflows."""
+    return str(count) if count < 10**12 else f"about 10^{math.floor(math.log10(count))}"

@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec
-from .curve import as_grid, d_hat, per_epsilon
+from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree
+from .curve import _scale, as_grid, d_hat, per_epsilon
 from .distkit import Pmf
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, magnitude
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
-from .spc import IidEntries, PropertyQuery, Scenario
+from .spc import MC_TRIALS_CAP, IidEntries, PropertyQuery, Scenario
 
 # Ceiling on |W|^(n-1) * template count * answer-tuple count.
 ORACLE_CAP = 10**7
@@ -80,7 +80,7 @@ def _answer_matrix(spec: CompositionSpec, get_answers, num_rows: int) -> np.ndar
 
     get_answers(query, rows, block) must return the per-row answers of
     `query` on block index `block` restricted to `rows`. Adaptive specs are
-    evaluated by grouping rows on their answer prefix.
+    evaluated by splitting each tree node's rows on the node's threshold.
     """
     m = spec.format.num_blocks
     answers = np.zeros((num_rows, m), dtype=np.int64)
@@ -89,18 +89,16 @@ def _answer_matrix(spec: CompositionSpec, get_answers, num_rows: int) -> np.ndar
         for k, query in enumerate(spec.queries):
             answers[:, k] = get_answers(query, all_rows, k)
         return answers
-    groups: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.arange(num_rows))]
+    groups: list[tuple[ThresholdTree, np.ndarray]] = [(spec.tree, np.arange(num_rows))]
     for k in range(m):
         nxt = []
-        for prefix, rows in groups:
-            query = spec.choose(prefix)
-            if not isinstance(query, PropertyQuery):
-                raise DomainError(f"adaptive chooser returned {query!r} for prefix {prefix}")
-            a = get_answers(query, rows, k)
+        for node, rows in groups:
+            a = get_answers(node.query, rows, k)
             answers[rows, k] = a
             if k + 1 < m:
-                for val in np.unique(a):
-                    nxt.append((prefix + (int(val),), rows[a == val]))
+                below = a < node.threshold
+                nxt += [(child, part) for child, part in
+                        ((node.low, rows[below]), (node.high, rows[~below])) if part.size]
         groups = nxt
     return answers
 
@@ -123,7 +121,7 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
     budget = num_values ** (n - 1) * n_templates * n_answers
     if budget > cap:
         raise CapacityError(
-            f"exact enumeration needs {budget} law evaluations, above the cap of {cap}"
+            f"exact enumeration needs {magnitude(budget)} law evaluations, above the cap of {cap}"
         )
     j0 = scenario.critical_index - 1
     probs = scenario.probs_matrix()
@@ -159,12 +157,6 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
             np.add.at(hist[v], flat, w * row_prob)
     laws = {v: Pmf(0, h) for v, h in hist.items()}
     return ExactMechanismLaw(laws=laws, radix=radix)
-
-
-def exact_mechanism_delta(scenario: Scenario, spec: CompositionSpec, epsilon: float,
-                          cap: int = ORACLE_CAP) -> float:
-    """Exact mechanism divergence: max over ordered critical-value pairs."""
-    return exact_mechanism_law(scenario, spec, cap=cap).delta(epsilon)
 
 
 def _mc_histograms(scenario: Scenario, spec: CompositionSpec, trials: int,
@@ -207,11 +199,10 @@ def _mc_histograms(scenario: Scenario, spec: CompositionSpec, trials: int,
     return hist
 
 
-def _mc_estimate(hist: dict[int, np.ndarray], epsilon: float,
+def _mc_estimate(hist: dict[int, np.ndarray], scale: float,
                  trials: int) -> tuple[float, float]:
-    """Plug-in divergence of the empirical laws at one epsilon, with the
+    """Plug-in divergence of the empirical laws at one e^epsilon, with the
     half-width of its maximizing ordered pair."""
-    scale = math.exp(min(epsilon, 700.0))
     best, best_pair = -1.0, (0, 1)
     for v in hist:
         for w in hist:
@@ -246,8 +237,12 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon,
     """
     if trials < 10**3:
         raise DomainError("need at least 1000 trials")
+    if trials > MC_TRIALS_CAP:
+        raise CapacityError(
+            f"{magnitude(trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
+    scales = [_scale(e) for e in as_grid(epsilon).tolist()]
     hist = _mc_histograms(scenario, spec, trials, seed)
-    estimates = np.array([_mc_estimate(hist, e, trials) for e in as_grid(epsilon).tolist()])
+    estimates = np.array([_mc_estimate(hist, scale, trials) for scale in scales])
     return McEstimate(per_epsilon(epsilon, estimates[:, 0]),
                       per_epsilon(epsilon, estimates[:, 1]))
 
@@ -275,20 +270,10 @@ def verification_matrix() -> list[MatrixInstance]:
                     f"{base} nonadaptive", scenario,
                     NonadaptiveSpec(fmt, tuple(PropertyQuery() for _ in sizes)),
                 ))
-                threshold = (sizes[0] + 1) // 2
-                instances.append(MatrixInstance(
-                    f"{base} adaptive", scenario,
-                    AdaptiveSpec(fmt, _two_branch_chooser(threshold)),
-                ))
+                tree = ThresholdTree(PropertyQuery()) if m == 1 else ThresholdTree(
+                    PropertyQuery(), (sizes[0] + 1) // 2,
+                    low=ThresholdTree(PropertyQuery(negate=True)),
+                    high=ThresholdTree(PropertyQuery()))
+                instances.append(MatrixInstance(f"{base} adaptive", scenario,
+                                                AdaptiveSpec(fmt, tree)))
     return instances
-
-
-def _two_branch_chooser(threshold: int):
-    # first query counts ones; the second counts ones when the first answer
-    # reaches the threshold and zeros otherwise
-    def choose(prefix: tuple[int, ...]) -> PropertyQuery:
-        if not prefix:
-            return PropertyQuery()
-        return PropertyQuery() if prefix[0] >= threshold else PropertyQuery(negate=True)
-
-    return choose

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, magnitude
 
 # Exhaustive enumeration refuses to materialize more templates than this.
 TEMPLATE_CAP = 10**6
@@ -95,17 +95,6 @@ class PartitionLaw:
             object.__setattr__(self, "restriction", (int(j), int(k)))
 
 
-def membership_probability(law: PartitionLaw, j: int, k: int) -> float:
-    """P(index j lands in block k) = n_k / n for the unrestricted law."""
-    if law.restriction is not None:
-        raise DomainError("membership under a restricted law is 0 or 1 by construction")
-    if not 1 <= j <= law.n:
-        raise DomainError(f"index {j} outside [1, {law.n}]")
-    if not 1 <= k <= law.format.num_blocks:
-        raise DomainError(f"block {k} outside [1, {law.format.num_blocks}]")
-    return law.format.sizes[k - 1] / law.n
-
-
 def template_count(law: PartitionLaw) -> int:
     """Number of templates in the law's support (blocks as unordered sets)."""
     sizes = law.format.sizes
@@ -133,7 +122,7 @@ def enumerate_templates(law: PartitionLaw, cap: int = TEMPLATE_CAP) -> list[tupl
     count = template_count(law)
     if count > cap:
         raise CapacityError(
-            f"{count} templates exceed the cap of {cap}; use Monte-Carlo sampling"
+            f"{magnitude(count)} templates exceed the cap of {cap}; use Monte-Carlo sampling"
         )
     sizes = law.format.sizes
     weight = 1.0 / count

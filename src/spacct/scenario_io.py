@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec
+from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree
 from .curve import epsilon_grid
 from .errors import DomainError
 from .partition import TemplateFormat
@@ -111,45 +111,23 @@ def _parse_query(obj) -> PropertyQuery:
     return PropertyQuery(_int(obj.get("attribute", 0), "query attribute"), negate)
 
 
-def _parse_tree(obj, depth: int, m: int):
+def _parse_tree(obj, depth: int) -> ThresholdTree:
     """Threshold tree node: {"query": {...}, "next": null | {"threshold": t,
-    "low": node, "high": node}}. Every root-to-leaf path has length m."""
+    "low": node, "high": node}}. AdaptiveSpec checks the path lengths."""
     if not isinstance(obj, dict):
         _fail("adaptive tree nodes must be objects")
     _require_keys(obj, {"query", "next"}, {"query"}, f"tree node at depth {depth}")
     query = _parse_query(obj["query"])
     nxt = obj.get("next")
-    if depth == m:
-        if nxt is not None:
-            _fail(f"tree deeper than the {m}-block format")
-        return {"query": query, "next": None}
     if nxt is None:
-        _fail(f"tree path of length {depth} shorter than the {m}-block format")
+        return ThresholdTree(query)
     if not isinstance(nxt, dict):
         _fail("tree 'next' must be an object or null")
     _require_keys(nxt, {"threshold", "low", "high"}, {"threshold", "low", "high"},
                   f"branch at depth {depth}")
-    return {
-        "query": query,
-        "next": {
-            "threshold": _int(nxt["threshold"], "tree threshold"),
-            "low": _parse_tree(nxt["low"], depth + 1, m),
-            "high": _parse_tree(nxt["high"], depth + 1, m),
-        },
-    }
-
-
-def _tree_chooser(tree: dict):
-    def choose(prefix: tuple[int, ...]) -> PropertyQuery:
-        node = tree
-        for answer in prefix:
-            nxt = node["next"]
-            if nxt is None:
-                raise DomainError("answer prefix longer than the adaptive tree")
-            node = nxt["low"] if answer < nxt["threshold"] else nxt["high"]
-        return node["query"]
-
-    return choose
+    return ThresholdTree(query, _int(nxt["threshold"], "tree threshold"),
+                         low=_parse_tree(nxt["low"], depth + 1),
+                         high=_parse_tree(nxt["high"], depth + 1))
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
@@ -181,8 +159,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         spec: CompositionSpec = NonadaptiveSpec(fmt, tuple(_parse_query(q) for q in qlist))
     elif qmode == "adaptive":
         _require_keys(queries, {"mode", "tree"}, {"mode", "tree"}, "queries")
-        tree = _parse_tree(queries["tree"], 1, fmt.num_blocks)
-        spec = AdaptiveSpec(fmt, _tree_chooser(tree))
+        spec = AdaptiveSpec(fmt, _parse_tree(queries["tree"], 1))
     else:
         _fail(f"queries.mode must be nonadaptive or adaptive, got {qmode!r}")
 

@@ -19,11 +19,14 @@ import numpy as np
 from . import distkit
 from .curve import as_grid, d_hat, fsum_terms, per_epsilon, shift_pair_delta
 from .distkit import Pmf, hypergeometric, poisson_binomial, shift
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, magnitude
 from .partition import TEMPLATE_CAP, PartitionLaw
 
 # Known-entry mixtures refuse hypergeometric supports with more points than this.
 KNOWN_SUPPORT_CAP = 10**6
+
+# Monte-Carlo sampling refuses more trials than this, before allocating.
+MC_TRIALS_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -218,14 +221,18 @@ class MonteCarlo:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise DomainError("trials must be positive")
+        if self.trials > MC_TRIALS_CAP:
+            raise CapacityError(
+                f"{magnitude(self.trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
 
 
-def spc_iid(scenario: Scenario, sample_size: int, epsilon: float,
-            query: PropertyQuery = PropertyQuery()) -> float:
+def spc_iid(scenario: Scenario, sample_size: int, epsilon,
+            query: PropertyQuery = PropertyQuery()):
     """SPC of an iid scenario, conditioned on the critical entry being sampled.
 
     Identical for every template of a given size, so it equals the two-sided
-    divergence at database size `sample_size`.
+    divergence at database size `sample_size`. A 1-D epsilon grid gives an
+    array; a scalar gives a float.
     """
     if not isinstance(scenario.entries, (IidEntries, KnownEntries)):
         raise DomainError("spc_iid requires an iid entry model")
@@ -239,7 +246,9 @@ def spc_iid(scenario: Scenario, sample_size: int, epsilon: float,
             f"{scenario.num_attributes}")
     p = scenario.entries.probs[query.attribute] if isinstance(scenario.entries, IidEntries) \
         else scenario.entries.p
-    return shift_pair_delta(sample_size - 1, 1.0 - p if query.negate else p, epsilon)
+    p = 1.0 - p if query.negate else p
+    return per_epsilon(epsilon, np.array([shift_pair_delta(sample_size - 1, p, e)
+                                          for e in as_grid(epsilon).tolist()]))
 
 
 def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -> Pmf:
@@ -252,15 +261,16 @@ def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -
     return hypergeometric(population, v, draws)
 
 
-def spc_known_entries(scenario: Scenario, sample_size: int, epsilon: float, *,
-                      population_excludes_critical: bool = False) -> float:
+def spc_known_entries(scenario: Scenario, sample_size: int, epsilon, *,
+                      population_excludes_critical: bool = False):
     """SPC with v adversary-known entries: hypergeometric mixture over the
     number z of known entries drawn into the sample.
 
     Only the count z matters; the known values shift every answer law by the
     same constant. The default weights use hypergeometric(n, v, s-1); the
     flag switches to population n - 1, which excludes the critical entry
-    from the draw (the two differ by O(s/n)).
+    from the draw (the two differ by O(s/n)). The weights are built once for
+    a 1-D epsilon grid, which gives an array; a scalar gives a float.
     """
     if not isinstance(scenario.entries, KnownEntries):
         raise DomainError("spc_known_entries requires a known-entries model")
@@ -269,8 +279,9 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon: float, *,
     v, p = scenario.entries.known, scenario.entries.p
     weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
     unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1)
-    terms = weights.masses * shift_pair_delta(unknown, p, epsilon)
-    return min(1.0, math.fsum(terms.tolist()))
+    return per_epsilon(epsilon, np.array([
+        min(1.0, math.fsum((weights.masses * shift_pair_delta(unknown, p, e)).tolist()))
+        for e in as_grid(epsilon).tolist()]))
 
 
 def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsilon: float,
@@ -325,7 +336,7 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
         count = math.comb(law.n - 1, picks)
         if count > mode.cap:
             raise CapacityError(
-                f"{count} co-member subsets exceed the cap of {mode.cap}; "
+                f"{magnitude(count)} co-member subsets exceed the cap of {mode.cap}; "
                 "use Monte-Carlo sampling")
         weight = 1.0 / count
         terms = [weight * block_delta(list(co)) for co in combinations(others, picks)]

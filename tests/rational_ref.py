@@ -130,3 +130,38 @@ def adaptive_theorem_sum(n: int, probs: list[list[float]], j: int,
             acc += walk(0, (), 1.0)
         total += (size / n) * (acc / len(templates))
     return total
+
+
+def tree_choice(tree):
+    """The answer-prefix chooser of a threshold tree: descend `low` when the
+    answer is below the node's threshold; return (attribute, negate)."""
+    def choose(prefix: tuple[int, ...]) -> tuple[int, bool]:
+        node = tree
+        for answer in prefix:
+            node = node.low if answer < node.threshold else node.high
+        return node.query.attribute, node.query.negate
+
+    return choose
+
+
+def adaptive_iid_prefix_sum(n: int, probs: tuple[float, ...], sizes: tuple[int, ...],
+                            choose, epsilon: float) -> float:
+    """Independent evaluation of the adaptive iid bound: block k's divergence
+    averaged over every answer prefix of blocks 1..k-1 under exact rational
+    binomial laws; `choose` maps a prefix to (attribute, negate)."""
+    def success(prefix) -> Fraction:
+        attribute, negate = choose(prefix)
+        p = Fraction(probs[attribute]).limit_denominator(10**9)
+        return 1 - p if negate else p
+
+    total = 0.0
+    for k, size in enumerate(sizes):
+        def walk(prefix: tuple[int, ...], weight: Fraction) -> float:
+            p = success(prefix)
+            if len(prefix) == k:
+                return float(weight) * dhat_shift_pair(size, float(p), epsilon)
+            law = binom_pmf_exact(sizes[len(prefix)], p)
+            return math.fsum(walk(prefix + (a,), weight * pa) for a, pa in law.items() if pa)
+
+        total += (size / n) * walk((), Fraction(1))
+    return total

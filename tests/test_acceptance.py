@@ -21,6 +21,7 @@ from spacct import (
     PropertyQuery,
     Scenario,
     TemplateFormat,
+    ThresholdTree,
     adaptive_general,
     adaptive_iid,
     composition_delta,
@@ -133,12 +134,9 @@ def test_criterion_6_collapse_identities():
         sc_iid2 = Scenario(6, IidEntries((0.4, 0.7)), critical_index=2)
         sc_exp2 = Scenario(6, ExplicitEntries(((0.4, 0.7),) * 6), critical_index=2)
 
-        def choose(prefix):
-            if not prefix:
-                return PropertyQuery(0)
-            return PropertyQuery(0) if prefix[0] >= 1 else PropertyQuery(1)
-
-        tree = AdaptiveSpec(TemplateFormat((2, 2)), choose)
+        tree = AdaptiveSpec(TemplateFormat((2, 2)), ThresholdTree(
+            PropertyQuery(0), 1, low=ThresholdTree(PropertyQuery(1)),
+            high=ThresholdTree(PropertyQuery(0))))
         for eps in (0.0, 0.1, 1.0):
             a = adaptive_iid(sc_iid2, tree, eps).total_delta
             b = adaptive_general(sc_exp2, tree, eps).total_delta

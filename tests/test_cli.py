@@ -1,13 +1,21 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import spacct.cli
+import spacct.oracle
 from spacct import (
     DomainError,
     IidEntries,
+    KnownEntries,
     Scenario,
     composition_delta,
     d_hat,
@@ -15,6 +23,7 @@ from spacct import (
     mc_distinguish,
     property_query_answer_law,
     spc_iid,
+    spc_known_entries,
     verification_matrix,
 )
 from spacct.cli import _emit_json, main
@@ -68,6 +77,18 @@ class TestCurveCommand:
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--population-adjusted"]])
+    def test_known_entries_curve_equals_scalar_api_calls(self, capsys, extra):
+        code, out, _ = run(capsys, "curve", "--n", "400", "--p", "0.3", "--sample-size", "90",
+                           "--known", "120", "--known-positive", "40",
+                           "--eps", "0,0.01,0.1,1", *extra)
+        assert code == 0
+        sc = Scenario(400, KnownEntries(0.3, 120, 40))
+        adjusted = bool(extra)
+        assert parse_csv(out)[1:] == [
+            [repr(eps), repr(spc_known_entries(sc, 90, eps, population_excludes_critical=adjusted))]
+            for eps in (0.0, 0.01, 0.1, 1.0)]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "16", "--p", "0.5",
@@ -172,6 +193,53 @@ class TestComposeCommand:
         code, _, err = run(capsys, "compose", "--scenario", str(path))
         assert code == 3
         assert "cap" in err
+
+    def test_known_entries_capacity_message_is_short(self, capsys, tmp_path):
+        # C(32767, 1023) co-member subsets: a 2,000-digit count
+        doc = self.scenario_doc()
+        doc.update(n=32768, format=[1024, 1024],
+                   entry_model={"kind": "known", "p": 0.5, "known": 16000})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and len(err) < 200
+
+    def test_monte_carlo_trials_over_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no evaluation may start")
+
+        monkeypatch.setattr(spacct.cli, "composition_delta", refuse)
+        doc = self.scenario_doc()
+        doc.update(entry_model={"kind": "explicit", "probs": [0.5] * 6},
+                   mode={"monte_carlo": {"trials": 10**15}})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and len(err) < 200
+
+    @pytest.mark.parametrize("sizes", [[64, 64, 64, 64], [512, 512, 512]])
+    def test_deep_iid_trees_at_n_4096(self, capsys, tmp_path, sizes):
+        def tree(depth):
+            node = {"query": {"attribute": 0, "negate": depth % 2 == 0}}
+            if depth < len(sizes):
+                node["next"] = {"threshold": sizes[depth - 1] // 2,
+                                "low": tree(depth + 1), "high": tree(depth + 1)}
+            return node
+
+        doc = self.scenario_doc()
+        doc.update(n=4096, format=sizes, epsilons=[0.0, 0.1, 1.0],
+                   queries={"mode": "adaptive", "tree": tree(1)})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [len(r["per_block"]) for r in reports] == [len(sizes)] * 3
+        assert all(0.0 < r["total_delta"] <= 1.0 for r in reports)
 
     def test_sixteen_entries_four_blocks_enumerate(self, capsys, tmp_path):
         # 455 co-member subsets per block; whole templates would exceed the cap
@@ -288,6 +356,16 @@ class TestVerifyCommand:
         assert out == ""
         assert "seed" in err
 
+    def test_trials_over_cap_exit_3(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no trial may be sampled")
+
+        monkeypatch.setattr(spacct.oracle, "_mc_histograms", refuse)
+        code, out, err = run(capsys, "verify", "--trials", str(10**15))
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and len(err) < 200
+
     def test_records_equal_per_epsilon_api_values(self, capsys):
         code, out, _ = run(capsys, "verify", "--json", "--trials", "1000", "--seed", "11")
         assert code == 0
@@ -341,3 +419,92 @@ class TestDpCompareCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+# --- fuzzing the scenario-file front end ------------------------------------
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10), st.floats(allow_nan=True),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+PROB = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def scenario_docs(draw):
+    """Scenario documents: about half well formed (n <= 8, adaptive trees of
+    the format's depth), the rest with fields of random JSON types, out of
+    range, or trees of the wrong depth."""
+    clean = draw(st.booleans())
+
+    def corrupt() -> bool:
+        return not clean and draw(st.integers(0, 2)) == 0
+
+    def field(valid, wild=JUNK):
+        return draw(wild if corrupt() else valid)
+
+    n = field(st.integers(1, 8))
+    size = n if type(n) is int and 1 <= n <= 8 else 3
+    width = field(st.integers(1, 2))
+    width = width if type(width) is int and width in (1, 2) else 1
+    row = st.lists(PROB, min_size=width, max_size=width)
+
+    def query():
+        return field(st.fixed_dictionaries({}, optional={
+            "attribute": st.integers(0, width - 1), "negate": st.booleans()}))
+
+    entry_model = field(st.one_of(
+        st.fixed_dictionaries({"kind": st.just("iid"), "p": row}),
+        st.fixed_dictionaries({"kind": st.just("explicit"),
+                               "probs": st.lists(row, min_size=size, max_size=size)}),
+        st.fixed_dictionaries({"kind": st.just("known"), "p": PROB,
+                               "known": st.integers(0, size - 1)},
+                              optional={"known_positive": st.integers(0, size - 1)})))
+    sizes = []
+    while sum(sizes) < size and len(sizes) < 3 and (not sizes or draw(st.booleans())):
+        sizes.append(draw(st.integers(1, size - sum(sizes))))
+    fmt = field(st.just(sizes), st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    m = len(fmt) if isinstance(fmt, list) and fmt else 1
+    depth = field(st.just(m), st.integers(max(1, m - 1), m + 1))
+
+    def tree(level):
+        node = {"query": query()}
+        if level < depth:
+            node["next"] = draw(JUNK) if corrupt() else {
+                "threshold": field(st.integers(-1, 6)),
+                "low": tree(level + 1), "high": tree(level + 1)}
+        return node
+
+    adaptive = draw(st.booleans())
+    queries = ({"mode": "adaptive", "tree": tree(1)} if adaptive
+               else {"mode": "nonadaptive", "list": [query() for _ in range(m)]})
+    mode = field(st.sampled_from(["enumerate", "monte_carlo"]))
+    if mode == "monte_carlo":
+        mode = {"monte_carlo": {"trials": field(st.integers(1, 30),
+                                                st.sampled_from([0, -1, 10**12]))}}
+    return {
+        "schema_version": field(st.just(1)), "n": n, "entry_model": entry_model,
+        "critical_index": field(st.integers(1, size), st.integers(-1, 10)),
+        "format": fmt, "queries": queries,
+        "epsilons": field(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3,
+                                   unique=True).map(sorted)),
+        "mode": "enumerate" if clean and adaptive else mode,
+        "seed": field(st.integers(0, 5), st.integers(-2, 5)),
+    }
+
+
+class TestComposeFuzz:
+    @given(scenario_docs())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_exit_code_contract(self, doc):
+        """Every generated document exits 0, 2 or 3 (1 needs --verify), and a
+        refused one writes no delta."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "scenario.json", Path(tmp) / "out.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["compose", "--scenario", str(path), "--out", str(out)])
+            assert code in {0, 1, 2, 3}
+            written = out.read_text() if out.exists() else ""
+            assert ("total_delta" in written) == (code == 0)

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spacct.compose
 from spacct import (
     AdaptiveSpec,
-    CapacityError,
     DomainError,
     Enumerate,
     ExplicitEntries,
@@ -16,6 +18,7 @@ from spacct import (
     PropertyQuery,
     Scenario,
     TemplateFormat,
+    ThresholdTree,
     adaptive_general,
     adaptive_iid,
     composition_delta,
@@ -26,7 +29,21 @@ from spacct import (
     spc_general,
 )
 
-from rational_ref import adaptive_theorem_sum, dhat_shift_pair, nonadaptive_theorem_sum
+from rational_ref import (
+    adaptive_iid_prefix_sum,
+    adaptive_theorem_sum,
+    dhat_shift_pair,
+    nonadaptive_theorem_sum,
+    tree_choice,
+)
+
+
+# two-block trees: one query throughout, and attribute 0 first, then attribute
+# 0 again when the first answer is at least 1 and attribute 1 otherwise
+UNIFORM_2x2 = ThresholdTree(PropertyQuery(), 1, low=ThresholdTree(PropertyQuery()),
+                            high=ThresholdTree(PropertyQuery()))
+SWITCH_AT_1 = ThresholdTree(PropertyQuery(0), 1, low=ThresholdTree(PropertyQuery(1)),
+                            high=ThresholdTree(PropertyQuery(0)))
 
 
 def equal_spec(n: int, m: int) -> NonadaptiveSpec:
@@ -192,15 +209,13 @@ def _grid_cases():
     explicit = Scenario(7, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.35,), (0.6,), (0.1,),
                                             (0.9,))), critical_index=3)
     iid = Scenario(7, IidEntries((0.3,)), critical_index=3)
-
-    def choose(prefix):
-        if not prefix:
-            return PropertyQuery()
-        return PropertyQuery() if prefix[0] >= 1 else PropertyQuery(negate=True)
-
+    ones, zeros = PropertyQuery(), PropertyQuery(negate=True)
+    # the first answer picks the query of both later blocks
+    low = ThresholdTree(zeros, 1, low=ThresholdTree(zeros), high=ThresholdTree(zeros))
+    high = ThresholdTree(ones, 1, low=ThresholdTree(ones), high=ThresholdTree(ones))
     flat = NonadaptiveSpec(TemplateFormat((3, 2, 2)),
                            (PropertyQuery(), PropertyQuery(negate=True), PropertyQuery()))
-    tree = AdaptiveSpec(TemplateFormat((2, 2, 2)), choose)
+    tree = AdaptiveSpec(TemplateFormat((2, 2, 2)), ThresholdTree(ones, 1, low=low, high=high))
     return [
         ("nonadaptive-iid", iid, flat, Enumerate()),
         ("nonadaptive-general", explicit, flat, Enumerate()),
@@ -231,7 +246,7 @@ class TestEpsilonGrid:
 class TestAdaptiveIid:
     def test_degenerate_tree_equals_nonadaptive(self):
         sc = Scenario(8, IidEntries((0.4,)))
-        spec = AdaptiveSpec(TemplateFormat((4, 4)), lambda prefix: PropertyQuery())
+        spec = AdaptiveSpec(TemplateFormat((4, 4)), UNIFORM_2x2)
         flat = nonadaptive_iid(sc, equal_spec(8, 2), 0.1)
         adaptive = adaptive_iid(sc, spec, 0.1)
         assert adaptive.total_delta == pytest.approx(flat.total_delta, abs=1e-15)
@@ -240,13 +255,9 @@ class TestAdaptiveIid:
         # block 1 queries attribute 0; block 2 queries attribute 0 when the
         # first answer is >= 2 and attribute 1 otherwise
         sc = Scenario(8, IidEntries((0.5, 0.3)))
-
-        def choose(prefix):
-            if not prefix:
-                return PropertyQuery(0)
-            return PropertyQuery(0) if prefix[0] >= 2 else PropertyQuery(1)
-
-        spec = AdaptiveSpec(TemplateFormat((4, 4)), choose)
+        tree = ThresholdTree(PropertyQuery(0), 2, low=ThresholdTree(PropertyQuery(1)),
+                             high=ThresholdTree(PropertyQuery(0)))
+        spec = AdaptiveSpec(TemplateFormat((4, 4)), tree)
         eps = 0.1
         d_a = dhat_shift_pair(4, 0.5, eps)
         d_b = dhat_shift_pair(4, 0.3, eps)
@@ -255,29 +266,39 @@ class TestAdaptiveIid:
         report = adaptive_iid(sc, spec, eps)
         assert report.total_delta == pytest.approx(expected, abs=1e-12)
 
-    def test_prefix_cap(self):
-        sc = Scenario(4096, IidEntries((0.5,)))
-        spec = AdaptiveSpec(TemplateFormat((2048, 2048)), lambda prefix: PropertyQuery())
-        with pytest.raises(CapacityError):
-            adaptive_iid(sc, spec, 0.1, prefix_cap=100)
+    @pytest.mark.parametrize("sizes", [(64, 64, 64, 64), (512, 512, 512)])
+    def test_deep_trees_with_one_query_per_depth_equal_nonadaptive(self, sizes):
+        # every depth-k node asks the same query, so the reach probabilities of
+        # each depth sum to one whatever the thresholds
+        sc = Scenario(4096, IidEntries((0.3, 0.6)))
+        queries = [PropertyQuery(k % 2, negate=k == 1) for k in range(len(sizes))]
+
+        def tree(depth: int, threshold: int) -> ThresholdTree:
+            if depth == len(sizes):
+                return ThresholdTree(queries[depth - 1])
+            return ThresholdTree(queries[depth - 1], threshold, low=tree(depth + 1, threshold - 5),
+                                 high=tree(depth + 1, threshold + 7))
+
+        eps = (0.0, 0.01, 0.1, 1.0)
+        fmt = TemplateFormat(sizes)
+        adaptive = adaptive_iid(sc, AdaptiveSpec(fmt, tree(1, sizes[0] // 2)), eps)
+        flat = nonadaptive_iid(sc, NonadaptiveSpec(fmt, tuple(queries)), eps)
+        for a, f in zip(adaptive.per_block, flat.per_block):
+            assert a.weight == f.weight
+            assert np.max(np.abs(a.delta - f.delta)) <= 1e-12
+        assert np.max(np.abs(adaptive.total_delta - flat.total_delta)) <= 1e-12
 
     def test_rejects_non_iid(self):
         sc = Scenario(4, ExplicitEntries(((0.5,), (0.2,), (0.5,), (0.5,))))
         with pytest.raises(DomainError):
-            adaptive_iid(sc, AdaptiveSpec(TemplateFormat((2, 2)), lambda p: PropertyQuery()), 0.1)
+            adaptive_iid(sc, AdaptiveSpec(TemplateFormat((2, 2)), UNIFORM_2x2), 0.1)
 
 
 class TestAdaptiveGeneral:
     def test_iid_collapse(self):
         sc_exp = Scenario(6, ExplicitEntries(((0.4, 0.7),) * 6), critical_index=2)
         sc_iid = Scenario(6, IidEntries((0.4, 0.7)), critical_index=2)
-
-        def choose(prefix):
-            if not prefix:
-                return PropertyQuery(0)
-            return PropertyQuery(0) if prefix[0] >= 1 else PropertyQuery(1)
-
-        spec = AdaptiveSpec(TemplateFormat((2, 2)), choose)
+        spec = AdaptiveSpec(TemplateFormat((2, 2)), SWITCH_AT_1)
         for eps in (0.0, 0.2, 1.0):
             general = adaptive_general(sc_exp, spec, eps)
             iid = adaptive_iid(sc_iid, spec, eps)
@@ -286,7 +307,7 @@ class TestAdaptiveGeneral:
     def test_single_block_has_no_prefix_integral(self):
         probs = ((0.2,), (0.7,), (0.5,), (0.6,))
         sc = Scenario(4, ExplicitEntries(probs), critical_index=1)
-        spec_a = AdaptiveSpec(TemplateFormat((2,)), lambda prefix: PropertyQuery())
+        spec_a = AdaptiveSpec(TemplateFormat((2,)), ThresholdTree(PropertyQuery()))
         spec_n = NonadaptiveSpec(TemplateFormat((2,)), (PropertyQuery(),))
         a = adaptive_general(sc, spec_a, 0.15).total_delta
         n = nonadaptive_general(sc, spec_n, 0.15).total_delta
@@ -296,17 +317,12 @@ class TestAdaptiveGeneral:
         probs = [[0.2, 0.6], [0.8, 0.4], [0.5, 0.5], [0.5, 0.3], [0.3, 0.9], [0.7, 0.1]]
         sc = Scenario(6, ExplicitEntries(tuple(tuple(r) for r in probs)), critical_index=5)
 
-        def choose(prefix):
-            if not prefix:
-                return PropertyQuery(0)
-            return PropertyQuery(0) if prefix[0] >= 1 else PropertyQuery(1)
-
         def choose_ref(prefix):
             if not prefix:
                 return (0, False)
             return (0, False) if prefix[0] >= 1 else (1, False)
 
-        spec = AdaptiveSpec(TemplateFormat((2, 2)), choose)
+        spec = AdaptiveSpec(TemplateFormat((2, 2)), SWITCH_AT_1)
         for eps in (0.0, 0.4):
             mine = adaptive_general(sc, spec, eps).total_delta
             ref = adaptive_theorem_sum(6, probs, 5, (2, 2), choose_ref, eps)
@@ -318,7 +334,7 @@ class TestDispatcher:
         sc_iid = Scenario(4, IidEntries((0.5,)))
         sc_exp = Scenario(4, ExplicitEntries(((0.5,), (0.2,), (0.5,), (0.5,))))
         flat = equal_spec(4, 2)
-        tree = AdaptiveSpec(TemplateFormat((2, 2)), lambda prefix: PropertyQuery())
+        tree = AdaptiveSpec(TemplateFormat((2, 2)), UNIFORM_2x2)
         assert composition_delta(sc_iid, flat, 0.1).mode == "nonadaptive-iid"
         assert composition_delta(sc_exp, flat, 0.1).mode == "nonadaptive-general"
         assert composition_delta(sc_iid, tree, 0.1).mode == "adaptive-iid"
@@ -326,6 +342,98 @@ class TestDispatcher:
 
     def test_adaptive_monte_carlo_rejected(self):
         sc = Scenario(4, IidEntries((0.5,)))
-        tree = AdaptiveSpec(TemplateFormat((2, 2)), lambda prefix: PropertyQuery())
+        tree = AdaptiveSpec(TemplateFormat((2, 2)), UNIFORM_2x2)
         with pytest.raises(DomainError):
             composition_delta(sc, tree, 0.1, MonteCarlo(trials=1000))
+
+
+@st.composite
+def threshold_trees(draw, sizes: tuple[int, ...], depth: int = 1) -> ThresholdTree:
+    """Random trees over two attributes and both negations; thresholds run
+    from -1 to n_l + 2, so some branches are certain and some impossible."""
+    query = PropertyQuery(draw(st.integers(0, 1)), draw(st.booleans()))
+    if depth == len(sizes):
+        return ThresholdTree(query)
+    return ThresholdTree(query, draw(st.integers(-1, sizes[depth - 1] + 2)),
+                         low=draw(threshold_trees(sizes, depth + 1)),
+                         high=draw(threshold_trees(sizes, depth + 1)))
+
+
+PROBS = st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.77, 1.0])
+EPSILONS = st.sampled_from([0.0, 0.05, 0.4, 2.0])
+
+
+class TestTreeWalkAgainstPrefixWalks:
+    """The tree walk against the answer-prefix walks of rational_ref."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_general_matches_theorem_sum(self, data):
+        n = data.draw(st.integers(2, 6))
+        sizes = []
+        while len(sizes) < 3 and sum(sizes) < n:
+            sizes.append(data.draw(st.integers(1, n - sum(sizes))))
+            if data.draw(st.booleans()):
+                break
+        sizes = tuple(sizes)
+        probs = [[data.draw(PROBS), data.draw(PROBS)] for _ in range(n)]
+        j = data.draw(st.integers(1, n))
+        tree = data.draw(threshold_trees(sizes))
+        eps = data.draw(EPSILONS)
+        sc = Scenario(n, ExplicitEntries(tuple(tuple(r) for r in probs)), critical_index=j)
+        mine = adaptive_general(sc, AdaptiveSpec(TemplateFormat(sizes), tree), eps).raw_delta
+        ref = adaptive_theorem_sum(n, probs, j, sizes, tree_choice(tree), eps)
+        assert abs(mine - ref) <= 1e-12
+
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), st.integers(0, 5),
+           PROBS, PROBS, EPSILONS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_iid_matches_prefix_walk(self, sizes, spare, p0, p1, eps, data):
+        sizes = tuple(sizes)
+        n = sum(sizes) + spare
+        tree = data.draw(threshold_trees(sizes))
+        sc = Scenario(n, IidEntries((p0, p1)))
+        mine = adaptive_iid(sc, AdaptiveSpec(TemplateFormat(sizes), tree), eps).raw_delta
+        ref = adaptive_iid_prefix_sum(n, (p0, p1), sizes, tree_choice(tree), eps)
+        assert abs(mine - ref) <= 1e-12
+
+
+class TestAdaptiveSpecTree:
+    def test_path_lengths_must_match_the_format(self):
+        leaf = ThresholdTree(PropertyQuery())
+        with pytest.raises(DomainError, match="shorter"):
+            AdaptiveSpec(TemplateFormat((2, 2)), leaf)
+        with pytest.raises(DomainError, match="shorter"):
+            AdaptiveSpec(TemplateFormat((2, 2, 2)),
+                         ThresholdTree(PropertyQuery(), 1, low=UNIFORM_2x2, high=leaf))
+        with pytest.raises(DomainError, match="deeper"):
+            AdaptiveSpec(TemplateFormat((2,)), UNIFORM_2x2)
+
+    @pytest.mark.parametrize("node", [
+        ThresholdTree(PropertyQuery(), 1.5, low=ThresholdTree(PropertyQuery()),
+                      high=ThresholdTree(PropertyQuery())),
+        ThresholdTree(PropertyQuery(), 1, low=ThresholdTree(PropertyQuery())),
+        ThresholdTree(PropertyQuery(), None, low=ThresholdTree(PropertyQuery()),
+                      high=ThresholdTree(PropertyQuery())),
+        ThresholdTree((0, False), 1, low=ThresholdTree(PropertyQuery()),
+                      high=ThresholdTree(PropertyQuery())),
+        ThresholdTree(PropertyQuery(), 1, low="low", high=ThresholdTree(PropertyQuery())),
+    ], ids=["float threshold", "missing child", "children without threshold",
+            "query not a PropertyQuery", "child not a tree"])
+    def test_malformed_nodes_are_refused(self, node):
+        with pytest.raises(DomainError):
+            AdaptiveSpec(TemplateFormat((2, 2)), node)
+
+    def test_unreachable_branches_are_not_evaluated(self):
+        # every first answer is below 5, so the high child (attribute 7 of
+        # one) is never reached and never checked
+        bad = ThresholdTree(PropertyQuery(7))
+        tree = ThresholdTree(PropertyQuery(), 5, low=ThresholdTree(PropertyQuery()), high=bad)
+        spec = AdaptiveSpec(TemplateFormat((2, 2)), tree)
+        flat = equal_spec(4, 2)
+        sc_iid = Scenario(4, IidEntries((0.4,)))
+        sc_exp = Scenario(4, ExplicitEntries(((0.4,),) * 4))
+        assert adaptive_iid(sc_iid, spec, 0.1).total_delta == pytest.approx(
+            nonadaptive_iid(sc_iid, flat, 0.1).total_delta, abs=1e-15)
+        assert adaptive_general(sc_exp, spec, 0.1).total_delta == pytest.approx(
+            nonadaptive_general(sc_exp, flat, 0.1).total_delta, abs=1e-15)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spacct.oracle
 from spacct import (
     AdaptiveSpec,
     CapacityError,
@@ -11,13 +12,14 @@ from spacct import (
     PropertyQuery,
     Scenario,
     TemplateFormat,
+    ThresholdTree,
     composition_delta,
-    exact_mechanism_delta,
     exact_mechanism_law,
     mc_distinguish,
     verification_matrix,
 )
 from spacct.oracle import MATRIX_EPSILONS
+from spacct.spc import MC_TRIALS_CAP
 
 from rational_ref import block_answer_law, enumerate_set_partitions
 
@@ -85,11 +87,19 @@ class TestExactMechanismLaw:
         with pytest.raises(CapacityError):
             exact_mechanism_law(sc, spec, cap=100)
 
-    def test_exact_delta_wrapper(self):
+    def test_capacity_message_prints_a_magnitude(self):
+        # the budget 2^16383 * C(16384, 8192) * 8193^2 has over 9,000 digits
+        sc = Scenario(16384, IidEntries((0.5,)))
+        spec = NonadaptiveSpec(TemplateFormat((8192, 8192)), (PropertyQuery(), PropertyQuery()))
+        with pytest.raises(CapacityError, match=r"about 10\^9869 law evaluations") as info:
+            exact_mechanism_law(sc, spec)
+        assert len(str(info.value)) < 200
+
+    def test_rebuilt_law_gives_the_same_delta(self):
         sc = Scenario(4, IidEntries((0.5,)))
         spec = single_query(4, 2)
         law = exact_mechanism_law(sc, spec)
-        assert exact_mechanism_delta(sc, spec, 0.1) == law.delta(0.1)
+        assert exact_mechanism_law(sc, spec).delta(0.1) == law.delta(0.1)
 
 
 class TestDomination:
@@ -103,13 +113,9 @@ class TestDomination:
 
     def test_multi_attribute_adaptive_domination(self):
         sc = Scenario(4, IidEntries((0.5, 0.3)))
-
-        def choose(prefix):
-            if not prefix:
-                return PropertyQuery(0)
-            return PropertyQuery(0) if prefix[0] >= 1 else PropertyQuery(1)
-
-        spec = AdaptiveSpec(TemplateFormat((2, 2)), choose)
+        tree = ThresholdTree(PropertyQuery(0), 1, low=ThresholdTree(PropertyQuery(1)),
+                             high=ThresholdTree(PropertyQuery(0)))
+        spec = AdaptiveSpec(TemplateFormat((2, 2)), tree)
         law = exact_mechanism_law(sc, spec)
         for eps in MATRIX_EPSILONS:
             assert law.delta(eps) <= composition_delta(sc, spec, eps).total_delta + 1e-9
@@ -121,6 +127,22 @@ class TestMcDistinguish:
         with pytest.raises(DomainError):
             mc_distinguish(sc, single_query(2, 1), 0.1, trials=10, seed=0)
 
+    def test_negative_epsilon_is_refused(self):
+        instance = next(i for i in verification_matrix()
+                        if i.name == "n=2 p=0.2 m=1 nonadaptive")
+        for epsilon in (-1.0, (0.0, -1.0)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                mc_distinguish(instance.scenario, instance.spec, epsilon, trials=1000, seed=0)
+
+    def test_trials_above_the_cap_are_refused_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no trial may be sampled")
+
+        monkeypatch.setattr(spacct.oracle, "_mc_histograms", refuse)
+        sc = Scenario(2, IidEntries((0.5,)))
+        with pytest.raises(CapacityError, match="cap"):
+            mc_distinguish(sc, single_query(2, 1), 0.1, trials=MC_TRIALS_CAP + 1, seed=0)
+
     def test_deterministic(self):
         sc = Scenario(4, IidEntries((0.2,)))
         spec = single_query(4, 2)
@@ -131,7 +153,7 @@ class TestMcDistinguish:
     def test_converges_to_exact(self):
         sc = Scenario(4, IidEntries((0.2,)))
         spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
-        exact = exact_mechanism_delta(sc, spec, 0.1)
+        exact = exact_mechanism_law(sc, spec).delta(0.1)
         mc = mc_distinguish(sc, spec, 0.1, trials=10**5, seed=4)
         assert abs(mc.estimate - exact) <= 3 * mc.half_width + 1e-12
 
@@ -140,7 +162,7 @@ class TestMcDistinguish:
         # divergence is small; the estimate must track it within its error bar
         sc = Scenario(4, IidEntries((0.5,)))
         spec = NonadaptiveSpec(TemplateFormat((1,)), (PropertyQuery(),))
-        exact = exact_mechanism_delta(sc, spec, 1.0)
+        exact = exact_mechanism_law(sc, spec).delta(1.0)
         mc = mc_distinguish(sc, spec, 1.0, trials=50000, seed=2)
         assert abs(mc.estimate - exact) <= 3 * mc.half_width + 1e-12
 

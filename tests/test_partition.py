@@ -13,7 +13,6 @@ from spacct import (
     Template,
     TemplateFormat,
     enumerate_templates,
-    membership_probability,
     sample_template,
     template_count,
 )
@@ -38,24 +37,6 @@ class TestTypes:
 
     def test_partial_formats_allowed(self):
         assert law(10, (2, 3)).format.total == 5
-
-
-class TestMembership:
-    def test_half(self):
-        assert membership_probability(law(10, (5, 5)), 3, 1) == 0.5
-
-    def test_many_blocks(self):
-        big = law(32768, (1024,) * 32)
-        assert membership_probability(big, 9999, 7) == pytest.approx(1 / 32, abs=0)
-
-    def test_additivity(self):
-        l = law(12, (3, 4, 5))
-        total = sum(membership_probability(l, 1, k) for k in (1, 2, 3))
-        assert total == pytest.approx(1.0, abs=1e-15)
-
-    def test_restricted_law_rejected(self):
-        with pytest.raises(DomainError):
-            membership_probability(law(4, (2,), restriction=(1, 1)), 1, 1)
 
 
 class TestEnumeration:
@@ -86,6 +67,11 @@ class TestEnumeration:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             enumerate_templates(law(30, (10, 10, 10)), cap=1000)
+
+    def test_capacity_message_prints_a_magnitude(self):
+        with pytest.raises(CapacityError, match=r"about 10\^1231 templates") as info:
+            enumerate_templates(law(4096, (2048, 2048)))
+        assert len(str(info.value)) < 200
 
     def test_membership_marginal_is_exact_rational(self):
         l = law(6, (2, 3))

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from spacct import AdaptiveSpec, DomainError, Enumerate, MonteCarlo, NonadaptiveSpec, PropertyQuery
+from spacct import (
+    AdaptiveSpec,
+    DomainError,
+    Enumerate,
+    MonteCarlo,
+    NonadaptiveSpec,
+    PropertyQuery,
+    ThresholdTree,
+)
 from spacct.scenario_io import load_scenario, parse_scenario
 
 
@@ -52,9 +60,9 @@ class TestParsing:
         }
         config = parse_scenario(doc)
         assert isinstance(config.spec, AdaptiveSpec)
-        assert config.spec.choose(()) == PropertyQuery(0)
-        assert config.spec.choose((1,)) == PropertyQuery(0, negate=True)
-        assert config.spec.choose((2,)) == PropertyQuery(0)
+        assert config.spec.tree == ThresholdTree(
+            PropertyQuery(0), 2,
+            low=ThresholdTree(PropertyQuery(0, negate=True)), high=ThresholdTree(PropertyQuery(0)))
 
     def test_monte_carlo_mode(self):
         doc = base_doc()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spacct.spc
 from spacct import (
     CapacityError,
     DomainError,
@@ -27,6 +28,8 @@ from spacct import (
     spc_known_entries,
     spc_known_entries_threshold_bound,
 )
+
+from spacct.spc import MC_TRIALS_CAP
 
 from rational_ref import block_answer_law, dhat_shift_pair, hockey_stick_dicts, hyper_pmf_exact
 
@@ -78,6 +81,54 @@ class TestSpcIid:
             spc_iid(sc, 0, 0.1)
         with pytest.raises(DomainError):
             spc_iid(sc, 9, 0.1)
+
+
+class TestEpsilonGrids:
+    GRID = (0.0, 0.01, 0.1, 1.0, 800.0)
+
+    def test_iid_grid_equals_scalar_calls(self):
+        sc = Scenario(300, IidEntries((0.3, 0.8)))
+        query = PropertyQuery(1, negate=True)
+        grid = spc_iid(sc, 77, self.GRID, query)
+        assert grid.tolist() == [spc_iid(sc, 77, eps, query) for eps in self.GRID]
+        assert type(spc_iid(sc, 77, 0.1, query)) is float
+
+    @pytest.mark.parametrize("adjusted", [False, True])
+    def test_known_entries_grid_builds_the_weights_once(self, monkeypatch, adjusted):
+        sc = Scenario(300, KnownEntries(0.4, known=90, known_positive=20))
+        scalars = [spc_known_entries(sc, 60, eps, population_excludes_critical=adjusted)
+                   for eps in self.GRID]
+        calls = []
+        weights = spacct.spc._known_weights
+
+        def counting(*args):
+            calls.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(spacct.spc, "_known_weights", counting)
+        grid = spc_known_entries(sc, 60, self.GRID, population_excludes_critical=adjusted)
+        assert len(calls) == 1
+        assert grid.tolist() == scalars
+        assert type(spc_known_entries(sc, 60, 0.1)) is float
+
+    def test_negative_epsilon_in_a_grid_is_refused(self):
+        sc = Scenario(30, KnownEntries(0.4, known=9))
+        with pytest.raises(DomainError):
+            spc_known_entries(sc, 6, (0.1, -0.1))
+        with pytest.raises(DomainError):
+            spc_iid(Scenario(30, IidEntries((0.4,))), 6, (0.1, -0.1))
+
+
+class TestMonteCarloTrialsCap:
+    def test_cap_is_inclusive(self):
+        assert MonteCarlo(trials=MC_TRIALS_CAP).trials == MC_TRIALS_CAP
+        with pytest.raises(CapacityError, match="cap"):
+            MonteCarlo(trials=MC_TRIALS_CAP + 1)
+
+    def test_huge_count_message_is_short(self):
+        with pytest.raises(CapacityError) as info:
+            MonteCarlo(trials=10**5000)
+        assert len(str(info.value)) < 200
 
 
 class TestSpcKnownEntries:
