@@ -11,6 +11,7 @@ matching a target accuracy loss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .curve import CurvePoint, PrivacyCurve
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
-# Hard ceiling for the query-count search; targets that admit more queries
-# than this are outside the tool's regime.
+# Hard ceiling for the query-count search: max_dp_queries raises
+# CapacityError when this many queries meet the target. A power of two, so
+# the doubling phase of the search lands on it.
 MAX_QUERIES = 1 << 20
 
 # Number of per-query delta values probed between target_delta * 1e-6 and
@@ -78,28 +80,63 @@ def gaussian_sigma_for(epsilon0: float, delta0: float, sensitivity: float) -> fl
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta0)) / epsilon0
 
 
+_log_factorial_table = np.zeros(0)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """A read-only table whose entry j is log(j!) = gammaln(j + 1.0), for j < n
+    at least. The table grows by doubling on first use, not at import."""
+    global _log_factorial_table
+    if len(_log_factorial_table) < n:
+        size = max(1024, 1 << (n - 1).bit_length())
+        _log_factorial_table = gammaln(np.arange(size, dtype=np.float64) + 1.0)
+        _log_factorial_table.flags.writeable = False
+    return _log_factorial_table
+
+
+def _kov_terms(epsilon0: float, k: int, i: int) -> np.ndarray:
+    """The i summands of _kov_dhat, each one nonnegative:
+    C(k,l) e^{(k-2i+l) eps0} (e^{(2i-2l) eps0} - 1) / (1 + e^{eps0})^k for l < i.
+    """
+    lf = _log_factorials(k + 1)
+    log_denom = k * float(np.logaddexp(0.0, epsilon0))
+    l = np.arange(i, dtype=np.float64)
+    log_comb = lf[k] - lf[:i] - lf[k - i + 1:k + 1][::-1]
+    log_low = log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom
+    gap = (2.0 * i - 2.0 * l) * epsilon0
+    # e^x rounds to 0.0 below x = -745.2; numpy's exp is slow on such lanes, so
+    # they are left at 0.0 instead of computed.
+    base = np.zeros(i)
+    np.exp(log_low, out=base, where=log_low > -750.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = base * np.expm1(gap)
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        # Beyond gap ~ 709 expm1 overflows while e^{log_low} underflows to 0, and
+        # 0 * inf is NaN. Factor out the larger exponent log_low + gap <= 0 instead.
+        terms[bad] = np.exp(log_low[bad] + gap[bad]) * -np.expm1(-gap[bad])
+    return terms
+
+
 def _kov_dhat(epsilon0: float, k: int, i: int) -> float:
     """Optimal-composition delta component at the curve point (k - 2i) * eps0.
 
     sum_{l < i} C(k,l) (e^{(k-l) eps0} - e^{(k-2i+l) eps0}) / (1 + e^{eps0})^k,
-    evaluated in log space.
+    evaluated in log space and summed exactly rounded.
     """
-    if i == 0:
-        return 0.0
-    log_denom = k * float(np.logaddexp(0.0, epsilon0))
-    l = np.arange(i, dtype=np.float64)
-    log_comb = gammaln(k + 1.0) - gammaln(l + 1.0) - gammaln(k - l + 1.0)
-    base = np.exp(log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom)
-    terms = base * np.expm1((2.0 * i - 2.0 * l) * epsilon0)
-    return float(math.fsum(terms.tolist()))
+    return math.fsum(_kov_terms(epsilon0, k, i).tolist())
+
+
+def _kov_total(dhat: float, delta0: float, k: int) -> float:
+    """Composed delta 1 - (1 - delta0)^k (1 - dhat); nondecreasing in dhat."""
+    if dhat >= 1.0:
+        return 1.0
+    log_keep = k * math.log1p(-delta0) if delta0 > 0.0 else 0.0
+    return min(1.0, -math.expm1(log_keep + math.log1p(-dhat)))
 
 
 def _kov_total_delta(epsilon0: float, delta0: float, k: int, i: int) -> float:
-    dhat = _kov_dhat(epsilon0, k, i)
-    log_keep = k * math.log1p(-delta0) if delta0 > 0.0 else 0.0
-    if dhat >= 1.0:
-        return 1.0
-    return min(1.0, -math.expm1(log_keep + math.log1p(-dhat)))
+    return _kov_total(_kov_dhat(epsilon0, k, i), delta0, k)
 
 
 def kov_compose(epsilon0: float, delta0: float, k: int) -> PrivacyCurve:
@@ -134,7 +171,28 @@ def _kov_achieves(epsilon0: float, delta0: float, k: int,
         i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
         if i > k // 2:
             return False
-    return _kov_total_delta(epsilon0, delta0, k, i) <= target_delta
+    if _kov_total(0.0, delta0, k) > target_delta:
+        return False  # the delta0 part alone misses; dhat >= 0 only adds to it
+    if i == 0:
+        return True
+    # The decision needs only a bracket around the fsum total. The i terms are
+    # nonnegative, so their float sum s in any order, numpy's pairwise order
+    # included, is within gamma_{i-1} S ~ (i - 1) 2^-53 S of their exact sum S
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2); a sum
+    # that underflows is exact. The slack 8 i 2^-53 s covers that and the
+    # rounding of s -+ slack, so s - slack <= S <= s + slack, and the same holds
+    # for fsum's correctly rounded S. _kov_total is nondecreasing in dhat
+    # (math.log1p and math.expm1 are monotone), so the fsum total lies between
+    # the totals at s - slack and s + slack; only a target in between needs fsum.
+    terms = _kov_terms(epsilon0, k, i)
+    s = float(terms.sum())
+    if math.isfinite(s):
+        slack = i * 2.0**-50 * s
+        if _kov_total(s - slack, delta0, k) > target_delta:
+            return False
+        if _kov_total(s + slack, delta0, k) <= target_delta:
+            return True
+    return _kov_total(math.fsum(terms.tolist()), delta0, k) <= target_delta
 
 
 def max_dp_queries(target_epsilon: float, target_delta: float,
@@ -162,6 +220,7 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
     eps0 = {float(d0): sensitivity * math.sqrt(2.0 * math.log(1.25 / d0)) / sigma_target
             for d0 in grid}
 
+    @functools.cache
     def feasible(k: int) -> float | None:
         for d0, e0 in eps0.items():
             if _kov_achieves(e0, d0, k, target_epsilon, target_delta):
@@ -173,9 +232,13 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
         # report the calibration with the least per-query epsilon tried
         d0 = float(grid[-1])
         return DpCalibration(eps0[d0], d0, sigma_target, sensitivity, 0)
-    lo, hi = 1, 2
-    while hi <= MAX_QUERIES and feasible(hi) is not None:
-        lo, hi = hi, hi * 2
+    hi = 2
+    while feasible(hi) is not None:
+        if hi >= MAX_QUERIES:
+            raise CapacityError(f"at least MAX_QUERIES = {MAX_QUERIES} DP queries meet "
+                                f"the target; the search stops there")
+        hi *= 2
+    lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(mid) is not None:

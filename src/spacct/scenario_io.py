@@ -190,9 +190,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DomainError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"scenario file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DomainError("scenario file nests too deeply") from exc
     return parse_scenario(doc)

@@ -1,14 +1,29 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from spacct import (
+    CapacityError,
     DomainError,
     gaussian_sigma_for,
     kov_compose,
     max_dp_queries,
     mse_increase,
 )
+from spacct import baseline
+from spacct.baseline import (
+    MAX_QUERIES,
+    _kov_achieves,
+    _kov_dhat,
+    _kov_total_delta,
+    _log_factorials,
+)
+from spacct.tables import TABLE1, TABLE2, compute_table
 
 
 class TestMseIncrease:
@@ -147,3 +162,123 @@ class TestMaxDpQueries:
                      (0.01, 0.01, math.inf)):
             with pytest.raises(DomainError, match="finite"):
                 max_dp_queries(*args, 100)
+
+
+    def test_search_stops_at_the_query_ceiling(self, monkeypatch):
+        # every count meets a target this loose; the search must refuse
+        # rather than report a count beyond MAX_QUERIES
+        probed = []
+
+        def spy(epsilon0, delta0, k, *targets):
+            probed.append(k)
+            return _kov_achieves(epsilon0, delta0, k, *targets)
+
+        monkeypatch.setattr(baseline, "_kov_achieves", spy)
+        with pytest.raises(CapacityError, match=str(MAX_QUERIES)):
+            max_dp_queries(1e7, 0.999, 1.0, 10)
+        assert max(probed) == MAX_QUERIES
+
+
+class TestTableDpColumns:
+    """The #DP integers of Tables 1 and 2 as spacct 0.1.0 computed them."""
+
+    @pytest.mark.parametrize("spec, want", [
+        (TABLE1, (0, 29, 40, 138, 121, 135, 537, 588, 586, 2063, 2132, 2067, 7891, 7949, 8045)),
+        (TABLE2, (39, 50, 50, 155, 175, 175, 676, 685, 721)),
+    ], ids=["table1", "table2"])
+    def test_k_max_integers(self, spec, want):
+        assert tuple(cell.dp_queries for cell in compute_table(spec)) == want
+
+
+def reference_achieves(epsilon0, delta0, k, target_epsilon, target_delta):
+    """The search's decision from the fsum total, as before the certified sum."""
+    if k * epsilon0 <= target_epsilon:
+        i = 0
+    else:
+        i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
+        if i > k // 2:
+            return False
+    return _kov_total_delta(epsilon0, delta0, k, i) <= target_delta
+
+
+def inline_gammaln_dhat(epsilon0, k, i):
+    """_kov_dhat as written before the log-factorial table."""
+    if i == 0:
+        return 0.0
+    log_denom = k * float(np.logaddexp(0.0, epsilon0))
+    l = np.arange(i, dtype=np.float64)
+    log_comb = gammaln(k + 1.0) - gammaln(l + 1.0) - gammaln(k - l + 1.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        base = np.exp(log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom)
+        terms = base * np.expm1((2.0 * i - 2.0 * l) * epsilon0)
+    return float(math.fsum(terms.tolist()))
+
+
+def mpmath_total_delta(epsilon0, delta0, k, i):
+    with mpmath.workdps(40):
+        e0 = mpmath.mpf(epsilon0)
+        dhat = mpmath.fsum(
+            mpmath.binomial(k, l) * (mpmath.exp((k - l) * e0) - mpmath.exp((k - 2 * i + l) * e0))
+            for l in range(i)) / (1 + mpmath.exp(e0)) ** k
+        return float(1 - (1 - mpmath.mpf(delta0)) ** k * (1 - dhat))
+
+
+class TestKovTerms:
+    def test_log_factorial_table_is_gammaln(self):
+        n = (1 << 17) + 3
+        table = _log_factorials(n)
+        assert len(table) >= n and not table.flags.writeable
+        assert np.array_equal(table[:n], gammaln(np.arange(n) + 1.0))
+
+    @pytest.mark.parametrize("epsilon0, k", [
+        (0.3, 1), (0.2, 8), (0.05, 9), (0.01, 24), (0.02, 400), (0.001, 3000),
+        (0.004, 8000), (0.5, 3000), (2.0, 500),
+    ])
+    def test_dhat_equals_the_inline_gammaln_formula(self, epsilon0, k):
+        # bit for bit wherever the old formula was finite; where it was NaN
+        # (0 * inf beyond (2i - 2l) eps0 ~ 709), the new value is a probability
+        for i in range(0, k // 2 + 1, max(1, k // 300)):
+            old, new = inline_gammaln_dhat(epsilon0, k, i), _kov_dhat(epsilon0, k, i)
+            if math.isnan(old):
+                assert 0.0 <= new <= 1.0 + 1e-9
+            else:
+                assert new == old
+
+    @pytest.mark.parametrize("i", [710, 760, 850, 1000, 1105, 1200, 1350, 1500])
+    def test_overflowing_terms_match_mpmath(self, i):
+        # kov_compose(0.5, 1e-6, 3000) read delta = 1.0 at all 791 points from
+        # i = 710 on. The log-gamma terms carry a relative error of a few 1e-12
+        # at this k: log(3000!) ~ 2.1e4 is itself rounded by up to 1.8e-12.
+        got = _kov_total_delta(0.5, 1e-6, 3000, i)
+        assert got == pytest.approx(mpmath_total_delta(0.5, 1e-6, 3000, i), rel=1e-11)
+
+
+class TestCertifiedDecision:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 30_000),
+           epsilon0=st.floats(1e-4, 0.05),
+           delta0=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)),
+           point=st.floats(0.0, 1.0),
+           rel=st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6,
+                                0.1, -0.1]),
+           step=st.sampled_from([0, 1, -1]))
+    def test_equals_the_fsum_decision(self, k, epsilon0, delta0, point, rel, step):
+        target_epsilon = (k - 2 * round(point * (k // 2))) * epsilon0
+        i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
+        target_delta = _kov_total_delta(epsilon0, delta0, k, min(max(i, 0), k // 2)) * (1 + rel)
+        if step:
+            target_delta = float(np.nextafter(target_delta, step * np.inf))
+        assert _kov_achieves(epsilon0, delta0, k, target_epsilon, target_delta) \
+            == reference_achieves(epsilon0, delta0, k, target_epsilon, target_delta)
+
+    def test_target_at_the_fsum_total_takes_the_fallback(self, monkeypatch):
+        epsilon0, delta0, k, target_epsilon = 0.05, 1e-6, 1000, 1.0
+        total = _kov_total_delta(epsilon0, delta0, k, 490)
+        assert 0.1 < total < 0.9
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        assert _kov_achieves(epsilon0, delta0, k, target_epsilon, total)
+        assert not _kov_achieves(epsilon0, delta0, k, target_epsilon,
+                                 float(np.nextafter(total, 0.0)))
+        assert len(calls) == 2

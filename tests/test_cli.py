@@ -321,6 +321,18 @@ class TestComposeCommand:
             composition_delta(config.scenario, config.spec, eps, config.mode).to_dict()
             for eps in config.epsilons]
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000,
+        b"\xff\xfe" + '{"schema_version": 1}'.encode("utf-16-le"),
+    ], ids=["nested-too-deeply", "utf-16-bom"])
+    def test_unreadable_json_exits_2_without_delta(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert "scenario file" in err
+
     def test_invalid_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"schema_version": 1}))
@@ -412,6 +424,13 @@ class TestDpCompareCommand:
         rows = parse_csv(out)
         assert rows[0][-1] == "k_max"
         assert int(rows[1][-1]) >= 1
+
+    def test_more_queries_than_the_ceiling_exit_3(self, capsys):
+        code, out, err = run(capsys, "dp-compare", "--eps", "1e7", "--delta", "0.999",
+                             "--sigma", "1.0", "--n", "10")
+        assert code == 3
+        assert out == ""
+        assert "queries" in err
 
     def test_nan_epsilon_exits_2_without_delta(self, capsys):
         code, out, err = run(capsys, "dp-compare", "--eps", "nan", "--delta", "0.0163",
