@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -169,13 +170,17 @@ def cmd_verify(args) -> int:
     failed = False
     lines = []
     records = []
-    for instance in verification_matrix():
+    matrix = verification_matrix()
+    estimates = []
+    if args.trials:
+        # one sampling per scenario, histogrammed for each of its instances' specs
+        for scenario, group in groupby(matrix, key=lambda instance: instance.scenario):
+            estimates += mc_distinguish(scenario, [instance.spec for instance in group],
+                                        MATRIX_EPSILONS, trials=args.trials, seed=args.seed)
+    for index, instance in enumerate(matrix):
         # laws and Monte-Carlo histograms are built once for the whole grid
         exacts = exact_mechanism_law(instance.scenario, instance.spec).delta(MATRIX_EPSILONS)
         bounds = composition_delta(instance.scenario, instance.spec, MATRIX_EPSILONS).total_delta
-        if args.trials:
-            mc = mc_distinguish(instance.scenario, instance.spec, MATRIX_EPSILONS,
-                                trials=args.trials, seed=args.seed)
         for i, eps in enumerate(MATRIX_EPSILONS):
             exact, bound = float(exacts[i]), float(bounds[i])
             margin = bound - exact
@@ -186,6 +191,7 @@ def cmd_verify(args) -> int:
                 "bound_delta": bound, "margin": margin, "dominated": ok,
             }
             if args.trials:
+                mc = estimates[index]
                 estimate, half_width = float(mc.estimate[i]), float(mc.half_width[i])
                 consistent = abs(estimate - exact) <= 3.0 * half_width + 1e-12
                 record.update({

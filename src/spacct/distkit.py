@@ -169,6 +169,30 @@ def poisson_binomial(probs) -> Pmf:
     return Pmf(0, acc)
 
 
+def poisson_binomial_rows(probs) -> np.ndarray:
+    """Raw masses of poisson_binomial for every row of a (rows x s) array.
+
+    Runs poisson_binomial's recurrence on all rows at once, with the same
+    operations in the same order, so Pmf(0, row r) equals
+    poisson_binomial(probs[r]) bit for bit. Returns a (rows x s+1) array;
+    s = 0 gives a column of ones.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise DomainError("probabilities must form a (rows x s) array")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        bad = float(probs[~((probs >= 0.0) & (probs <= 1.0))][0])
+        raise DomainError(f"Bernoulli parameter {bad!r} outside [0, 1]")
+    acc = np.ones((probs.shape[0], 1))
+    for i in range(probs.shape[1]):
+        q = probs[:, i : i + 1]
+        nxt = np.zeros((acc.shape[0], i + 2))
+        nxt[:, :-1] += acc * (1.0 - q)
+        nxt[:, 1:] += acc * q
+        acc = nxt
+    return acc
+
+
 def cdf(d: Pmf, x: int) -> float:
     """P(D <= x); 0 below the support, ~1 at or above its top."""
     if x < d.offset:
@@ -179,8 +203,15 @@ def cdf(d: Pmf, x: int) -> float:
 
 
 def shift(d: Pmf, k: int) -> Pmf:
-    """Translate the support by k; masses are unchanged."""
-    return Pmf(d.offset + int(k), d.masses)
+    """Translate the support by k; masses are unchanged.
+
+    The masses were validated and trimmed when `d` was built and translation
+    keeps both, so the (read-only) array is shared, not checked again.
+    """
+    out = object.__new__(Pmf)
+    object.__setattr__(out, "offset", d.offset + int(k))
+    object.__setattr__(out, "masses", d.masses)
+    return out
 
 
 def mixture(components) -> Pmf:

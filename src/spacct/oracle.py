@@ -11,12 +11,13 @@ divergence from sampled runs of the mechanism.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree
+from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree, _require_fits
 from .curve import _scale, as_grid, d_hat, per_epsilon
 from .distkit import Pmf
 from .errors import CapacityError, DomainError, magnitude
@@ -159,44 +160,92 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
     return ExactMechanismLaw(laws=laws, radix=radix)
 
 
-def _mc_histograms(scenario: Scenario, spec: CompositionSpec, trials: int,
-                   seed: int) -> dict[int, np.ndarray]:
-    """Empirical answer-tuple laws of `trials` sampled runs, per critical value.
+def _shuffle_ranks(keys: np.ndarray) -> np.ndarray:
+    """Every entry's place in each trial's shuffle, as an (n x trials) array.
+
+    `keys` holds one uniform sort key per (trial, entry). An entry's rank is
+    the number of entries sorted before it, ties broken by index as in a
+    stable sort, so on tie-free keys the entry of rank r is the one argsort
+    puts in slot r. Pairwise comparisons cost O(n^2 trials), which suits the
+    tiny instances the oracle runs on.
+    """
+    cols = np.ascontiguousarray(keys.T)
+    n = cols.shape[0]
+    ranks = np.zeros(cols.shape, dtype=np.min_scalar_type(n))
+    for i in range(n - 1):
+        after_i_sorted_before = cols[i + 1 :] < cols[i]
+        ranks[i] += after_i_sorted_before.sum(axis=0, dtype=ranks.dtype)
+        ranks[i + 1 :] += ~after_i_sorted_before
+    return ranks
+
+
+class _McRuns:
+    """`trials` sampled runs of the mechanism for one critical value.
+
+    Each entry's shuffle rank and attribute values are kept on (n x trials)
+    planes, so a block's answer to a query is a masked count over entries,
+    made once per (query, block) for every spec and tree node that asks.
+    """
+
+    def __init__(self, rng: np.random.Generator, scenario: Scenario, value: int,
+                 trials: int) -> None:
+        num_attrs = scenario.num_attributes
+        self.trials = trials
+        self.ranks = _shuffle_ranks(rng.random((trials, scenario.n)))
+        entries = rng.random((trials, scenario.n, num_attrs)) < scenario.probs_matrix()[None]
+        for t in range(num_attrs):
+            entries[:, scenario.critical_index - 1, t] = (value >> t) & 1
+        self.entries = entries
+        self.planes: dict[tuple[int, bool], np.ndarray] = {}
+        self.counts: dict[tuple[int, bool, int, int], np.ndarray] = {}
+
+    def plane(self, query: PropertyQuery) -> np.ndarray:
+        """(n x trials) indicators of the entries the query counts."""
+        key = (query.attribute, query.negate)
+        if key not in self.planes:
+            plane = np.ascontiguousarray(self.entries[:, :, query.attribute].T)
+            self.planes[key] = ~plane if query.negate else plane
+        return self.planes[key]
+
+    def answers(self, query: PropertyQuery, lo: int, hi: int) -> np.ndarray:
+        """Per-trial answer of `query` on the block at shuffle places lo..hi-1."""
+        key = (query.attribute, query.negate, lo, hi)
+        if key not in self.counts:
+            in_block = (self.ranks >= lo) & (self.ranks < hi)
+            self.counts[key] = np.count_nonzero(self.plane(query) & in_block, axis=0)
+        return self.counts[key]
+
+    def histogram(self, spec: CompositionSpec) -> np.ndarray:
+        """Empirical law of the spec's flattened answer tuples."""
+        sizes = spec.format.sizes
+        radix = tuple(s + 1 for s in sizes)
+        # entries placed after the last block are left out of the sample
+        starts = np.cumsum((0,) + sizes).tolist()
+
+        def get_answers(query: PropertyQuery, rows: np.ndarray, k: int) -> np.ndarray:
+            return self.answers(query, starts[k], starts[k + 1])[rows]
+
+        flat = _answer_matrix(spec, get_answers, self.trials) @ _flat_multipliers(radix)
+        return np.bincount(flat, minlength=math.prod(radix)) / self.trials
+
+
+def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int,
+                   seed: int) -> list[dict[int, np.ndarray]]:
+    """Empirical answer-tuple laws of `trials` sampled runs, per spec and critical value.
 
     A master seed is split into one child stream per critical value, and
     each trial's randomness occupies a fixed slice of that stream, so
     results do not depend on evaluation order and reruns are bit-identical.
+    The runs of one critical value are sampled once and histogrammed for
+    every spec before the next value is sampled.
     """
-    fmt = spec.format
-    n = scenario.n
-    num_values = scenario.num_values
-    num_attrs = scenario.num_attributes
-    radix = tuple(s + 1 for s in fmt.sizes)
-    mult = _flat_multipliers(radix)
-    n_answers = math.prod(radix)
-    j0 = scenario.critical_index - 1
-    probs = scenario.probs_matrix()
-    starts = np.cumsum([0] + list(fmt.sizes))
-
-    children = np.random.SeedSequence(seed).spawn(num_values)
-    hist: dict[int, np.ndarray] = {}
-    for v in range(num_values):
-        rng = np.random.default_rng(children[v])
-        perm = np.argsort(rng.random((trials, n)), axis=1)
-        entries = (rng.random((trials, n, num_attrs)) < probs[None]).astype(np.int8)
-        for t in range(num_attrs):
-            entries[:, j0, t] = (v >> t) & 1
-        plane_for = _plane_lookup(entries)
-
-        def get_answers(query: PropertyQuery, rows: np.ndarray, k: int) -> np.ndarray:
-            plane = plane_for(query)
-            slots = perm[rows, starts[k]:starts[k + 1]]
-            return np.take_along_axis(plane[rows], slots, axis=1).sum(axis=1)
-
-        answers = _answer_matrix(spec, get_answers, trials)
-        flat = answers @ mult
-        hist[v] = np.bincount(flat, minlength=n_answers) / trials
-    return hist
+    children = np.random.SeedSequence(seed).spawn(scenario.num_values)
+    hists: list[dict[int, np.ndarray]] = [{} for _ in specs]
+    for v in range(scenario.num_values):
+        runs = _McRuns(np.random.default_rng(children[v]), scenario, v, trials)
+        for hist, spec in zip(hists, specs):
+            hist[v] = runs.histogram(spec)
+    return hists
 
 
 def _mc_estimate(hist: dict[int, np.ndarray], scale: float,
@@ -221,8 +270,8 @@ def _mc_estimate(hist: dict[int, np.ndarray], scale: float,
     return best, 1.96 * math.sqrt(max(var, 0.0))
 
 
-def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon,
-                   trials: int, seed: int) -> McEstimate:
+def mc_distinguish(scenario: Scenario, spec: CompositionSpec | Sequence[CompositionSpec],
+                   epsilon, trials: int, seed: int) -> McEstimate | list[McEstimate]:
     """Plug-in divergence estimate from sampled mechanism runs.
 
     Per critical value, samples (template, database, answers) `trials` times
@@ -233,18 +282,27 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec, epsilon,
 
     The histograms are sampled once and evaluated at every point of a 1-D
     epsilon grid, which then gives arrays; each point's estimate equals the
-    single-epsilon call with the same seed.
+    single-epsilon call with the same seed. Likewise `spec` may be a
+    sequence of specs on this scenario: the runs are sampled once and
+    histogrammed per spec, giving a list of estimates, each equal to the
+    single-spec call with the same seed.
     """
+    single = isinstance(spec, CompositionSpec)
+    specs = [spec] if single else list(spec)
     if trials < 10**3:
         raise DomainError("need at least 1000 trials")
     if trials > MC_TRIALS_CAP:
         raise CapacityError(
             f"{magnitude(trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
+    for one in specs:
+        _require_fits(scenario, one.format)
     scales = [_scale(e) for e in as_grid(epsilon).tolist()]
-    hist = _mc_histograms(scenario, spec, trials, seed)
-    estimates = np.array([_mc_estimate(hist, scale, trials) for scale in scales])
-    return McEstimate(per_epsilon(epsilon, estimates[:, 0]),
-                      per_epsilon(epsilon, estimates[:, 1]))
+    estimates = []
+    for hist in _mc_histograms(scenario, specs, trials, seed):
+        values = np.array([_mc_estimate(hist, scale, trials) for scale in scales])
+        estimates.append(McEstimate(per_epsilon(epsilon, values[:, 0]),
+                                    per_epsilon(epsilon, values[:, 1])))
+    return estimates[0] if single else estimates
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import distkit
 from .curve import as_grid, d_hat, fsum_terms, per_epsilon, shift_pair_delta
-from .distkit import Pmf, hypergeometric, poisson_binomial, shift
+from .distkit import Pmf, hypergeometric, poisson_binomial, poisson_binomial_rows, shift
 from .errors import CapacityError, DomainError, magnitude
 from .partition import TEMPLATE_CAP, PartitionLaw
 
@@ -27,6 +27,10 @@ KNOWN_SUPPORT_CAP = 10**6
 
 # Monte-Carlo sampling refuses more trials than this, before allocating.
 MC_TRIALS_CAP = 10**6
+
+# Monte-Carlo trials whose answer laws are built in one batch, so a batch
+# holds MC_CHUNK x n_k floats however many trials are asked for.
+MC_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -185,10 +189,14 @@ class PropertyQuery:
         indicator yield identical laws, so the two-sided divergence over the
         full value space reduces to these."""
         base = poisson_binomial(self.success_probs(rows)) if rows.shape[0] else distkit.point(0)
-        return {0: base, 1: shift(base, 1)}
+        return _indicator_pair(base)
 
     def unconditional_law(self, rows: np.ndarray) -> Pmf:
         return poisson_binomial(self.success_probs(rows))
+
+
+def _indicator_pair(base: Pmf) -> dict[int, Pmf]:
+    return {0: base, 1: shift(base, 1)}
 
 
 class SpcEstimate(NamedTuple):
@@ -314,8 +322,9 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     the restricted law those co-members are a uniform subset of the other
     n - 1 indices; the other blocks never enter. Enumerate mode averages
     over every such subset exactly; MonteCarlo averages over subsets drawn
-    by the same seeded shuffle as partition.sample_template. Each subset's
-    laws are built once and evaluated over the whole epsilon grid.
+    by the same seeded shuffle as partition.sample_template, and builds the
+    answer laws of MC_CHUNK drawn subsets with one batched recurrence. Each
+    subset's laws are built once and evaluated over the whole epsilon grid.
     """
     if law.restriction is None:
         raise DomainError("spc_general requires a law restricted to (critical index, block)")
@@ -329,9 +338,6 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     picks = law.format.sizes[k - 1] - 1
     grid = as_grid(epsilon)
 
-    def block_delta(co_members) -> np.ndarray:
-        return d_hat(query.indicator_laws(probs[co_members, :]), grid)
-
     if isinstance(mode, Enumerate):
         count = math.comb(law.n - 1, picks)
         if count > mode.cap:
@@ -339,14 +345,23 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
                 f"{magnitude(count)} co-member subsets exceed the cap of {mode.cap}; "
                 "use Monte-Carlo sampling")
         weight = 1.0 / count
-        terms = [weight * block_delta(list(co)) for co in combinations(others, picks)]
+        terms = [weight * d_hat(query.indicator_laws(probs[list(co), :]), grid)
+                 for co in combinations(others, picks)]
         return SpcEstimate(per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms))), None)
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
+    # an empty co-member set never reads the query's column, as in indicator_laws
+    success = query.success_probs(probs) if picks else np.empty(law.n)
     values = np.empty((grid.size, mode.trials))
-    for t in range(mode.trials):
-        values[:, t] = block_delta(rng.permutation(others)[start : start + picks])
+    for first in range(0, mode.trials, MC_CHUNK):
+        chunk = min(MC_CHUNK, mode.trials - first)
+        co_members = np.empty((chunk, picks), dtype=np.intp)
+        for row in co_members:
+            row[:] = rng.permutation(others)[start : start + picks]
+        rows = poisson_binomial_rows(success[co_members])
+        for t, masses in enumerate(rows, start=first):
+            values[:, t] = d_hat(_indicator_pair(Pmf(0, masses)), grid)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
     means = np.array([row.mean() for row in values])
     spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])

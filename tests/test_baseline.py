@@ -282,3 +282,23 @@ class TestCertifiedDecision:
         assert not _kov_achieves(epsilon0, delta0, k, target_epsilon,
                                  float(np.nextafter(total, 0.0)))
         assert len(calls) == 2
+
+
+class TestSearchReading:
+    """#DP is the boundary the doubling/bisection search lands on, not the
+    largest feasible count: KOV feasibility is not monotone in k."""
+
+    def test_table2_m32_eps005_feasible_set(self):
+        cell = next(c for c in compute_table(TABLE2, with_dp=False)
+                    if c.m == 32 and c.epsilon == 0.05)
+        eps, delta, sigma, n = cell.epsilon, cell.delta_sp, cell.sigma, TABLE2.n
+        grid = np.logspace(math.log10(delta * 1e-6), math.log10(delta * 0.999),
+                           baseline.DELTA0_GRID_POINTS)
+
+        def feasible(k):
+            return any(_kov_achieves((1.0 / n) * math.sqrt(2.0 * math.log(1.25 / d0)) / sigma,
+                                     d0, k, eps, delta) for d0 in grid.tolist())
+
+        assert [k for k in range(1, 61) if feasible(k)] == \
+            list(range(1, 40)) + [41, 43, 45, 47, 49]
+        assert max_dp_queries(eps, delta, sigma, n).k_max == 39

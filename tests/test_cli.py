@@ -527,3 +527,89 @@ class TestComposeFuzz:
             assert code in {0, 1, 2, 3}
             written = out.read_text() if out.exists() else ""
             assert ("total_delta" in written) == (code == 0)
+
+
+# Numbers that sit on a boundary, overflow a float, or do not parse.
+ODD_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e400", str(10**20), "", "abc", "1.5",
+               "1e-300", "0x10", "--")
+
+
+def number(valid):
+    """A flag value: from `valid` five times in six, else odd or malformed."""
+    return st.tuples(st.integers(0, 5), valid, st.sampled_from(ODD_NUMBERS)).map(
+        lambda t: t[2] if t[0] == 0 else str(t[1]))
+
+
+def required(flag, value):
+    return value.map(lambda v: [flag, v])
+
+
+def option(flag, value):
+    return st.one_of(st.just([]), required(flag, value))
+
+
+def switch(flag):
+    return st.sampled_from(([], [flag]))
+
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+EPS_LISTS = st.one_of(
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(
+        lambda xs: ",".join(repr(x) for x in xs)),
+    st.sampled_from(ODD_NUMBERS + ("0.1,0.05", "0.1,,0.2", "-0.1", "0.1,nan", "1,1e400")))
+
+TINY_SCENARIO = {
+    "schema_version": 1, "n": 4, "entry_model": {"kind": "iid", "p": 0.3}, "format": [2, 2],
+    "queries": {"mode": "nonadaptive", "list": [{"attribute": 0}, {"negate": True}]},
+    "epsilons": [0.0, 0.5],
+}
+
+ARGVS = st.one_of(
+    joined(st.just(["curve"]), required("--n", number(st.integers(1, 5000))),
+           required("--p", number(st.floats(0.0, 1.0))),
+           option("--sample-size", number(st.integers(1, 5000))), option("--eps", EPS_LISTS),
+           option("--known", number(st.integers(0, 5000))),
+           option("--known-positive", number(st.integers(0, 5000))),
+           switch("--population-adjusted"), option("--format", st.sampled_from(("csv", "json")))),
+    joined(st.sampled_from((["table1"], ["table2"])), st.just(["--skip-dp"]),
+           switch("--check"), option("--format", st.sampled_from(("csv", "json", "xml"))),
+           switch("--strict-dp")),
+    joined(st.just(["compose", "--scenario"]),
+           st.sampled_from((["tiny.json"], ["broken.json"], ["missing.json"], ["."])),
+           switch("--verify")),
+    joined(st.just(["verify"]),
+           option("--trials", number(st.sampled_from((0, 999, 1000, 1200, -5)))),
+           option("--seed", number(st.integers(-3, 2**40))), switch("--json")),
+    joined(st.just(["dp-compare"]), required("--eps", number(st.floats(0.0, 5.0))),
+           required("--delta", number(st.floats(0.0, 1.0))),
+           required("--sigma", number(st.floats(1e-3, 10.0))),
+           required("--n", number(st.integers(1, 10**6))),
+           option("--format", st.sampled_from(("csv", "json")))),
+)
+
+
+class TestArgvFuzz:
+    @given(ARGVS)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_code_contract(self, argv):
+        """Every subcommand exits 0, 1, 2 or 3 on any argv (argparse's own
+        refusals exit 2). Output (deltas, table cells, a calibration) is
+        written on exit 0, and on exit 1, where a failed check prints the
+        values it checked; never on exit 2 or 3."""
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "tiny.json").write_text(json.dumps(TINY_SCENARIO))
+            (Path(tmp) / "broken.json").write_text('{"schema_version": 1, "n": ')
+            out = Path(tmp) / "out.txt"
+            argv = [str(Path(tmp) / a) if a.endswith(".json") or a == "." else a for a in argv]
+            try:
+                with contextlib.redirect_stderr(io.StringIO()), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in {0, 1, 2, 3}
+            written = out.read_text() if out.exists() else ""
+            assert bool(written) == (code in {0, 1})

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacct import DomainError, binomial, cdf, hypergeometric, mixture, point, poisson_binomial, shift
-from spacct.distkit import Pmf
+from spacct.distkit import Pmf, poisson_binomial_rows
+from spacct.spc import MC_CHUNK
 
 from rational_ref import binom_pmf_exact, hyper_pmf_exact
 
@@ -124,6 +125,27 @@ class TestShift:
         assert back.offset == d.offset
         np.testing.assert_array_equal(back.masses, d.masses)
 
+    @pytest.mark.parametrize("k", [-4, 0, 7])
+    @pytest.mark.parametrize("d", [
+        binomial(5, 0.3),
+        point(2),
+        Pmf(3, np.array([1e-310, 0.5, 0.5, 1e-310])),  # trimmed at construction
+    ], ids=["binomial", "point", "trimmed"])
+    def test_moves_offset_and_keeps_masses(self, d, k):
+        out = shift(d, k)
+        assert out.offset == d.offset + k
+        assert out.masses.size == d.masses.size
+        assert np.all(out.masses == d.masses)
+
+    def test_does_not_validate_again(self, monkeypatch):
+        d = binomial(4, 0.5)
+
+        def refuse(self):
+            raise AssertionError("shift must not re-run the Pmf checks")
+
+        monkeypatch.setattr(Pmf, "__post_init__", refuse)
+        assert shift(d, 2).offset == 2
+
 
 class TestMixture:
     def test_single_component(self):
@@ -181,6 +203,50 @@ class TestPoissonBinomial:
     def test_heterogeneous_hand_case(self):
         pb = poisson_binomial([0.2, 0.8])
         np.testing.assert_allclose(pb.masses, [0.8 * 0.2, 0.2 * 0.2 + 0.8 * 0.8, 0.2 * 0.8])
+
+
+def _assert_rows_equal_poisson_binomial(probs: np.ndarray) -> None:
+    rows = poisson_binomial_rows(probs)
+    assert rows.shape == (probs.shape[0], probs.shape[1] + 1)
+    for row_probs, masses in zip(probs, rows):
+        want, got = poisson_binomial(row_probs), Pmf(0, masses)
+        assert got.offset == want.offset
+        assert got.masses.size == want.masses.size
+        assert np.all(got.masses == want.masses)
+
+
+class TestPoissonBinomialRows:
+    """The batched recurrence against one poisson_binomial per row, bit for bit."""
+
+    @given(st.integers(0, 12).flatmap(lambda s: st.lists(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0))),
+                 min_size=s, max_size=s),
+        min_size=1, max_size=8).map(lambda rows: np.array(rows).reshape(len(rows), s))))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_equal_poisson_binomial(self, probs):
+        _assert_rows_equal_poisson_binomial(probs)
+
+    @pytest.mark.parametrize("rows", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1])
+    def test_row_counts_around_the_chunk(self, rows):
+        probs = np.random.default_rng(rows).random((rows, 9))
+        probs[::7, 2] = 0.0
+        probs[::5, 4] = 1.0
+        _assert_rows_equal_poisson_binomial(probs)
+
+    def test_empty_blocks_are_point_masses(self):
+        np.testing.assert_array_equal(poisson_binomial_rows(np.empty((3, 0))), np.ones((3, 1)))
+        assert poisson_binomial_rows(np.empty((0, 4))).shape == (0, 5)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_rejects_probabilities_outside_unit_interval(self, bad):
+        probs = np.full((2, 3), 0.5)
+        probs[1, 2] = bad
+        with pytest.raises(DomainError, match="outside"):
+            poisson_binomial_rows(probs)
+
+    def test_rejects_a_flat_sequence(self):
+        with pytest.raises(DomainError):
+            poisson_binomial_rows([0.5, 0.5])
 
 
 class TestPmfInvariants:

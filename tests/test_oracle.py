@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from spacct import (
     mc_distinguish,
     verification_matrix,
 )
-from spacct.oracle import MATRIX_EPSILONS
+from spacct.oracle import MATRIX_EPSILONS, _McRuns, _shuffle_ranks
 from spacct.spc import MC_TRIALS_CAP
 
 from rational_ref import block_answer_law, enumerate_set_partitions
@@ -183,6 +185,96 @@ class TestMcDistinguish:
         small = mc_distinguish(sc, spec, 0.1, trials=2000, seed=1)
         large = mc_distinguish(sc, spec, 0.1, trials=50000, seed=1)
         assert large.half_width < small.half_width
+
+
+def _as_lists(estimate):
+    return estimate.estimate.tolist(), estimate.half_width.tolist()
+
+
+class TestMultiSpecSampling:
+    """One sampling shared by several specs gives each spec's own call exactly."""
+
+    def test_matrix_scenarios(self):
+        matrix = verification_matrix()
+        for scenario, group in groupby(matrix, key=lambda instance: instance.scenario):
+            group = list(group)
+            together = mc_distinguish(scenario, [i.spec for i in group], MATRIX_EPSILONS,
+                                      trials=1000, seed=17)
+            assert len(together) == len(group)
+            for instance, estimate in zip(group, together):
+                alone = mc_distinguish(scenario, instance.spec, MATRIX_EPSILONS,
+                                       trials=1000, seed=17)
+                assert _as_lists(estimate) == _as_lists(alone), instance.name
+        assert len(matrix) == 32
+
+    def test_subsampled_two_attribute_and_adaptive_specs(self):
+        probs = ((0.2, 0.7), (0.5, 0.5), (0.9, 0.1), (0.3, 0.6), (0.6, 0.4))
+        scenario = Scenario(5, ExplicitEntries(probs), critical_index=3)
+        tree = ThresholdTree(PropertyQuery(1), 1, low=ThresholdTree(PropertyQuery(0)),
+                             high=ThresholdTree(PropertyQuery(1, negate=True)))
+        leaf = ThresholdTree(PropertyQuery(1))
+        specs = [
+            # formats with fewer indices than n leave entries out of the sample
+            NonadaptiveSpec(TemplateFormat((2, 1)), (PropertyQuery(0), PropertyQuery(1))),
+            NonadaptiveSpec(TemplateFormat((3,)), (PropertyQuery(1, negate=True),)),
+            AdaptiveSpec(TemplateFormat((2, 2)), tree),
+            AdaptiveSpec(TemplateFormat((2, 2, 1)), ThresholdTree(
+                PropertyQuery(0), 2, low=ThresholdTree(PropertyQuery(1), 1, low=leaf, high=leaf),
+                high=ThresholdTree(PropertyQuery(0, negate=True), 2, low=leaf, high=leaf))),
+        ]
+        together = mc_distinguish(scenario, specs, (0.0, 0.5), trials=2000, seed=3)
+        for spec, estimate in zip(specs, together):
+            alone = mc_distinguish(scenario, spec, (0.0, 0.5), trials=2000, seed=3)
+            assert _as_lists(estimate) == _as_lists(alone)
+        # a single spec in a sequence still gives a list
+        (one,) = mc_distinguish(scenario, specs[:1], 0.5, trials=2000, seed=3)
+        assert one == mc_distinguish(scenario, specs[0], 0.5, trials=2000, seed=3)
+
+    def test_subsampled_estimate_tracks_exact(self):
+        scenario = Scenario(5, ExplicitEntries(((0.3,), (0.6,), (0.5,), (0.8,), (0.2,))),
+                            critical_index=2)
+        spec = NonadaptiveSpec(TemplateFormat((2, 1)), (PropertyQuery(), PropertyQuery()))
+        exact = exact_mechanism_law(scenario, spec).delta(0.1)
+        mc = mc_distinguish(scenario, spec, 0.1, trials=10**5, seed=8)
+        assert abs(mc.estimate - exact) <= 3 * mc.half_width + 1e-12
+
+    def test_format_larger_than_n_is_refused(self):
+        scenario = Scenario(3, IidEntries((0.5,)))
+        spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
+        with pytest.raises(DomainError, match="format"):
+            mc_distinguish(scenario, [spec], 0.1, trials=1000, seed=0)
+
+
+class TestShuffleRanks:
+    def test_ranks_invert_argsort_on_tie_free_keys(self):
+        keys = np.random.default_rng(5).random((500, 7))
+        ranks = _shuffle_ranks(keys)
+        assert ranks.shape == (7, 500)
+        perm = np.argsort(keys, axis=1)
+        for t in range(500):
+            assert ranks[perm[t], t].tolist() == list(range(7))
+
+    def test_ties_are_broken_by_index(self):
+        keys = np.array([[0.5, 0.5, 0.1, 0.5], [0.2, 0.2, 0.2, 0.2]])
+        assert _shuffle_ranks(keys).T.tolist() == [[1, 2, 0, 3], [0, 1, 2, 3]]
+
+    def test_block_answers_equal_argsort_slots(self):
+        # the former sampler: argsort the keys, take each block's slots
+        scenario = Scenario(6, ExplicitEntries(((0.3, 0.8), (0.6, 0.1), (0.5, 0.5),
+                                                (0.9, 0.4), (0.2, 0.7), (0.4, 0.6))),
+                            critical_index=4)
+        trials, value = 3000, 0b10
+        rng = np.random.default_rng(21)
+        perm = np.argsort(rng.random((trials, 6)), axis=1)
+        entries = (rng.random((trials, 6, 2)) < scenario.probs_matrix()[None]).astype(np.int8)
+        entries[:, 3, :] = (0, 1)
+        runs = _McRuns(np.random.default_rng(21), scenario, value, trials)
+        for query in (PropertyQuery(0), PropertyQuery(1, negate=True)):
+            plane = entries[:, :, query.attribute]
+            plane = 1 - plane if query.negate else plane
+            for lo, hi in ((0, 2), (2, 3), (3, 6), (0, 6)):
+                slots = np.take_along_axis(plane, perm[:, lo:hi], axis=1).sum(axis=1)
+                assert runs.answers(query, lo, hi).tolist() == slots.tolist()
 
 
 class TestVerificationMatrix:

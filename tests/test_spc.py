@@ -29,7 +29,7 @@ from spacct import (
     spc_known_entries_threshold_bound,
 )
 
-from spacct.spc import MC_TRIALS_CAP
+from spacct.spc import MC_CHUNK, MC_TRIALS_CAP
 
 from rational_ref import block_answer_law, dhat_shift_pair, hockey_stick_dicts, hyper_pmf_exact
 
@@ -351,6 +351,54 @@ class TestSpcGeneralSubsets:
         with pytest.raises(CapacityError, match="36"):
             spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate(cap=10))
         assert spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate(cap=36)).value > 0.0
+
+
+def _per_trial_monte_carlo(scenario, law, query, grid, trials, seed):
+    """MonteCarlo spc_general with one poisson_binomial and indicator_laws per trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    j, k = law.restriction
+    others = np.delete(np.arange(law.n), j - 1)
+    start, picks = sum(law.format.sizes[: k - 1]), law.format.sizes[k - 1] - 1
+    probs = scenario.probs_matrix()
+    values = np.array([
+        d_hat(query.indicator_laws(probs[rng.permutation(others)[start : start + picks], :]),
+              grid)
+        for _ in range(trials)
+    ]).T
+    means = np.array([row.mean() for row in values])
+    spreads = np.array([row.std(ddof=1) if trials > 1 else 0.0 for row in values])
+    return means, 1.96 * spreads / math.sqrt(trials)
+
+
+class TestMonteCarloBatches:
+    """Batched answer laws give the per-trial values exactly."""
+
+    grid = (0.0, 0.3, 1.0)
+
+    @given(case=restricted_explicit_cases(), trials=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_trial_loop(self, case, trials, seed):
+        scenario, law, query = case
+        got = spc_general(scenario, law, query, self.grid, MonteCarlo(trials, seed=seed))
+        means, half_widths = _per_trial_monte_carlo(scenario, law, query, self.grid,
+                                                    trials, seed)
+        assert got.value.tolist() == means.tolist()
+        assert got.half_width.tolist() == half_widths.tolist()
+
+    @pytest.mark.parametrize("trials", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 3])
+    def test_trial_counts_around_the_chunk(self, trials):
+        probs = np.random.default_rng(trials).uniform(0.0, 1.0, 12)
+        probs[3], probs[8] = 0.0, 1.0
+        scenario = Scenario(12, ExplicitEntries(tuple((p,) for p in probs)), critical_index=4)
+        for k, negate in ((1, False), (2, True), (3, False)):
+            law = PartitionLaw(12, TemplateFormat((5, 4, 2)), restriction=(4, k))
+            query = PropertyQuery(negate=negate)
+            got = spc_general(scenario, law, query, self.grid, MonteCarlo(trials, seed=trials))
+            means, half_widths = _per_trial_monte_carlo(scenario, law, query, self.grid,
+                                                        trials, trials)
+            assert got.value.tolist() == means.tolist()
+            assert got.half_width.tolist() == half_widths.tolist()
 
 
 def _pair_delta(member_p: float, eps: float, shifted_first: bool) -> float:
