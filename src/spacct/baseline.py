@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +212,10 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
         raise DomainError("n must be positive")
     if target_epsilon < 0.0 or not 0.0 < target_delta < 1.0:
         raise DomainError("targets out of range")
+    if target_delta < sys.float_info.min:
+        # the delta0 grid starts at target_delta * 1e-6, which would underflow
+        raise DomainError(f"target delta {target_delta!r} is subnormal; the delta0 grid "
+                          f"needs at least {sys.float_info.min!r}")
     sensitivity = 1.0 / n
     grid = np.logspace(
         math.log10(target_delta * 1e-6),

@@ -15,7 +15,7 @@ from functools import cache, partial
 import numpy as np
 from scipy.special import betainc
 
-from .curve import as_grid, d_hat, fsum_terms, shift_pair_delta
+from .curve import as_grid, d_hat, fsum_terms
 from .distkit import Pmf, cdf
 from .errors import DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates
@@ -25,6 +25,8 @@ from .spc import (
     PropertyQuery,
     Scenario,
     spc_general,
+    spc_iid,
+    success_prob,
 )
 
 @dataclass(frozen=True)
@@ -183,47 +185,8 @@ def _require_fits(scenario: Scenario, fmt: TemplateFormat) -> None:
         raise DomainError(f"format uses {fmt.total} indices but n={scenario.n}")
 
 
-def _iid_attr_p(scenario: Scenario, query: PropertyQuery) -> float:
-    if query.attribute >= scenario.num_attributes:
-        raise DomainError(
-            f"query targets attribute {query.attribute} but entries have "
-            f"{scenario.num_attributes}")
-    p = scenario.entries.probs[query.attribute]
-    return 1.0 - p if query.negate else p
-
-
-def _iid_block_dhat(scenario: Scenario, query: PropertyQuery, size: int,
-                    grid: np.ndarray, cache: dict) -> np.ndarray:
-    key = (query.attribute, query.negate, size)
-    if key not in cache:
-        p = _iid_attr_p(scenario, query)
-        cache[key] = np.array([shift_pair_delta(size - 1, p, e) for e in grid.tolist()])
-    return cache[key]
-
-
-def nonadaptive_iid(scenario: Scenario, spec: NonadaptiveSpec, epsilon) -> CompositionReport:
-    """Bound for iid entries: sum_k (n_k / n) * divergence at database size n_k."""
-    if not scenario.is_iid:
-        raise DomainError("nonadaptive_iid requires an iid scenario")
-    if not isinstance(spec, NonadaptiveSpec):
-        raise DomainError("spec must be nonadaptive")
-    _require_fits(scenario, spec.format)
-    grid = as_grid(epsilon)
-    cache: dict = {}
-    terms = []
-    for k, (size, query) in enumerate(zip(spec.format.sizes, spec.queries), start=1):
-        delta = _iid_block_dhat(scenario, query, size, grid, cache)
-        terms.append(BlockTerm(block=k, weight=size / scenario.n, delta=delta))
-    return _report(epsilon, terms, "nonadaptive-iid")
-
-
-def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
-                        mode: Enumerate | MonteCarlo = Enumerate()) -> CompositionReport:
-    """General-entry bound: per-block SPC under the law restricted to (j, k).
-
-    An enumerated block term depends only on the block size and the query,
-    so blocks that share both are evaluated once.
-    """
+def _nonadaptive(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
+                 mode: Enumerate | MonteCarlo, label: str) -> CompositionReport:
     if not isinstance(spec, NonadaptiveSpec):
         raise DomainError("spec must be nonadaptive")
     _require_fits(scenario, spec.format)
@@ -232,18 +195,36 @@ def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
     enumerated: dict = {}
     terms = []
     for k, (size, query) in enumerate(zip(spec.format.sizes, spec.queries), start=1):
-        law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
         if isinstance(mode, MonteCarlo):
             # independent per-block streams derived from the one configured seed
+            law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
             block_mode = MonteCarlo(mode.trials, seed=(mode.seed, k))
             est = spc_general(scenario, law, query, grid, block_mode)
         else:
             if (size, query) not in enumerated:
+                law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
                 enumerated[size, query] = spc_general(scenario, law, query, grid, mode)
             est = enumerated[size, query]
         terms.append(BlockTerm(block=k, weight=size / scenario.n,
                                delta=est.value, half_width=est.half_width))
-    return _report(epsilon, terms, "nonadaptive-general")
+    return _report(epsilon, terms, label)
+
+
+def nonadaptive_iid(scenario: Scenario, spec: NonadaptiveSpec, epsilon) -> CompositionReport:
+    """Bound for iid entries: sum_k (n_k / n) * divergence at database size n_k."""
+    if not scenario.is_iid:
+        raise DomainError("nonadaptive_iid requires an iid scenario")
+    return _nonadaptive(scenario, spec, epsilon, Enumerate(), "nonadaptive-iid")
+
+
+def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
+                        mode: Enumerate | MonteCarlo = Enumerate()) -> CompositionReport:
+    """General-entry bound: per-block SPC under the law restricted to (j, k).
+
+    An exact block term depends only on the block size and the query, so
+    blocks that share both are evaluated once.
+    """
+    return _nonadaptive(scenario, spec, epsilon, mode, "nonadaptive-general")
 
 
 def _tree_sum(tree: ThresholdTree, depth: int, tails, divergence) -> np.ndarray:
@@ -282,11 +263,14 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composition
     _require_fits(scenario, spec.format)
     sizes = spec.format.sizes
     grid = as_grid(epsilon)
-    cache: dict = {}
+
+    @cache
+    def divergence(size: int, query: PropertyQuery) -> np.ndarray:
+        return spc_iid(scenario, size, grid, query)
 
     def tails(level: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
         # P(B < t) and P(B >= t) = I_p(t, u - t + 1) for B ~ Bin(u, p), as in shift_pair_delta
-        u, p = sizes[level - 1], _iid_attr_p(scenario, query)
+        u, p = sizes[level - 1], success_prob(scenario, query)
         if threshold <= 0:
             return 0.0, 1.0
         if threshold > u:
@@ -296,8 +280,7 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composition
 
     terms = [
         BlockTerm(block=k, weight=size / scenario.n,
-                  delta=_tree_sum(spec.tree, k, tails, partial(
-                      _iid_block_dhat, scenario, size=size, grid=grid, cache=cache)))
+                  delta=_tree_sum(spec.tree, k, tails, partial(divergence, size)))
         for k, size in enumerate(sizes, start=1)
     ]
     return _report(epsilon, terms, "adaptive-iid")

@@ -149,33 +149,32 @@ def hypergeometric(population: int, successes: int, draws: int) -> Pmf:
         - gammaln(population + 1.0)
         + gammaln(draws + 1.0) + gammaln(population - draws + 1.0)
     )
-    return Pmf(lo, np.exp(logpmf))
+    try:
+        return Pmf(lo, np.exp(logpmf))
+    except DomainError as exc:
+        # the log-gamma terms grow like population * log(population), and their
+        # float64 rounding is what the masses miss by
+        raise DomainError(
+            f"the hypergeometric law of {draws} draws from a population of {population} "
+            f"does not normalize ({exc}): float64 log-gamma is too coarse at populations "
+            "of about 10^6 and above") from exc
 
 
 def poisson_binomial(probs) -> Pmf:
-    """Sum of independent Bernoulli(p_i) variables, by iterated convolution.
+    """Sum of independent Bernoulli(p_i) variables: row 0 of poisson_binomial_rows.
 
     O(len(probs)^2); intended for desk-scale blocks. An empty sequence
     yields a point mass at 0.
     """
-    acc = np.ones(1)
-    for q in probs:
-        if not 0.0 <= q <= 1.0:
-            raise DomainError(f"Bernoulli parameter {q!r} outside [0, 1]")
-        nxt = np.zeros(acc.size + 1)
-        nxt[:-1] += acc * (1.0 - q)
-        nxt[1:] += acc * q
-        acc = nxt
-    return Pmf(0, acc)
+    return Pmf(0, poisson_binomial_rows(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0])
 
 
 def poisson_binomial_rows(probs) -> np.ndarray:
-    """Raw masses of poisson_binomial for every row of a (rows x s) array.
+    """Raw Poisson-binomial masses for every row of a (rows x s) array.
 
-    Runs poisson_binomial's recurrence on all rows at once, with the same
-    operations in the same order, so Pmf(0, row r) equals
-    poisson_binomial(probs[r]) bit for bit. Returns a (rows x s+1) array;
-    s = 0 gives a column of ones.
+    Iterated convolution, one Bernoulli factor at a time on all rows at
+    once, so row r's masses do not depend on the other rows. Returns a
+    (rows x s+1) array; s = 0 gives a column of ones.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2:

@@ -54,56 +54,6 @@ class McEstimate(NamedTuple):
     half_width: float | np.ndarray
 
 
-def _plane_lookup(entries: np.ndarray):
-    """Per-query (rows x entries) indicator planes of an int8 entry array
-    shaped (rows, n, attributes), cached by attribute and negation."""
-    cache: dict[tuple[int, bool], np.ndarray] = {}
-
-    def plane_for(query: PropertyQuery) -> np.ndarray:
-        key = (query.attribute, query.negate)
-        if key not in cache:
-            plane = entries[:, :, query.attribute]
-            cache[key] = 1 - plane if query.negate else plane
-        return cache[key]
-
-    return plane_for
-
-
-def _flat_multipliers(radix: tuple[int, ...]) -> np.ndarray:
-    mult = np.ones(len(radix), dtype=np.int64)
-    for k in range(len(radix) - 2, -1, -1):
-        mult[k] = mult[k + 1] * radix[k + 1]
-    return mult
-
-
-def _answer_matrix(spec: CompositionSpec, get_answers, num_rows: int) -> np.ndarray:
-    """Answers of all rows (enumerated assignments or sampled trials).
-
-    get_answers(query, rows, block) must return the per-row answers of
-    `query` on block index `block` restricted to `rows`. Adaptive specs are
-    evaluated by splitting each tree node's rows on the node's threshold.
-    """
-    m = spec.format.num_blocks
-    answers = np.zeros((num_rows, m), dtype=np.int64)
-    if isinstance(spec, NonadaptiveSpec):
-        all_rows = np.arange(num_rows)
-        for k, query in enumerate(spec.queries):
-            answers[:, k] = get_answers(query, all_rows, k)
-        return answers
-    groups: list[tuple[ThresholdTree, np.ndarray]] = [(spec.tree, np.arange(num_rows))]
-    for k in range(m):
-        nxt = []
-        for node, rows in groups:
-            a = get_answers(node.query, rows, k)
-            answers[rows, k] = a
-            if k + 1 < m:
-                below = a < node.threshold
-                nxt += [(child, part) for child, part in
-                        ((node.low, rows[below]), (node.high, rows[~below])) if part.size]
-        groups = nxt
-    return answers
-
-
 def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
                         cap: int = ORACLE_CAP) -> ExactMechanismLaw:
     """Exact joint answer laws by brute-force enumeration.
@@ -135,27 +85,20 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
     probs_nc = np.delete(probs, j0, axis=0)
     row_prob = np.prod(np.where(bits == 1, probs_nc[None], 1.0 - probs_nc[None]), axis=(1, 2))
 
-    mult = _flat_multipliers(radix)
     templates = enumerate_templates(law, cap=max(n_templates, 1))
     hist = {v: np.zeros(n_answers) for v in range(num_values)}
     noncrit = [i for i in range(n) if i != j0]
     for v in range(num_values):
-        entries = np.empty((num_rows, n, num_attrs), dtype=np.int8)
+        entries = np.empty((num_rows, n, num_attrs), dtype=bool)
         entries[:, noncrit, :] = bits
-        for t in range(num_attrs):
-            entries[:, j0, t] = (v >> t) & 1
-        plane_for = _plane_lookup(entries)
-
+        entries[:, j0, :] = (v >> np.arange(num_attrs)) & 1
         for template, w in templates:
-            blocks0 = [np.asarray(block, dtype=np.int64) - 1 for block in template.index_lists]
-
-            def get_answers(query: PropertyQuery, rows: np.ndarray, k: int) -> np.ndarray:
-                plane = plane_for(query)
-                return plane[np.ix_(rows, blocks0[k])].sum(axis=1)
-
-            answers = _answer_matrix(spec, get_answers, num_rows)
-            flat = answers @ mult
-            np.add.at(hist[v], flat, w * row_prob)
+            # each entry's place in the blocks laid end to end, shared by every
+            # assignment; entries outside every block go after the last
+            order = [i - 1 for block in template.index_lists for i in block]
+            ranks = np.full((n, 1), n)
+            ranks[order, 0] = np.arange(len(order))
+            np.add.at(hist[v], _McRuns(ranks, entries).flat_answers(spec), w * row_prob)
     laws = {v: Pmf(0, h) for v, h in hist.items()}
     return ExactMechanismLaw(laws=laws, radix=radix)
 
@@ -180,53 +123,76 @@ def _shuffle_ranks(keys: np.ndarray) -> np.ndarray:
 
 
 class _McRuns:
-    """`trials` sampled runs of the mechanism for one critical value.
+    """Runs of the mechanism for one critical value: shuffle ranks and entries.
 
-    Each entry's shuffle rank and attribute values are kept on (n x trials)
-    planes, so a block's answer to a query is a masked count over entries,
-    made once per (query, block) for every spec and tree node that asks.
+    `ranks` holds each entry's place in the shuffle as an (n x runs) array,
+    or as an (n x 1) column that every run shares (one fixed template);
+    `entries` holds the runs' attribute values, shaped (runs, n, attributes).
+    A block's answer to a query is a masked count over entries, made once
+    per (query, block) for every spec and tree node that asks.
     """
 
-    def __init__(self, rng: np.random.Generator, scenario: Scenario, value: int,
-                 trials: int) -> None:
-        num_attrs = scenario.num_attributes
-        self.trials = trials
-        self.ranks = _shuffle_ranks(rng.random((trials, scenario.n)))
-        entries = rng.random((trials, scenario.n, num_attrs)) < scenario.probs_matrix()[None]
-        for t in range(num_attrs):
-            entries[:, scenario.critical_index - 1, t] = (value >> t) & 1
+    def __init__(self, ranks: np.ndarray, entries: np.ndarray) -> None:
+        self.ranks = ranks
         self.entries = entries
         self.planes: dict[tuple[int, bool], np.ndarray] = {}
         self.counts: dict[tuple[int, bool, int, int], np.ndarray] = {}
 
+    @classmethod
+    def sample(cls, rng: np.random.Generator, scenario: Scenario, value: int,
+               trials: int) -> _McRuns:
+        """`trials` sampled runs: shuffle keys first, then the entries."""
+        num_attrs = scenario.num_attributes
+        ranks = _shuffle_ranks(rng.random((trials, scenario.n)))
+        entries = rng.random((trials, scenario.n, num_attrs)) < scenario.probs_matrix()[None]
+        entries[:, scenario.critical_index - 1, :] = (value >> np.arange(num_attrs)) & 1
+        return cls(ranks, entries)
+
     def plane(self, query: PropertyQuery) -> np.ndarray:
-        """(n x trials) indicators of the entries the query counts."""
+        """(n x runs) indicators of the entries the query counts."""
         key = (query.attribute, query.negate)
         if key not in self.planes:
+            query.require_attribute(self.entries.shape[2])
             plane = np.ascontiguousarray(self.entries[:, :, query.attribute].T)
             self.planes[key] = ~plane if query.negate else plane
         return self.planes[key]
 
     def answers(self, query: PropertyQuery, lo: int, hi: int) -> np.ndarray:
-        """Per-trial answer of `query` on the block at shuffle places lo..hi-1."""
+        """Per-run answer of `query` on the block at shuffle places lo..hi-1."""
         key = (query.attribute, query.negate, lo, hi)
         if key not in self.counts:
             in_block = (self.ranks >= lo) & (self.ranks < hi)
             self.counts[key] = np.count_nonzero(self.plane(query) & in_block, axis=0)
         return self.counts[key]
 
-    def histogram(self, spec: CompositionSpec) -> np.ndarray:
-        """Empirical law of the spec's flattened answer tuples."""
+    def flat_answers(self, spec: CompositionSpec) -> np.ndarray:
+        """Every run's answer tuple, flattened by mixed radix with bases n_k + 1.
+
+        Adaptive specs are evaluated by splitting each tree node's runs on
+        the node's threshold.
+        """
         sizes = spec.format.sizes
-        radix = tuple(s + 1 for s in sizes)
+        m = len(sizes)
         # entries placed after the last block are left out of the sample
         starts = np.cumsum((0,) + sizes).tolist()
-
-        def get_answers(query: PropertyQuery, rows: np.ndarray, k: int) -> np.ndarray:
-            return self.answers(query, starts[k], starts[k + 1])[rows]
-
-        flat = _answer_matrix(spec, get_answers, self.trials) @ _flat_multipliers(radix)
-        return np.bincount(flat, minlength=math.prod(radix)) / self.trials
+        num_runs = self.entries.shape[0]
+        answers = np.zeros((num_runs, m), dtype=np.int64)
+        if isinstance(spec, NonadaptiveSpec):
+            for k, query in enumerate(spec.queries):
+                answers[:, k] = self.answers(query, starts[k], starts[k + 1])
+        else:
+            groups: list[tuple[ThresholdTree, np.ndarray]] = [(spec.tree, np.arange(num_runs))]
+            for k in range(m):
+                nxt = []
+                for node, rows in groups:
+                    a = self.answers(node.query, starts[k], starts[k + 1])[rows]
+                    answers[rows, k] = a
+                    if k + 1 < m:
+                        below = a < node.threshold
+                        nxt += [(child, part) for child, part in
+                                ((node.low, rows[below]), (node.high, rows[~below])) if part.size]
+                groups = nxt
+        return np.ravel_multi_index(answers.T, tuple(s + 1 for s in sizes))
 
 
 def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int,
@@ -242,9 +208,10 @@ def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int
     children = np.random.SeedSequence(seed).spawn(scenario.num_values)
     hists: list[dict[int, np.ndarray]] = [{} for _ in specs]
     for v in range(scenario.num_values):
-        runs = _McRuns(np.random.default_rng(children[v]), scenario, v, trials)
+        runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
         for hist, spec in zip(hists, specs):
-            hist[v] = runs.histogram(spec)
+            bins = math.prod(s + 1 for s in spec.format.sizes)
+            hist[v] = np.bincount(runs.flat_answers(spec), minlength=bins) / trials
     return hists
 
 

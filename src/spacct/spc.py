@@ -176,10 +176,14 @@ class PropertyQuery:
         if self.attribute < 0:
             raise DomainError("attribute index must be nonnegative")
 
-    def success_probs(self, rows: np.ndarray) -> np.ndarray:
-        if self.attribute >= rows.shape[1]:
+    def require_attribute(self, num_attributes: int) -> None:
+        """Refuse an attribute index the entries do not have."""
+        if self.attribute >= num_attributes:
             raise DomainError(
-                f"query targets attribute {self.attribute} but entries have {rows.shape[1]}")
+                f"query targets attribute {self.attribute} but entries have {num_attributes}")
+
+    def success_probs(self, rows: np.ndarray) -> np.ndarray:
+        self.require_attribute(rows.shape[1])
         col = rows[:, self.attribute]
         return 1.0 - col if self.negate else col
 
@@ -208,9 +212,11 @@ class SpcEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class Enumerate:
-    """Exhaustive expectation over the critical index's co-member subsets.
+    """Exact expectation over the critical index's co-members.
 
-    `cap` bounds the subset count C(n - 1, n_k - 1), checked before any work.
+    `cap` bounds the subset count C(n - 1, n_k - 1) that explicit entries
+    enumerate, checked before any work; iid and known entries are exact
+    without enumerating subsets, so it does not apply to them.
     """
 
     cap: int = TEMPLATE_CAP
@@ -234,6 +240,15 @@ class MonteCarlo:
                 f"{magnitude(self.trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
 
 
+def success_prob(scenario: Scenario, query: PropertyQuery) -> float:
+    """The probability that the query counts one unknown entry of an iid or
+    known-entries scenario."""
+    query.require_attribute(scenario.num_attributes)
+    entries = scenario.entries
+    p = entries.probs[query.attribute] if isinstance(entries, IidEntries) else entries.p
+    return 1.0 - p if query.negate else p
+
+
 def spc_iid(scenario: Scenario, sample_size: int, epsilon,
             query: PropertyQuery = PropertyQuery()):
     """SPC of an iid scenario, conditioned on the critical entry being sampled.
@@ -248,13 +263,7 @@ def spc_iid(scenario: Scenario, sample_size: int, epsilon,
         raise DomainError("use spc_known_entries when known entries are present")
     if not 1 <= sample_size <= scenario.n:
         raise DomainError(f"sample size must lie in [1, {scenario.n}]")
-    if query.attribute >= scenario.num_attributes:
-        raise DomainError(
-            f"query targets attribute {query.attribute} but entries have "
-            f"{scenario.num_attributes}")
-    p = scenario.entries.probs[query.attribute] if isinstance(scenario.entries, IidEntries) \
-        else scenario.entries.p
-    p = 1.0 - p if query.negate else p
+    p = success_prob(scenario, query)
     return per_epsilon(epsilon, np.array([shift_pair_delta(sample_size - 1, p, e)
                                           for e in as_grid(epsilon).tolist()]))
 
@@ -269,7 +278,8 @@ def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -
     return hypergeometric(population, v, draws)
 
 
-def spc_known_entries(scenario: Scenario, sample_size: int, epsilon, *,
+def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
+                      query: PropertyQuery = PropertyQuery(), *,
                       population_excludes_critical: bool = False):
     """SPC with v adversary-known entries: hypergeometric mixture over the
     number z of known entries drawn into the sample.
@@ -277,16 +287,19 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon, *,
     Only the count z matters; the known values shift every answer law by the
     same constant. The default weights use hypergeometric(n, v, s-1); the
     flag switches to population n - 1, which excludes the critical entry
-    from the draw (the two differ by O(s/n)). The weights are built once for
-    a 1-D epsilon grid, which gives an array; a scalar gives a float.
+    from the draw (the two differ by O(s/n)) and is the exact law of the
+    co-members under a partition restricted to the critical index. The
+    weights are built once for a 1-D epsilon grid, which gives an array; a
+    scalar gives a float.
     """
     if not isinstance(scenario.entries, KnownEntries):
         raise DomainError("spc_known_entries requires a known-entries model")
     if not 1 <= sample_size <= scenario.n:
         raise DomainError(f"sample size must lie in [1, {scenario.n}]")
-    v, p = scenario.entries.known, scenario.entries.p
+    v, p = scenario.entries.known, success_prob(scenario, query)
     weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
-    unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1)
+    # float counts: a sample of 10^20 entries overflows int64
+    unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
     return per_epsilon(epsilon, np.array([
         min(1.0, math.fsum((weights.masses * shift_pair_delta(unknown, p, e)).tolist()))
         for e in as_grid(epsilon).tolist()]))
@@ -320,11 +333,15 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     Block k's answer laws are Poisson-binomial counts of the critical
     index's n_k - 1 co-members (shifted by the critical value), and under
     the restricted law those co-members are a uniform subset of the other
-    n - 1 indices; the other blocks never enter. Enumerate mode averages
-    over every such subset exactly; MonteCarlo averages over subsets drawn
-    by the same seeded shuffle as partition.sample_template, and builds the
-    answer laws of MC_CHUNK drawn subsets with one batched recurrence. Each
-    subset's laws are built once and evaluated over the whole epsilon grid.
+    n - 1 indices; the other blocks never enter. Enumerate mode takes that
+    average exactly: in closed form for iid entries (spc_iid), as the
+    hypergeometric mixture over the n - 1 non-critical entries for known
+    entries (spc_known_entries), and over every co-member subset for
+    explicit entries. MonteCarlo averages over subsets drawn by the same
+    seeded shuffle as partition.sample_template, whatever the entry model,
+    and builds the answer laws of MC_CHUNK drawn subsets with one batched
+    recurrence. Each subset's laws are built once and evaluated over the
+    whole epsilon grid.
     """
     if law.restriction is None:
         raise DomainError("spc_general requires a law restricted to (critical index, block)")
@@ -333,9 +350,16 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
         raise DomainError("law restriction does not match the scenario's critical index")
     if law.n != scenario.n:
         raise DomainError("law and scenario disagree on n")
+    query.require_attribute(scenario.num_attributes)
+    size = law.format.sizes[k - 1]
+    if isinstance(mode, Enumerate) and isinstance(scenario.entries, IidEntries):
+        return SpcEstimate(spc_iid(scenario, size, epsilon, query))
+    if isinstance(mode, Enumerate) and isinstance(scenario.entries, KnownEntries):
+        return SpcEstimate(spc_known_entries(scenario, size, epsilon, query,
+                                             population_excludes_critical=True))
     probs = scenario.probs_matrix()
     others = np.delete(np.arange(law.n), j - 1)
-    picks = law.format.sizes[k - 1] - 1
+    picks = size - 1
     grid = as_grid(epsilon)
 
     if isinstance(mode, Enumerate):
@@ -351,8 +375,7 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
-    # an empty co-member set never reads the query's column, as in indicator_laws
-    success = query.success_probs(probs) if picks else np.empty(law.n)
+    success = query.success_probs(probs)
     values = np.empty((grid.size, mode.trials))
     for first in range(0, mode.trials, MC_CHUNK):
         chunk = min(MC_CHUNK, mode.trials - first)

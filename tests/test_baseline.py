@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -163,6 +164,14 @@ class TestMaxDpQueries:
             with pytest.raises(DomainError, match="finite"):
                 max_dp_queries(*args, 100)
 
+    @pytest.mark.parametrize("delta", [5e-324, 1e-320, sys.float_info.min / 2])
+    def test_rejects_subnormal_target_delta(self, delta):
+        # target_delta * 1e-6, the bottom of the delta0 grid, underflows
+        with pytest.raises(DomainError, match="subnormal"):
+            max_dp_queries(0.0, delta, 1.0, 1)
+
+    def test_smallest_normal_target_delta_is_accepted(self):
+        assert max_dp_queries(0.0, sys.float_info.min, 1.0, 1).k_max >= 0
 
     def test_search_stops_at_the_query_ceiling(self, monkeypatch):
         # every count meets a target this loose; the search must refuse

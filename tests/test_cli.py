@@ -2,12 +2,13 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import spacct.cli
@@ -115,6 +116,19 @@ class TestCurveCommand:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("n", [10**12, 10**20])
+    def test_known_entries_past_the_log_gamma_limit_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "curve", "--n", str(n), "--p", "0.5", "--known", "5")
+        assert code == 2
+        assert out == ""
+        assert f"population of {n}" in err and "log-gamma" in err
+
+    def test_known_entries_sample_past_int64(self, capsys):
+        code, out, _ = run(capsys, "curve", "--n", str(10**20), "--p", "0", "--known", "1",
+                           "--population-adjusted", "--eps", "0.1")
+        assert code == 0
+        assert parse_csv(out)[1] == ["0.1", "1.0"]
+
     def test_csv_uses_linefeeds_and_decimal_points(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "128", "--p", "0.5", "--eps", "0.1")
         assert code == 0
@@ -195,16 +209,33 @@ class TestComposeCommand:
         assert "cap" in err
 
     def test_known_entries_capacity_message_is_short(self, capsys, tmp_path):
-        # C(32767, 1023) co-member subsets: a 2,000-digit count
+        # adaptive known entries still enumerate templates: C(32767, 1023) of them
         doc = self.scenario_doc()
         doc.update(n=32768, format=[1024, 1024],
-                   entry_model={"kind": "known", "p": 0.5, "known": 16000})
+                   entry_model={"kind": "known", "p": 0.5, "known": 16000},
+                   queries={"mode": "adaptive", "tree": {
+                       "query": {"attribute": 0}, "next": {
+                           "threshold": 512, "low": {"query": {"attribute": 0}},
+                           "high": {"query": {"attribute": 0, "negate": True}}}}})
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "compose", "--scenario", str(path))
         assert code == 3
         assert out == ""
         assert "cap" in err and len(err) < 200
+
+    def test_nonadaptive_known_entries_take_the_mixture(self, capsys, tmp_path):
+        doc = self.scenario_doc()
+        doc.update(n=32768, format=[1024, 1024],
+                   entry_model={"kind": "known", "p": 0.5, "known": 16000})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        scenario = Scenario(32768, KnownEntries(0.5, 16000))
+        block = spc_known_entries(scenario, 1024, 0.1, population_excludes_critical=True)
+        assert report["total_delta"] == math.fsum([1024 / 32768 * block] * 2)
 
     def test_monte_carlo_trials_over_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -593,6 +624,8 @@ ARGVS = st.one_of(
 
 class TestArgvFuzz:
     @given(ARGVS)
+    # a subnormal target delta used to underflow the delta0 grid (math domain error)
+    @example(["dp-compare", "--eps", "0", "--delta", "5e-324", "--sigma", "1.0", "--n", "1"])
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_exit_code_contract(self, argv):
         """Every subcommand exits 0, 1, 2 or 3 on any argv (argparse's own

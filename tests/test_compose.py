@@ -12,6 +12,7 @@ from spacct import (
     Enumerate,
     ExplicitEntries,
     IidEntries,
+    KnownEntries,
     MonteCarlo,
     NonadaptiveSpec,
     PartitionLaw,
@@ -27,6 +28,8 @@ from spacct import (
     nonadaptive_iid,
     property_query_answer_law,
     spc_general,
+    spc_iid,
+    spc_known_entries,
 )
 
 from rational_ref import (
@@ -200,6 +203,69 @@ class TestSharedEnumeratedBlocks:
         monkeypatch.setattr(spacct.compose, "spc_general", counting)
         nonadaptive_general(sc, spec, 0.2, MonteCarlo(trials=50, seed=4))
         assert len(calls) == 2
+
+
+@st.composite
+def known_entry_cases(draw):
+    """Small known-entries scenarios with a nonadaptive spec of up to 3 blocks."""
+    n = draw(st.integers(1, 14))
+    known = draw(st.integers(0, n - 1))
+    entries = KnownEntries(draw(st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))),
+                           known, draw(st.integers(0, known)))
+    sizes, left = [], n
+    while left and len(sizes) < 3 and (not sizes or draw(st.booleans())):
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    queries = tuple(PropertyQuery(negate=draw(st.booleans())) for _ in sizes)
+    scenario = Scenario(n, entries, critical_index=draw(st.integers(1, n)))
+    return scenario, NonadaptiveSpec(TemplateFormat(tuple(sizes)), queries)
+
+
+class TestKnownEntriesMixture:
+    """Nonadaptive known entries take the hypergeometric mixture; the subset
+    enumeration over the same entries as explicit rows is the slow path."""
+
+    @given(known_entry_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_subset_enumeration(self, case):
+        scenario, spec = case
+        rows = scenario.entries.matrix(scenario.n, scenario.critical_index)
+        slow_scenario = Scenario(scenario.n, ExplicitEntries(tuple(map(tuple, rows.tolist()))),
+                                 critical_index=scenario.critical_index)
+        eps = (0.0, 0.3, 1.0)
+        fast = composition_delta(scenario, spec, eps)
+        slow = nonadaptive_general(slow_scenario, spec, eps)
+        for mine, ref in zip(fast.per_block, slow.per_block):
+            np.testing.assert_allclose(mine.delta, ref.delta, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(fast.total_delta, slow.total_delta, rtol=0.0, atol=1e-13)
+
+    def test_block_terms_are_the_population_adjusted_mixture(self):
+        sc = Scenario(300, KnownEntries(0.4, known=90, known_positive=20), critical_index=7)
+        spec = NonadaptiveSpec(TemplateFormat((60, 30)), (PropertyQuery(negate=True),
+                                                          PropertyQuery()))
+        report = nonadaptive_general(sc, spec, (0.0, 0.2))
+        want = [spc_known_entries(sc, size, (0.0, 0.2), query, population_excludes_critical=True)
+                for size, query in zip(spec.format.sizes, spec.queries)]
+        for term, delta in zip(report.per_block, want):
+            assert term.delta.tolist() == delta.tolist()
+
+    def test_subset_cap_does_not_apply(self):
+        sc = Scenario(32768, KnownEntries(0.5, known=16000))
+        spec = equal_spec(2048, 2)
+        report = nonadaptive_general(sc, spec, 0.1, Enumerate(cap=1))
+        assert 0.0 < report.total_delta < 1.0
+
+    def test_iid_block_terms_equal_spc_iid(self):
+        sc = Scenario(40, IidEntries((0.3, 0.65)), critical_index=5)
+        spec = NonadaptiveSpec(TemplateFormat((8, 8, 12)), (
+            PropertyQuery(1), PropertyQuery(0, negate=True), PropertyQuery(1, negate=True)))
+        eps = (0.0, 0.1, 2.0)
+        report = nonadaptive_iid(sc, spec, eps)
+        for term, size, query in zip(report.per_block, spec.format.sizes, spec.queries):
+            assert term.delta.tolist() == spc_iid(sc, size, eps, query).tolist()
+        general = nonadaptive_general(sc, spec, eps, Enumerate(cap=1))
+        assert general.total_delta.tolist() == report.total_delta.tolist()
+        assert general.mode == "nonadaptive-general" and report.mode == "nonadaptive-iid"
 
 
 GRID = (0.0, 0.1, 0.5, 1.0, 750.0)

@@ -89,6 +89,11 @@ class TestHypergeometric:
             assert h.mass(z) == pytest.approx(float(v), rel=1e-11)
         assert abs(h.mean() - draws * succ / pop) <= 1e-9
 
+    @pytest.mark.parametrize("population", [10**12, 10**20])
+    def test_log_gamma_precision_limit_is_named(self, population):
+        with pytest.raises(DomainError, match=f"population of {population} .*log-gamma"):
+            hypergeometric(population, 5, population - 1)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             hypergeometric(4, 5, 2)
@@ -203,6 +208,32 @@ class TestPoissonBinomial:
     def test_heterogeneous_hand_case(self):
         pb = poisson_binomial([0.2, 0.8])
         np.testing.assert_allclose(pb.masses, [0.8 * 0.2, 0.2 * 0.2 + 0.8 * 0.8, 0.2 * 0.8])
+
+
+def _one_row_recurrence(probs) -> np.ndarray:
+    """The one-row convolution loop poisson_binomial used before it took row 0
+    of poisson_binomial_rows."""
+    acc = np.ones(1)
+    for q in probs:
+        nxt = np.zeros(acc.size + 1)
+        nxt[:-1] += acc * (1.0 - q)
+        nxt[1:] += acc * q
+        acc = nxt
+    return acc
+
+
+class TestPoissonBinomialOneRow:
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0))), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_one_row_recurrence(self, probs):
+        want, got = Pmf(0, _one_row_recurrence(probs)), poisson_binomial(probs)
+        assert got.offset == want.offset
+        assert got.masses.tolist() == want.masses.tolist()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_rejects_probabilities_outside_unit_interval(self, bad):
+        with pytest.raises(DomainError, match="outside"):
+            poisson_binomial([0.5, bad])
 
 
 def _assert_rows_equal_poisson_binomial(probs: np.ndarray) -> None:

@@ -123,6 +123,28 @@ class TestDomination:
             assert law.delta(eps) <= composition_delta(sc, spec, eps).total_delta + 1e-9
 
 
+class TestAttributeOutOfRange:
+    """A query on an attribute the entries lack is refused by the bound and
+    by both oracles, which read every block answer through one plane accessor."""
+
+    SCENARIO = Scenario(4, IidEntries((0.5,)))
+    NONADAPTIVE = NonadaptiveSpec(TemplateFormat((2, 2)),
+                                  (PropertyQuery(), PropertyQuery(attribute=1)))
+    # the root's two children are both reached, so the bad node is evaluated
+    ADAPTIVE = AdaptiveSpec(TemplateFormat((2, 2)), ThresholdTree(
+        PropertyQuery(), 1, low=ThresholdTree(PropertyQuery()),
+        high=ThresholdTree(PropertyQuery(attribute=1, negate=True))))
+
+    @pytest.mark.parametrize("spec", [NONADAPTIVE, ADAPTIVE], ids=["nonadaptive", "adaptive"])
+    def test_bound_and_both_oracles_refuse(self, spec):
+        with pytest.raises(DomainError, match="attribute 1"):
+            composition_delta(self.SCENARIO, spec, 0.1)
+        with pytest.raises(DomainError, match="attribute 1"):
+            exact_mechanism_law(self.SCENARIO, spec)
+        with pytest.raises(DomainError, match="attribute 1"):
+            mc_distinguish(self.SCENARIO, spec, 0.1, trials=1000, seed=0)
+
+
 class TestMcDistinguish:
     def test_requires_enough_trials(self):
         sc = Scenario(2, IidEntries((0.5,)))
@@ -268,7 +290,7 @@ class TestShuffleRanks:
         perm = np.argsort(rng.random((trials, 6)), axis=1)
         entries = (rng.random((trials, 6, 2)) < scenario.probs_matrix()[None]).astype(np.int8)
         entries[:, 3, :] = (0, 1)
-        runs = _McRuns(np.random.default_rng(21), scenario, value, trials)
+        runs = _McRuns.sample(np.random.default_rng(21), scenario, value, trials)
         for query in (PropertyQuery(0), PropertyQuery(1, negate=True)):
             plane = entries[:, :, query.attribute]
             plane = 1 - plane if query.negate else plane
