@@ -70,6 +70,14 @@ def mse_increase(n: int, s: int, p: float) -> AccuracyFigure:
     return AccuracyFigure(mse_increase=mse, sigma_increase=math.sqrt(mse))
 
 
+def _log_125_over(delta0: float) -> float:
+    """log(1.25 / delta0) in float arithmetic. The quotient overflows for
+    delta0 below about 7e-309, and only there is the log taken as a
+    difference, so every other value keeps its rounding."""
+    quotient = 1.25 / delta0
+    return math.log(quotient) if math.isfinite(quotient) else math.log(1.25) - math.log(delta0)
+
+
 def gaussian_sigma_for(epsilon0: float, delta0: float, sensitivity: float) -> float:
     """Noise scale of the (epsilon0, delta0) Gaussian mechanism."""
     if epsilon0 <= 0.0:
@@ -78,7 +86,7 @@ def gaussian_sigma_for(epsilon0: float, delta0: float, sensitivity: float) -> fl
         raise DomainError("delta0 must lie in (0, 1)")
     if sensitivity <= 0.0:
         raise DomainError("sensitivity must be positive")
-    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta0)) / epsilon0
+    return sensitivity * math.sqrt(2.0 * _log_125_over(float(delta0))) / epsilon0
 
 
 _log_factorial_table = np.zeros(0)
@@ -222,8 +230,8 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
         math.log10(target_delta * 0.999),
         DELTA0_GRID_POINTS,
     )
-    eps0 = {float(d0): sensitivity * math.sqrt(2.0 * math.log(1.25 / d0)) / sigma_target
-            for d0 in grid}
+    eps0 = {d0: sensitivity * math.sqrt(2.0 * _log_125_over(d0)) / sigma_target
+            for d0 in grid.tolist()}
 
     @functools.cache
     def feasible(k: int) -> float | None:

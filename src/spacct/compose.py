@@ -15,8 +15,8 @@ from functools import cache, partial
 import numpy as np
 from scipy.special import betainc
 
-from .curve import as_grid, d_hat, fsum_terms
-from .distkit import Pmf, cdf
+from .curve import as_grid, fsum_terms, shift_pair_rows
+from .distkit import Pmf, cdf, poisson_binomial_rows
 from .errors import DomainError
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates
 from .spc import (
@@ -310,7 +310,8 @@ def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composi
 
     @cache
     def divergence(co_members: tuple[int, ...], query: PropertyQuery) -> np.ndarray:
-        return d_hat(query.indicator_laws(probs[[i - 1 for i in co_members], :]), grid)
+        success = query.success_probs(probs[[i - 1 for i in co_members], :])
+        return shift_pair_rows(poisson_binomial_rows(success[None]), grid)[:, 0]
 
     def tails(blocks, level: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
         law = answer_law(blocks[level - 1], query)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .distkit import Pmf, binomial, shift
+from .distkit import Pmf, binomial, checked_rows, shift
 from .errors import DomainError
 
 
@@ -130,6 +130,32 @@ def d_hat(p_by_value: dict, epsilon):
             if i != j:
                 best = np.maximum(best, hockey_stick(pv, pw, grid))
     return per_epsilon(epsilon, best)
+
+
+def shift_pair_rows(masses: np.ndarray, epsilon) -> np.ndarray:
+    """d_hat of every row's law B against B + 1, as a (grid x rows) array.
+
+    `masses` holds raw laws on {0, ..., s}, one per row. Each row is checked
+    and end-trimmed as a Pmf would be (distkit.checked_rows), and its value at
+    each epsilon equals d_hat of the pair {Pmf(0, row), its shift by one} bit
+    for bit: each direction is the math.fsum of the positive differences
+    p(a) - e^eps q(a) over the union support, which is exact, so leaving out
+    the terms that are not positive changes nothing.
+    """
+    rows = checked_rows(masses)
+    grid = as_grid(epsilon)
+    count, points = rows.shape
+    base, up = np.zeros((count, points + 1)), np.zeros((count, points + 1))
+    base[:, :-1], up[:, 1:] = rows, rows
+    out = np.empty((grid.size, count))
+    for e, scale in enumerate(_scale(x) for x in grid.tolist()):
+        diff = np.stack((base - scale * up, up - scale * base))
+        positive = diff > 0.0
+        flat = diff[positive].tolist()
+        ends = np.cumsum(np.count_nonzero(positive, axis=2).ravel()).tolist()
+        sums = [min(1.0, math.fsum(flat[lo:hi])) for lo, hi in zip([0] + ends, ends)]
+        out[e] = np.maximum(sums[:count], sums[count:])
+    return out
 
 
 def _shift_up_delta(u: np.ndarray, p: float, scale: float) -> np.ndarray:

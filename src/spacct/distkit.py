@@ -25,6 +25,15 @@ SUPPORT_FLOOR = 1e-300
 NORMALIZATION_TOL = 1e-9
 
 
+def _check_masses(masses: list[float], negative: bool) -> None:
+    """Refuse masses with a negative entry or a compensated sum off 1."""
+    if negative:
+        raise DomainError("masses must be nonnegative")
+    total = math.fsum(masses)
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise DomainError(f"masses sum to {total!r}, expected 1 +- {NORMALIZATION_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """A probability mass function on {offset, offset+1, ..., offset+len-1}.
@@ -41,11 +50,7 @@ class Pmf:
         arr = np.asarray(self.masses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("masses must be a nonempty 1-D sequence")
-        if np.any(arr < 0.0):
-            raise DomainError("masses must be nonnegative")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise DomainError(f"masses sum to {total!r}, expected 1 +- {NORMALIZATION_TOL}")
+        _check_masses(arr.tolist(), bool(np.any(arr < 0.0)))
         lo, hi = 0, arr.size
         while hi - lo > 1 and arr[lo] < SUPPORT_FLOOR:
             lo += 1
@@ -173,7 +178,9 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     """Raw Poisson-binomial masses for every row of a (rows x s) array.
 
     Iterated convolution, one Bernoulli factor at a time on all rows at
-    once, so row r's masses do not depend on the other rows. Returns a
+    once, so row r's masses do not depend on the other rows. One buffer is
+    updated in place, top point first, with the products and sums of the
+    textbook update nxt[:-1] += acc * (1 - q); nxt[1:] += acc * q. Returns a
     (rows x s+1) array; s = 0 gives a column of ones.
     """
     probs = np.asarray(probs, dtype=np.float64)
@@ -182,14 +189,31 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         bad = float(probs[~((probs >= 0.0) & (probs <= 1.0))][0])
         raise DomainError(f"Bernoulli parameter {bad!r} outside [0, 1]")
-    acc = np.ones((probs.shape[0], 1))
-    for i in range(probs.shape[1]):
-        q = probs[:, i : i + 1]
-        nxt = np.zeros((acc.shape[0], i + 2))
-        nxt[:, :-1] += acc * (1.0 - q)
-        nxt[:, 1:] += acc * q
-        acc = nxt
-    return acc
+    # point-major, so each support point is one contiguous row over the batch
+    q_cols, p_cols = np.ascontiguousarray(probs.T), np.ascontiguousarray(1.0 - probs.T)
+    acc = np.empty((probs.shape[1] + 1, probs.shape[0]))
+    acc[0] = 1.0
+    for i, (q, p) in enumerate(zip(q_cols, p_cols)):
+        up = acc[:i] * q
+        acc[i + 1] = acc[i] * q
+        acc[: i + 1] *= p
+        acc[1 : i + 1] += up
+    return acc.T
+
+
+def checked_rows(masses: np.ndarray) -> np.ndarray:
+    """Each row of a (rows x points) array checked as the masses of a Pmf at
+    offset 0, with the end masses a Pmf would trim set to zero.
+
+    The first row that fails raises the DomainError its Pmf would raise.
+    Interior masses are kept, as in Pmf.
+    """
+    for row, negative in zip(masses.tolist(), np.any(masses < 0.0, axis=1).tolist()):
+        _check_masses(row, negative)
+    keep = ~(masses < SUPPORT_FLOOR)
+    inside = np.logical_or.accumulate(keep, axis=1)
+    inside &= np.logical_or.accumulate(keep[:, ::-1], axis=1)[:, ::-1]
+    return np.where(inside, masses, 0.0)
 
 
 def cdf(d: Pmf, x: int) -> float:

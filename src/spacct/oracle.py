@@ -27,6 +27,10 @@ from .spc import MC_TRIALS_CAP, IidEntries, PropertyQuery, Scenario
 # Ceiling on |W|^(n-1) * template count * answer-tuple count.
 ORACLE_CAP = 10**7
 
+# exact_mechanism_law evaluates whole templates at a time, about this many
+# runs (template x assignment pairs) per batch, so memory stays bounded.
+LAW_CHUNK_RUNS = 1 << 16
+
 # Epsilon grid of the built-in verification matrix.
 MATRIX_EPSILONS = (0.0, 0.1, 1.0)
 
@@ -86,21 +90,33 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
     row_prob = np.prod(np.where(bits == 1, probs_nc[None], 1.0 - probs_nc[None]), axis=(1, 2))
 
     templates = enumerate_templates(law, cap=max(n_templates, 1))
+    # each template's places of the entries in the blocks laid end to end,
+    # shared by every assignment; entries outside every block go after the last
+    places = np.full((n, len(templates)), n, dtype=np.min_scalar_type(n))
+    for t, (template, _) in enumerate(templates):
+        order = [i - 1 for block in template.index_lists for i in block]
+        places[order, t] = np.arange(len(order))
+    per_chunk = max(1, LAW_CHUNK_RUNS // num_rows)
     hist = {v: np.zeros(n_answers) for v in range(num_values)}
     noncrit = [i for i in range(n) if i != j0]
     for v in range(num_values):
         entries = np.empty((num_rows, n, num_attrs), dtype=bool)
         entries[:, noncrit, :] = bits
         entries[:, j0, :] = (v >> np.arange(num_attrs)) & 1
-        for template, w in templates:
-            # each entry's place in the blocks laid end to end, shared by every
-            # assignment; entries outside every block go after the last
-            order = [i - 1 for block in template.index_lists for i in block]
-            ranks = np.full((n, 1), n)
-            ranks[order, 0] = np.arange(len(order))
-            np.add.at(hist[v], _McRuns(ranks, entries).flat_answers(spec), w * row_prob)
+        # template-major runs, accumulated in template order as one template at a time would be
+        for first in range(0, len(templates), per_chunk):
+            chunk = templates[first : first + per_chunk]
+            runs = _McRuns(np.repeat(places[:, first : first + len(chunk)], num_rows, axis=1),
+                           np.tile(entries, (len(chunk), 1, 1)))
+            np.add.at(hist[v], runs.flat_answers(spec),
+                      np.concatenate([w * row_prob for _, w in chunk]))
     laws = {v: Pmf(0, h) for v, h in hist.items()}
     return ExactMechanismLaw(laws=laws, radix=radix)
+
+
+def _count(hits: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Column sums of an (n x runs) boolean array, as `dtype` integers."""
+    return hits.view(np.uint8).sum(axis=0, dtype=dtype)
 
 
 def _shuffle_ranks(keys: np.ndarray) -> np.ndarray:
@@ -112,29 +128,39 @@ def _shuffle_ranks(keys: np.ndarray) -> np.ndarray:
     puts in slot r. Pairwise comparisons cost O(n^2 trials), which suits the
     tiny instances the oracle runs on.
     """
-    cols = np.ascontiguousarray(keys.T)
+    # the transpose is copied a block of trials at a time, so that both sides
+    # of each copy stay in cache
+    cols = np.empty(keys.shape[::-1])
+    for first in range(0, keys.shape[0], 1024):
+        cols[:, first : first + 1024] = keys[first : first + 1024].T
     n = cols.shape[0]
-    ranks = np.zeros(cols.shape, dtype=np.min_scalar_type(n))
+    # start each entry at its index, as if every earlier entry sorted before it,
+    # and take one off per earlier entry that sorts after it; the unsigned sums
+    # may wrap on the way, but every final rank lies in [0, n)
+    ranks = np.repeat(np.arange(n, dtype=np.min_scalar_type(n))[:, None], cols.shape[1], axis=1)
     for i in range(n - 1):
         after_i_sorted_before = cols[i + 1 :] < cols[i]
-        ranks[i] += after_i_sorted_before.sum(axis=0, dtype=ranks.dtype)
-        ranks[i + 1 :] += ~after_i_sorted_before
+        ranks[i] += _count(after_i_sorted_before, ranks.dtype)
+        ranks[i + 1 :] -= after_i_sorted_before.view(np.uint8)
     return ranks
 
 
 class _McRuns:
     """Runs of the mechanism for one critical value: shuffle ranks and entries.
 
-    `ranks` holds each entry's place in the shuffle as an (n x runs) array,
-    or as an (n x 1) column that every run shares (one fixed template);
-    `entries` holds the runs' attribute values, shaped (runs, n, attributes).
-    A block's answer to a query is a masked count over entries, made once
-    per (query, block) for every spec and tree node that asks.
+    `ranks` holds each entry's place in each run's shuffle as an (n x runs)
+    array (entries ranked at or after the format's total are left out of the
+    sample); `entries` holds the runs' attribute values, shaped
+    (runs, n, attributes). A block's answer to a query is a count over
+    entries, made once per (query, block) for every spec and tree node that
+    asks.
     """
 
     def __init__(self, ranks: np.ndarray, entries: np.ndarray) -> None:
         self.ranks = ranks
         self.entries = entries
+        # answers lie in [0, n] and thresholds are clipped to [0, n + 1]
+        self.count_type = np.min_scalar_type(entries.shape[1] + 1)
         self.planes: dict[tuple[int, bool], np.ndarray] = {}
         self.counts: dict[tuple[int, bool, int, int], np.ndarray] = {}
 
@@ -161,38 +187,69 @@ class _McRuns:
         """Per-run answer of `query` on the block at shuffle places lo..hi-1."""
         key = (query.attribute, query.negate, lo, hi)
         if key not in self.counts:
-            in_block = (self.ranks >= lo) & (self.ranks < hi)
-            self.counts[key] = np.count_nonzero(self.plane(query) & in_block, axis=0)
+            hits = self.plane(query)
+            if lo > 0 or hi < self.entries.shape[1]:
+                hits = hits & (self.ranks >= lo) & (self.ranks < hi)
+            self.counts[key] = _count(hits, self.count_type)
         return self.counts[key]
 
-    def flat_answers(self, spec: CompositionSpec) -> np.ndarray:
-        """Every run's answer tuple, flattened by mixed radix with bases n_k + 1.
+    def _tree_answers(self, nodes: list[ThresholdTree], node: np.ndarray,
+                      lo: int, hi: int) -> np.ndarray:
+        """Per-run answer of the query at each run's node (an index into `nodes`)."""
+        queries = list(dict.fromkeys(tree.query for tree in nodes))
+        first = self.answers(queries[0], lo, hi)
+        if len(queries) == 1:
+            return first
+        which = np.array([queries.index(tree.query) for tree in nodes])[node]
+        a = first.copy()
+        for i, query in enumerate(queries[1:], start=1):
+            # a select by arithmetic: exact, since the wrapped difference is undone
+            a += (self.answers(query, lo, hi) - first) * (which == i)
+        return a
 
-        Adaptive specs are evaluated by splitting each tree node's runs on
-        the node's threshold.
+    def flat_answers(self, spec: CompositionSpec) -> np.ndarray:
+        """Every run's answer tuple, flattened by mixed radix with bases n_k + 1
+        (the C-order np.ravel_multi_index).
+
+        Adaptive specs carry each run's tree node as an index into the nodes
+        that some run reaches at that depth, so the ids stay compact however
+        deep the tree is: the high child of node i is 2i + 1 and the low one
+        2i before they are renumbered.
         """
         sizes = spec.format.sizes
-        m = len(sizes)
         # entries placed after the last block are left out of the sample
         starts = np.cumsum((0,) + sizes).tolist()
-        num_runs = self.entries.shape[0]
-        answers = np.zeros((num_runs, m), dtype=np.int64)
+        code = np.zeros(self.entries.shape[0], dtype=np.intp)
         if isinstance(spec, NonadaptiveSpec):
-            for k, query in enumerate(spec.queries):
-                answers[:, k] = self.answers(query, starts[k], starts[k + 1])
-        else:
-            groups: list[tuple[ThresholdTree, np.ndarray]] = [(spec.tree, np.arange(num_runs))]
-            for k in range(m):
-                nxt = []
-                for node, rows in groups:
-                    a = self.answers(node.query, starts[k], starts[k + 1])[rows]
-                    answers[rows, k] = a
-                    if k + 1 < m:
-                        below = a < node.threshold
-                        nxt += [(child, part) for child, part in
-                                ((node.low, rows[below]), (node.high, rows[~below])) if part.size]
-                groups = nxt
-        return np.ravel_multi_index(answers.T, tuple(s + 1 for s in sizes))
+            for k, (size, query) in enumerate(zip(sizes, spec.queries)):
+                code *= size + 1
+                code += self.answers(query, starts[k], starts[k + 1])
+            return code
+        nodes, node = [spec.tree], np.zeros_like(code)
+        for k, size in enumerate(sizes):
+            a = self._tree_answers(nodes, node, starts[k], starts[k + 1])
+            code *= size + 1
+            code += a
+            if k + 1 < len(sizes):
+                nodes, node = self._descend(nodes, node, a)
+        return code
+
+    def _descend(self, nodes: list[ThresholdTree], node: np.ndarray,
+                 a: np.ndarray) -> tuple[list[ThresholdTree], np.ndarray]:
+        """Each run's child node, numbered among the children some run reaches."""
+        n = self.entries.shape[1]
+        # answers lie in [0, n], so clipping the thresholds keeps every comparison
+        thresholds = np.array([min(max(tree.threshold, 0), n + 1) for tree in nodes],
+                              dtype=self.count_type)
+        child = 2 * node + (a >= (thresholds if len(nodes) == 1 else thresholds[node]))
+        counts = np.bincount(child, minlength=2 * len(nodes))
+        reached = np.flatnonzero(counts)
+        children = [(nodes[c // 2].low, nodes[c // 2].high)[c % 2] for c in reached.tolist()]
+        if reached.size == counts.size:
+            return children, child
+        renumber = np.zeros(counts.size, dtype=np.intp)
+        renumber[reached] = np.arange(reached.size)
+        return children, renumber[child]
 
 
 def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int,

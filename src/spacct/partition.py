@@ -116,14 +116,13 @@ def template_count(law: PartitionLaw) -> int:
 def enumerate_templates(law: PartitionLaw, cap: int = TEMPLATE_CAP) -> list[tuple[Template, float]]:
     """Exhaustive (template, probability) list with uniform weights.
 
-    Raises CapacityError when the support exceeds `cap`; use sample_template
-    (Monte Carlo) for larger instances.
+    Raises CapacityError when the support exceeds `cap`. The message offers
+    no remedy: its callers (adaptive composition and the exact oracle) have
+    no sampled mode, and sample_template draws single templates.
     """
     count = template_count(law)
     if count > cap:
-        raise CapacityError(
-            f"{magnitude(count)} templates exceed the cap of {cap}; use Monte-Carlo sampling"
-        )
+        raise CapacityError(f"{magnitude(count)} templates exceed the cap of {cap}")
     sizes = law.format.sizes
     weight = 1.0 / count
     forced = {}

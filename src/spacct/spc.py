@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import distkit
-from .curve import as_grid, d_hat, fsum_terms, per_epsilon, shift_pair_delta
+from .curve import as_grid, fsum_terms, per_epsilon, shift_pair_delta, shift_pair_rows
 from .distkit import Pmf, hypergeometric, poisson_binomial, poisson_binomial_rows, shift
 from .errors import CapacityError, DomainError, magnitude
 from .partition import TEMPLATE_CAP, PartitionLaw
@@ -28,8 +28,9 @@ KNOWN_SUPPORT_CAP = 10**6
 # Monte-Carlo sampling refuses more trials than this, before allocating.
 MC_TRIALS_CAP = 10**6
 
-# Monte-Carlo trials whose answer laws are built in one batch, so a batch
-# holds MC_CHUNK x n_k floats however many trials are asked for.
+# Co-member subsets (Monte-Carlo trials or enumerated subsets) whose answer
+# laws and divergences are built in one batch, so a batch holds MC_CHUNK x n_k
+# floats however many subsets there are.
 MC_CHUNK = 256
 
 
@@ -193,14 +194,10 @@ class PropertyQuery:
         indicator yield identical laws, so the two-sided divergence over the
         full value space reduces to these."""
         base = poisson_binomial(self.success_probs(rows)) if rows.shape[0] else distkit.point(0)
-        return _indicator_pair(base)
+        return {0: base, 1: shift(base, 1)}
 
     def unconditional_law(self, rows: np.ndarray) -> Pmf:
         return poisson_binomial(self.success_probs(rows))
-
-
-def _indicator_pair(base: Pmf) -> dict[int, Pmf]:
-    return {0: base, 1: shift(base, 1)}
 
 
 class SpcEstimate(NamedTuple):
@@ -338,10 +335,10 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     hypergeometric mixture over the n - 1 non-critical entries for known
     entries (spc_known_entries), and over every co-member subset for
     explicit entries. MonteCarlo averages over subsets drawn by the same
-    seeded shuffle as partition.sample_template, whatever the entry model,
-    and builds the answer laws of MC_CHUNK drawn subsets with one batched
-    recurrence. Each subset's laws are built once and evaluated over the
-    whole epsilon grid.
+    seeded shuffle as partition.sample_template, whatever the entry model.
+    Both modes take subsets MC_CHUNK at a time: one batched recurrence
+    builds their answer laws and one batched divergence
+    (curve.shift_pair_rows) evaluates them over the whole epsilon grid.
     """
     if law.restriction is None:
         raise DomainError("spc_general requires a law restricted to (critical index, block)")
@@ -357,10 +354,13 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     if isinstance(mode, Enumerate) and isinstance(scenario.entries, KnownEntries):
         return SpcEstimate(spc_known_entries(scenario, size, epsilon, query,
                                              population_excludes_critical=True))
-    probs = scenario.probs_matrix()
     others = np.delete(np.arange(law.n), j - 1)
     picks = size - 1
     grid = as_grid(epsilon)
+    success = query.success_probs(scenario.probs_matrix())
+
+    def divergences(co_members: np.ndarray) -> np.ndarray:
+        return shift_pair_rows(poisson_binomial_rows(success[co_members]), grid)
 
     if isinstance(mode, Enumerate):
         count = math.comb(law.n - 1, picks)
@@ -368,23 +368,23 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
             raise CapacityError(
                 f"{magnitude(count)} co-member subsets exceed the cap of {mode.cap}; "
                 "use Monte-Carlo sampling")
-        weight = 1.0 / count
-        terms = [weight * d_hat(query.indicator_laws(probs[list(co), :]), grid)
-                 for co in combinations(others, picks)]
-        return SpcEstimate(per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms))), None)
+        subsets = combinations(others.tolist(), picks)
+        values = np.empty((grid.size, count))
+        for first in range(0, count, MC_CHUNK):
+            chunk = np.array(list(islice(subsets, MC_CHUNK)), dtype=np.intp)
+            values[:, first : first + len(chunk)] = divergences(chunk)
+        mean = fsum_terms((values * (1.0 / count)).T)
+        return SpcEstimate(per_epsilon(epsilon, np.minimum(1.0, mean)), None)
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
-    success = query.success_probs(probs)
     values = np.empty((grid.size, mode.trials))
     for first in range(0, mode.trials, MC_CHUNK):
         chunk = min(MC_CHUNK, mode.trials - first)
         co_members = np.empty((chunk, picks), dtype=np.intp)
         for row in co_members:
             row[:] = rng.permutation(others)[start : start + picks]
-        rows = poisson_binomial_rows(success[co_members])
-        for t, masses in enumerate(rows, start=first):
-            values[:, t] = d_hat(_indicator_pair(Pmf(0, masses)), grid)
+        values[:, first : first + chunk] = divergences(co_members)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
     means = np.array([row.mean() for row in values])
     spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])

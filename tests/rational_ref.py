@@ -2,7 +2,10 @@
 
 Everything here is deliberately dumb: exact rational arithmetic where
 possible, raw enumeration elsewhere, and no reuse of the package's
-convolution or log-space machinery.
+convolution or log-space machinery. The oracle's former loops (masked
+answer counts with tree nodes as row groups, and one rank column per
+template) are kept at the end as bit-for-bit references for its batched
+run simulator.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -165,3 +170,69 @@ def adaptive_iid_prefix_sum(n: int, probs: tuple[float, ...], sizes: tuple[int, 
 
         total += (size / n) * walk((), Fraction(1))
     return total
+
+
+def masked_count_answers(ranks: np.ndarray, entries: np.ndarray, spec) -> np.ndarray:
+    """Flat answer codes of runs, one masked count per (query, block) and
+    np.ravel_multi_index; adaptive specs split each tree node's rows on its
+    threshold. `ranks` is (n x runs) or an (n x 1) column shared by all runs,
+    `entries` is (runs, n, attributes); `spec` is a compose spec."""
+    sizes = spec.format.sizes
+    starts = np.cumsum((0,) + sizes).tolist()
+    num_runs = entries.shape[0]
+
+    def answers(query, k: int) -> np.ndarray:
+        plane = entries[:, :, query.attribute].T
+        plane = ~plane if query.negate else plane
+        in_block = (ranks >= starts[k]) & (ranks < starts[k + 1])
+        return np.count_nonzero(plane & in_block, axis=0)
+
+    out = np.zeros((num_runs, len(sizes)), dtype=np.int64)
+    if hasattr(spec, "queries"):
+        for k, query in enumerate(spec.queries):
+            out[:, k] = answers(query, k)
+    else:
+        groups = [(spec.tree, np.arange(num_runs))]
+        for k in range(len(sizes)):
+            nxt = []
+            for node, rows in groups:
+                a = answers(node.query, k)[rows]
+                out[rows, k] = a
+                if k + 1 < len(sizes):
+                    below = a < node.threshold
+                    nxt += [(child, part) for child, part in
+                            ((node.low, rows[below]), (node.high, rows[~below])) if part.size]
+            groups = nxt
+    return np.ravel_multi_index(out.T, tuple(s + 1 for s in sizes))
+
+
+def per_template_exact_hist(probs: np.ndarray, critical_index: int, spec,
+                            templates) -> dict[int, np.ndarray]:
+    """Exact answer-code masses per critical value, over every assignment of
+    the non-critical entries, one template at a time with its own (n x 1)
+    rank column, accumulated by np.add.at in template order. `probs` is the
+    (n x attributes) Bernoulli matrix; `templates` is the (template, weight)
+    list of partition.enumerate_templates, whose order fixes the rounding."""
+    n, num_attrs = probs.shape
+    num_values = 1 << num_attrs
+    j0 = critical_index - 1
+    num_rows = num_values ** (n - 1)
+    ids = np.arange(num_rows, dtype=np.int64)
+    place = num_values ** np.arange(n - 1, dtype=np.int64)
+    digits = (ids[:, None] // place[None, :]) % num_values
+    bits = ((digits[:, :, None] >> np.arange(num_attrs)) & 1).astype(np.int8)
+    probs_nc = np.delete(probs, j0, axis=0)
+    row_prob = np.prod(np.where(bits == 1, probs_nc[None], 1.0 - probs_nc[None]), axis=(1, 2))
+    n_answers = math.prod(s + 1 for s in spec.format.sizes)
+    hist = {v: np.zeros(n_answers) for v in range(num_values)}
+    noncrit = [i for i in range(n) if i != j0]
+    for v in range(num_values):
+        entries = np.empty((num_rows, n, num_attrs), dtype=bool)
+        entries[:, noncrit, :] = bits
+        entries[:, j0, :] = (v >> np.arange(num_attrs)) & 1
+        for template, w in templates:
+            order = [i - 1 for block in template.index_lists for i in block]
+            ranks = np.full((n, 1), n)
+            ranks[order, 0] = np.arange(len(order))
+            np.add.at(hist[v], masked_count_answers(ranks, entries, spec), w * row_prob)
+    return hist

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -55,6 +56,12 @@ class TestGaussianSigma:
         a = gaussian_sigma_for(0.5, 0.01, 1.0)
         b = gaussian_sigma_for(0.5, 0.01, 2.0)
         assert b == pytest.approx(2 * a, rel=1e-12)
+
+    @pytest.mark.parametrize("delta0", [5e-324, 1e-310, 7e-309])
+    def test_delta_below_the_overflow_of_its_reciprocal(self, delta0):
+        # 1.25 / delta0 overflows here; the noise scale is still finite
+        want = float(mpmath.sqrt(2 * mpmath.log(mpmath.mpf(1.25) / mpmath.mpf(delta0))))
+        assert gaussian_sigma_for(1.0, delta0, 1.0) == pytest.approx(want, rel=1e-15)
 
     def test_decreasing_in_epsilon_and_delta(self):
         base = gaussian_sigma_for(0.5, 0.01, 1.0)
@@ -172,6 +179,23 @@ class TestMaxDpQueries:
 
     def test_smallest_normal_target_delta_is_accepted(self):
         assert max_dp_queries(0.0, sys.float_info.min, 1.0, 1).k_max >= 0
+
+    def test_grid_points_below_the_reciprocal_overflow_calibrate_finitely(self, monkeypatch):
+        # the delta0 grid of this target reaches below 7e-309, where 1.25 / delta0
+        # overflowed, warned and calibrated with eps0 = inf
+        probed = []
+
+        def spy(epsilon0, delta0, k, *targets):
+            probed.append((epsilon0, delta0))
+            return _kov_achieves(epsilon0, delta0, k, *targets)
+
+        monkeypatch.setattr(baseline, "_kov_achieves", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cal = max_dp_queries(0.0, 2.2250738585072014e-308, 1.0, 1)
+        assert math.isfinite(cal.per_query_epsilon)
+        assert any(d0 < 7e-309 for _, d0 in probed)
+        assert all(math.isfinite(e0) for e0, _ in probed)
 
     def test_search_stops_at_the_query_ceiling(self, monkeypatch):
         # every count meets a target this loose; the search must refuse

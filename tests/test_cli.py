@@ -207,6 +207,8 @@ class TestComposeCommand:
         code, _, err = run(capsys, "compose", "--scenario", str(path))
         assert code == 3
         assert "cap" in err
+        # nonadaptive composition has a Monte-Carlo mode, so the advice applies
+        assert "Monte-Carlo" in err
 
     def test_known_entries_capacity_message_is_short(self, capsys, tmp_path):
         # adaptive known entries still enumerate templates: C(32767, 1023) of them
@@ -223,6 +225,8 @@ class TestComposeCommand:
         assert code == 3
         assert out == ""
         assert "cap" in err and len(err) < 200
+        # adaptive composition refuses Monte-Carlo mode, so it must not be advised
+        assert "Monte-Carlo" not in err
 
     def test_nonadaptive_known_entries_take_the_mixture(self, capsys, tmp_path):
         doc = self.scenario_doc()

@@ -19,7 +19,8 @@ from spacct import (
     shift_pair_delta,
 )
 from spacct.cli import main
-from spacct.curve import _EXP_CAP, CurvePoint, PrivacyCurve
+from spacct.curve import _EXP_CAP, CurvePoint, PrivacyCurve, shift_pair_rows
+from spacct.distkit import poisson_binomial_rows
 
 from rational_ref import dhat_shift_pair, total_variation
 
@@ -257,6 +258,50 @@ class TestEpsilonGridEvaluation:
             hockey_stick(a, a, [[0.1, 0.2]])
         with pytest.raises(DomainError):
             d_hat({0: a, 1: shift(a, 1)}, [0.1, -0.2])
+
+
+def _shift_pair_d_hat(masses, grid):
+    base = Pmf(0, masses)
+    return d_hat({0: base, 1: shift(base, 1)}, grid)
+
+
+class TestShiftPairRows:
+    """The row-batched divergence against a Pmf and d_hat per row, bit for bit."""
+
+    grid = (0.0, 0.05, 0.3, 1.0, 750.0)
+
+    @given(st.integers(0, 10).flatmap(lambda s: st.lists(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 1e-160, 1e-155))),
+                 min_size=s, max_size=s),
+        min_size=1, max_size=6).map(lambda rows: np.array(rows).reshape(len(rows), s))))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_d_hat_per_row(self, probs):
+        masses = poisson_binomial_rows(probs)
+        got = shift_pair_rows(masses, self.grid)
+        assert got.shape == (len(self.grid), probs.shape[0])
+        for r, row in enumerate(masses):
+            assert got[:, r].tolist() == _shift_pair_d_hat(row, self.grid).tolist()
+
+    def test_trimmed_ends_and_interior_zeros(self):
+        # ends below SUPPORT_FLOOR are trimmed by Pmf; interior zeros and tiny
+        # interior masses are kept
+        masses = np.array([[1e-310, 0.25, 0.0, 1e-320, 0.75, 1e-305],
+                           [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                           [1e-301, 0.5, 0.0, 0.0, 0.0, 0.5]])
+        got = shift_pair_rows(masses, self.grid)
+        for r, row in enumerate(masses):
+            assert got[:, r].tolist() == _shift_pair_d_hat(row, self.grid).tolist()
+        assert shift_pair_rows(masses, 0.3).shape == (1, 3)
+
+    def test_rows_failing_a_pmf_check_raise(self):
+        good = poisson_binomial_rows(np.array([[0.3, 0.6]]))[0]
+        with pytest.raises(DomainError, match="sum to"):
+            shift_pair_rows(np.array([good, [0.5, 0.4, 0.0]]), 0.1)
+        with pytest.raises(DomainError, match="nonnegative"):
+            shift_pair_rows(np.array([good, [1.1, -0.1, 0.0]]), 0.1)
+        # the first row that fails raises, as a Pmf per row in order would
+        with pytest.raises(DomainError, match="sum to"):
+            shift_pair_rows(np.array([[0.5, 0.4, 0.0], [1.1, -0.1, 0.0]]), 0.1)
 
 
 class TestEvalCurve:

@@ -1,7 +1,10 @@
+import math
 from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spacct.oracle
 from spacct import (
@@ -11,19 +14,27 @@ from spacct import (
     ExplicitEntries,
     IidEntries,
     NonadaptiveSpec,
+    PartitionLaw,
+    Pmf,
     PropertyQuery,
     Scenario,
     TemplateFormat,
     ThresholdTree,
     composition_delta,
+    enumerate_templates,
     exact_mechanism_law,
     mc_distinguish,
     verification_matrix,
 )
-from spacct.oracle import MATRIX_EPSILONS, _McRuns, _shuffle_ranks
+from spacct.oracle import MATRIX_EPSILONS, _mc_histograms, _McRuns, _shuffle_ranks
 from spacct.spc import MC_TRIALS_CAP
 
-from rational_ref import block_answer_law, enumerate_set_partitions
+from rational_ref import (
+    block_answer_law,
+    enumerate_set_partitions,
+    masked_count_answers,
+    per_template_exact_hist,
+)
 
 
 def single_query(n: int, size: int) -> NonadaptiveSpec:
@@ -297,6 +308,90 @@ class TestShuffleRanks:
             for lo, hi in ((0, 2), (2, 3), (3, 6), (0, 6)):
                 slots = np.take_along_axis(plane, perm[:, lo:hi], axis=1).sum(axis=1)
                 assert runs.answers(query, lo, hi).tolist() == slots.tolist()
+
+
+@st.composite
+def oracle_cases(draw):
+    """Explicit scenario with n <= 8 (n <= 5 on two attributes), a format of
+    1-3 blocks whose total may be below n, and a nonadaptive spec or a random
+    threshold tree (thresholds beyond the answer range included)."""
+    num_attrs = draw(st.integers(1, 2))
+    most = 8 if num_attrs == 1 else 5
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= most))
+    n = draw(st.integers(sum(sizes), most))
+    probs = draw(st.lists(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0))),
+                                   min_size=num_attrs, max_size=num_attrs),
+                          min_size=n, max_size=n))
+    scenario = Scenario(n, ExplicitEntries(tuple(tuple(row) for row in probs)),
+                        critical_index=draw(st.integers(1, n)))
+    queries = st.builds(PropertyQuery, st.integers(0, num_attrs - 1), st.booleans())
+    fmt = TemplateFormat(tuple(sizes))
+    if draw(st.booleans()):
+        return scenario, NonadaptiveSpec(fmt, tuple(draw(queries) for _ in sizes))
+
+    def tree(depth: int) -> ThresholdTree:
+        if depth == len(sizes):
+            return ThresholdTree(draw(queries))
+        return ThresholdTree(draw(queries), draw(st.integers(-1, n + 2)),
+                             low=tree(depth + 1), high=tree(depth + 1))
+
+    return scenario, AdaptiveSpec(fmt, tree(1))
+
+
+class TestBatchedRunsAgainstFormerLoops:
+    """The batched run simulator against the masked-count loops it replaced, bit for bit."""
+
+    @given(case=oracle_cases(), trials=st.sampled_from((1000, 1001)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_histograms_equal_masked_counts(self, case, trials, seed):
+        scenario, spec = case
+        (got,) = _mc_histograms(scenario, [spec], trials, seed)
+        n, num_attrs = scenario.n, scenario.num_attributes
+        bins = math.prod(s + 1 for s in spec.format.sizes)
+        children = np.random.SeedSequence(seed).spawn(scenario.num_values)
+        for v in range(scenario.num_values):
+            rng = np.random.default_rng(children[v])
+            slots = np.argsort(rng.random((trials, n)), axis=1, kind="stable")
+            ranks = np.empty((n, trials), dtype=np.int64)
+            ranks[slots.T, np.arange(trials)] = np.arange(n)[:, None]
+            entries = rng.random((trials, n, num_attrs)) < scenario.probs_matrix()[None]
+            entries[:, scenario.critical_index - 1, :] = (v >> np.arange(num_attrs)) & 1
+            want = np.bincount(masked_count_answers(ranks, entries, spec), minlength=bins)
+            assert np.array_equal(got[v], want / trials)
+
+    def test_unreached_children_are_renumbered(self):
+        # the root's low child sends every run high (threshold 0), so three of
+        # the four depth-3 nodes are reached and their ids are renumbered
+        leaves = [ThresholdTree(PropertyQuery(a, neg)) for neg in (False, True) for a in (0, 1)]
+        tree = ThresholdTree(PropertyQuery(0), 1,
+                             low=ThresholdTree(PropertyQuery(1), 0, low=leaves[0], high=leaves[1]),
+                             high=ThresholdTree(PropertyQuery(1, negate=True), 2,
+                                                low=leaves[2], high=leaves[3]))
+        probs = ((0.2, 0.7), (0.5, 0.5), (0.9, 0.1), (0.3, 0.6), (0.6, 0.4), (0.45, 0.8))
+        scenario = Scenario(6, ExplicitEntries(probs), critical_index=2)
+        spec = AdaptiveSpec(TemplateFormat((2, 2, 2)), tree)
+        runs = _McRuns.sample(np.random.default_rng(0), scenario, 2, 2000)
+        want = masked_count_answers(runs.ranks, runs.entries, spec)
+        assert np.array_equal(runs.flat_answers(spec), want)
+
+    @given(case=oracle_cases(), chunk_runs=st.sampled_from((1, 100, 1 << 16)))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_laws_equal_the_per_template_loop(self, case, chunk_runs):
+        scenario, spec = case
+        templates = enumerate_templates(PartitionLaw(scenario.n, spec.format))
+        want = per_template_exact_hist(scenario.probs_matrix(), scenario.critical_index,
+                                       spec, templates)
+        with pytest.MonkeyPatch.context() as mp:
+            # chunks of one template, of a few, and of all of them
+            mp.setattr(spacct.oracle, "LAW_CHUNK_RUNS", chunk_runs)
+            got = exact_mechanism_law(scenario, spec)
+        assert sorted(got.laws) == sorted(want)
+        for v, hist in want.items():
+            ref = Pmf(0, hist)
+            assert got.laws[v].offset == ref.offset
+            assert np.array_equal(got.laws[v].masses, ref.masses)
 
 
 class TestVerificationMatrix:

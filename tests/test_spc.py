@@ -29,6 +29,7 @@ from spacct import (
     spc_known_entries_threshold_bound,
 )
 
+from spacct.curve import fsum_terms
 from spacct.spc import MC_CHUNK, MC_TRIALS_CAP
 
 from rational_ref import block_answer_law, dhat_shift_pair, hockey_stick_dicts, hyper_pmf_exact
@@ -256,6 +257,11 @@ class TestSpcGeneral:
         assert vals == sorted(vals, reverse=True)
 
 
+# exact 0 and 1, and probabilities whose products fall below SUPPORT_FLOOR, so
+# that answer laws have zero and trimmed end masses
+EDGE_PROBS = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 1e-160, 1e-155)))
+
+
 @st.composite
 def restricted_explicit_cases(draw):
     """Explicit scenario (n <= 8), 1-3 block format, and a restricted law."""
@@ -267,7 +273,7 @@ def restricted_explicit_cases(draw):
         size = draw(st.integers(1, left))
         sizes.append(size)
         left -= size
-    probs = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    probs = draw(st.lists(EDGE_PROBS, min_size=n, max_size=n))
     j = draw(st.integers(1, n))
     k = draw(st.integers(1, len(sizes)))
     scenario = Scenario(n, ExplicitEntries(tuple((p,) for p in probs)), critical_index=j)
@@ -399,6 +405,58 @@ class TestMonteCarloBatches:
                                                         trials, trials)
             assert got.value.tolist() == means.tolist()
             assert got.half_width.tolist() == half_widths.tolist()
+
+
+def _per_subset_enumerate(scenario, law, query, grid):
+    """Enumerate spc_general on explicit entries with one poisson_binomial,
+    indicator_laws and d_hat per co-member subset."""
+    j, k = law.restriction
+    others = [i for i in range(law.n) if i != j - 1]
+    picks = law.format.sizes[k - 1] - 1
+    probs = scenario.probs_matrix()
+    weight = 1.0 / math.comb(law.n - 1, picks)
+    terms = [weight * d_hat(query.indicator_laws(probs[list(co), :]), grid)
+             for co in combinations(others, picks)]
+    return np.minimum(1.0, fsum_terms(terms))
+
+
+class TestEnumerateBatches:
+    """Subsets enumerated MC_CHUNK at a time give the per-subset values exactly."""
+
+    grid = (0.0, 0.3, 1.0)
+
+    @given(case=restricted_explicit_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_subset_loop(self, case):
+        scenario, law, query = case
+        got = spc_general(scenario, law, query, self.grid)
+        assert got.half_width is None
+        assert got.value.tolist() == _per_subset_enumerate(scenario, law, query,
+                                                           self.grid).tolist()
+
+    @pytest.mark.parametrize("subsets", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 1])
+    def test_subset_counts_around_the_chunk(self, subsets):
+        # blocks of two: one co-member out of the n - 1 = `subsets` other entries
+        n = subsets + 1
+        probs = np.random.default_rng(subsets).uniform(0.0, 1.0, n)
+        probs[1], probs[5], probs[9] = 0.0, 1.0, 1e-160
+        scenario = Scenario(n, ExplicitEntries(tuple((p,) for p in probs)), critical_index=3)
+        for k, negate in ((1, False), (2, True)):
+            law = PartitionLaw(n, TemplateFormat((2, 2)), restriction=(3, k))
+            query = PropertyQuery(negate=negate)
+            got = spc_general(scenario, law, query, self.grid)
+            assert got.value.tolist() == _per_subset_enumerate(scenario, law, query,
+                                                               self.grid).tolist()
+
+    def test_single_member_block_has_no_co_members(self):
+        scenario = Scenario(5, ExplicitEntries(((0.2,), (0.0,), (1.0,), (0.7,), (0.4,))),
+                            critical_index=2)
+        law = PartitionLaw(5, TemplateFormat((1, 3)), restriction=(2, 1))
+        got = spc_general(scenario, law, PropertyQuery(), self.grid)
+        # a point mass against its shift: total variation 1, and 1 at every epsilon
+        assert got.value.tolist() == [1.0, 1.0, 1.0]
+        assert got.value.tolist() == _per_subset_enumerate(scenario, law, PropertyQuery(),
+                                                           self.grid).tolist()
 
 
 def _pair_delta(member_p: float, eps: float, shifted_first: bool) -> float:
