@@ -84,7 +84,7 @@ def cmd_curve(args) -> int:
             raise DomainError("need --scenario or both --n and --p")
         entries = (
             KnownEntries(args.p, args.known, args.known_positive)
-            if args.known else IidEntries((args.p,))
+            if args.known or args.known_positive else IidEntries((args.p,))
         )
         scenario = Scenario(args.n, entries)
         epsilons = _parse_eps_list(args.eps) if args.eps else DEFAULT_EPS_GRID

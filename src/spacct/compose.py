@@ -9,21 +9,24 @@ threshold tree when queries are chosen adaptively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import combinations
 
 import numpy as np
 from scipy.special import betainc
 
-from .curve import as_grid, fsum_terms, shift_pair_rows
-from .distkit import Pmf, cdf, poisson_binomial_rows
-from .errors import DomainError
-from .partition import PartitionLaw, TemplateFormat, enumerate_templates
+from .curve import as_grid, fsum_terms
+from .distkit import cdf, poisson_binomial
+from .errors import CapacityError, DomainError, magnitude
+from .partition import TEMPLATE_CAP, PartitionLaw, TemplateFormat, template_count
 from .spc import (
     Enumerate,
     MonteCarlo,
     PropertyQuery,
     Scenario,
+    _subset_mean,
     spc_general,
     spc_iid,
     success_prob,
@@ -227,25 +230,17 @@ def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
     return _nonadaptive(scenario, spec, epsilon, mode, "nonadaptive-general")
 
 
-def _tree_sum(tree: ThresholdTree, depth: int, tails, divergence) -> np.ndarray:
-    """Sum over the tree's nodes at `depth` (the root has depth 1) of
-    P(reach node) * divergence(node.query), per grid point. Block answers are
-    independent given the template, so P(reach node) multiplies the branch
-    probabilities tails(level, query, threshold) = (P(answer < threshold),
-    P(answer >= threshold)) along its path; zero-probability branches are skipped."""
-    terms = []
-
-    def walk(node: ThresholdTree, level: int, prob: float) -> None:
-        if level == depth:
-            terms.append(prob * divergence(node.query))
-            return
-        below, above = tails(level, node.query, node.threshold)
-        for child, branch in ((node.low, below), (node.high, above)):
-            if branch > 0.0:
-                walk(child, level + 1, prob * branch)
-
-    walk(tree, 1, 1.0)
-    return fsum_terms(terms)
+def _descend(reach: list, tails) -> list:
+    """The (node, P(reach node)) pairs one tree level below `reach`, in order.
+    A branch multiplies its parent's probability by tails(query, threshold) =
+    (P(answer < threshold), P(answer >= threshold)) on the parent's block;
+    zero-probability branches are dropped, so their subtrees are never evaluated."""
+    out = []
+    for node, prob in reach:
+        below, above = tails(node.query, node.threshold)
+        out += [(child, prob * branch)
+                for child, branch in ((node.low, below), (node.high, above)) if branch > 0.0]
+    return out
 
 
 def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
@@ -268,9 +263,9 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composition
     def divergence(size: int, query: PropertyQuery) -> np.ndarray:
         return spc_iid(scenario, size, grid, query)
 
-    def tails(level: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
+    def tails(u: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
         # P(B < t) and P(B >= t) = I_p(t, u - t + 1) for B ~ Bin(u, p), as in shift_pair_delta
-        u, p = sizes[level - 1], success_prob(scenario, query)
+        p = success_prob(scenario, query)
         if threshold <= 0:
             return 0.0, 1.0
         if threshold > u:
@@ -278,58 +273,61 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composition
         return (float(betainc(u - threshold + 1, threshold, 1.0 - p)),
                 float(betainc(threshold, u - threshold + 1, p)))
 
-    terms = [
-        BlockTerm(block=k, weight=size / scenario.n,
-                  delta=_tree_sum(spec.tree, k, tails, partial(divergence, size)))
-        for k, size in enumerate(sizes, start=1)
-    ]
+    reach, terms = [(spec.tree, 1.0)], []
+    for k, size in enumerate(sizes, start=1):
+        if k > 1:
+            reach = _descend(reach, partial(tails, sizes[k - 2]))
+        terms.append(BlockTerm(block=k, weight=size / scenario.n, delta=fsum_terms(
+            [prob * divergence(size, node.query) for node, prob in reach])))
     return _report(epsilon, terms, "adaptive-iid")
 
 
 def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
     """Adaptive bound for arbitrary entry models, by full enumeration.
 
-    For each block k, averages over templates of blocks 1..k conditioned on
-    the critical index landing in block k (later blocks cannot change block
-    k's term) the tree sum to depth k: its branch probabilities are tails of
-    the earlier blocks' answer laws, and its divergence is that of block k's
-    laws given the critical value. Answer laws and divergences are built once
-    per (member tuple, query). Tiny instances only.
+    Block k's term averages over prefixes (disjoint blocks 1..k-1 of the
+    non-critical indices) P(reach a depth-k node) times the node query's
+    mean divergence over block k's co-member subsets of the indices left,
+    so one walk over prefixes serves every k. The template count of blocks
+    1..k is capped for every k before any work. Tiny instances only.
     """
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
     _require_fits(scenario, spec.format)
     probs = scenario.probs_matrix()
-    j = scenario.critical_index
     sizes = spec.format.sizes
     grid = as_grid(epsilon)
+    j = scenario.critical_index
+    for k in range(1, len(sizes) + 1):
+        count = template_count(PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), (j, k)))
+        if count > TEMPLATE_CAP:
+            raise CapacityError(f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
 
     @cache
-    def answer_law(members: tuple[int, ...], query: PropertyQuery) -> Pmf:
-        return query.unconditional_law(probs[[i - 1 for i in members], :])
-
-    @cache
-    def divergence(co_members: tuple[int, ...], query: PropertyQuery) -> np.ndarray:
-        success = query.success_probs(probs[[i - 1 for i in co_members], :])
-        return shift_pair_rows(poisson_binomial_rows(success[None]), grid)[:, 0]
-
-    def tails(blocks, level: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
-        law = answer_law(blocks[level - 1], query)
+    def tails(block: tuple[int, ...], query: PropertyQuery, threshold: int) -> tuple[float, float]:
+        law = poisson_binomial(query.success_probs(probs[list(block)]))
         below = cdf(law, threshold - 1)
         return below, (1.0 - below if threshold <= law.top else 0.0)
 
-    terms = []
-    for k in range(1, spec.format.num_blocks + 1):
-        law = PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), restriction=(j, k))
-        template_terms = []
-        for template, w in enumerate_templates(law):
-            co_members = tuple(i for i in template.block(k) if i != j)
-            template_terms.append(w * _tree_sum(spec.tree, k,
-                                                partial(tails, template.index_lists),
-                                                partial(divergence, co_members)))
-        terms.append(BlockTerm(block=k, weight=sizes[k - 1] / scenario.n,
-                               delta=fsum_terms(template_terms)))
-    return _report(epsilon, terms, "adaptive-general")
+    @cache
+    def mean(pool: tuple[int, ...], level: int, query: PropertyQuery) -> np.ndarray:
+        return _subset_mean(query.success_probs(probs), pool, sizes[level] - 1, grid)
+
+    terms = [[] for _ in sizes]
+
+    def walk(level: int, pool: tuple[int, ...], reach: list, weight: float) -> None:
+        # a prefix of `level` blocks, of probability `weight`, leaves `pool` to block level + 1
+        terms[level] += [weight * prob * mean(pool, level, node.query) for node, prob in reach]
+        if level + 1 < len(sizes):
+            share = weight / math.comb(len(pool), sizes[level])
+            for block in combinations(pool, sizes[level]):
+                walk(level + 1, tuple(i for i in pool if i not in block),
+                     _descend(reach, partial(tails, block)), share)
+
+    walk(0, tuple(i for i in range(scenario.n) if i != j - 1), [(spec.tree, 1.0)], 1.0)
+    return _report(epsilon, [BlockTerm(block=k, weight=size / scenario.n, delta=fsum_terms(t))
+                             for k, (size, t) in enumerate(zip(sizes, terms), start=1)],
+                   "adaptive-general")
 
 
 def composition_delta(scenario: Scenario, spec: CompositionSpec, epsilon,

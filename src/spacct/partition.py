@@ -116,9 +116,8 @@ def template_count(law: PartitionLaw) -> int:
 def enumerate_templates(law: PartitionLaw, cap: int = TEMPLATE_CAP) -> list[tuple[Template, float]]:
     """Exhaustive (template, probability) list with uniform weights.
 
-    Raises CapacityError when the support exceeds `cap`. The message offers
-    no remedy: its callers (adaptive composition and the exact oracle) have
-    no sampled mode, and sample_template draws single templates.
+    Raises CapacityError when the support exceeds `cap`, offering no remedy:
+    its one caller in the package, the exact oracle, has no sampled mode.
     """
     count = template_count(law)
     if count > cap:

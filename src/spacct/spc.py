@@ -196,9 +196,6 @@ class PropertyQuery:
         base = poisson_binomial(self.success_probs(rows)) if rows.shape[0] else distkit.point(0)
         return {0: base, 1: shift(base, 1)}
 
-    def unconditional_law(self, rows: np.ndarray) -> Pmf:
-        return poisson_binomial(self.success_probs(rows))
-
 
 class SpcEstimate(NamedTuple):
     """Floats for one epsilon; arrays over the grid when given one."""
@@ -358,23 +355,14 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     picks = size - 1
     grid = as_grid(epsilon)
     success = query.success_probs(scenario.probs_matrix())
-
-    def divergences(co_members: np.ndarray) -> np.ndarray:
-        return shift_pair_rows(poisson_binomial_rows(success[co_members]), grid)
-
     if isinstance(mode, Enumerate):
         count = math.comb(law.n - 1, picks)
         if count > mode.cap:
             raise CapacityError(
                 f"{magnitude(count)} co-member subsets exceed the cap of {mode.cap}; "
                 "use Monte-Carlo sampling")
-        subsets = combinations(others.tolist(), picks)
-        values = np.empty((grid.size, count))
-        for first in range(0, count, MC_CHUNK):
-            chunk = np.array(list(islice(subsets, MC_CHUNK)), dtype=np.intp)
-            values[:, first : first + len(chunk)] = divergences(chunk)
-        mean = fsum_terms((values * (1.0 / count)).T)
-        return SpcEstimate(per_epsilon(epsilon, np.minimum(1.0, mean)), None)
+        mean = _subset_mean(success, others.tolist(), picks, grid)
+        return SpcEstimate(per_epsilon(epsilon, mean))
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
@@ -384,9 +372,24 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
         co_members = np.empty((chunk, picks), dtype=np.intp)
         for row in co_members:
             row[:] = rng.permutation(others)[start : start + picks]
-        values[:, first : first + chunk] = divergences(co_members)
+        values[:, first : first + chunk] = shift_pair_rows(
+            poisson_binomial_rows(success[co_members]), grid)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
     means = np.array([row.mean() for row in values])
     spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])
     return SpcEstimate(per_epsilon(epsilon, means),
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
+
+
+def _subset_mean(success: np.ndarray, pool, picks: int, grid: np.ndarray) -> np.ndarray:
+    """Mean over every `picks`-subset of `pool` (indices into `success`) of
+    the divergence of {B, B + 1}, B the subset's Poisson-binomial count, per
+    grid point and capped at 1; subsets are evaluated MC_CHUNK at a time."""
+    count = math.comb(len(pool), picks)
+    subsets = combinations(pool, picks)
+    values = np.empty((grid.size, count))
+    for first in range(0, count, MC_CHUNK):
+        chunk = np.array(list(islice(subsets, MC_CHUNK)), dtype=np.intp)
+        values[:, first : first + len(chunk)] = shift_pair_rows(
+            poisson_binomial_rows(success[chunk]), grid)
+    return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))

@@ -116,8 +116,8 @@ def compute_table(spec: TableSpec, with_dp: bool = True) -> list[TableCell]:
             TemplateFormat((size,) * row.m),
             tuple(PropertyQuery() for _ in range(row.m)),
         )
-        for eps, exp_delta, exp_dp in zip(spec.epsilons, row.deltas, row.dp_queries):
-            delta = nonadaptive_iid(scenario, comp_spec, eps).total_delta
+        deltas = nonadaptive_iid(scenario, comp_spec, spec.epsilons).total_delta.tolist()
+        for eps, delta, exp_delta, exp_dp in zip(spec.epsilons, deltas, row.deltas, row.dp_queries):
             dp = max_dp_queries(eps, delta, sigma, spec.n).k_max if with_dp else None
             cells.append(TableCell(
                 m=row.m, sigma=sigma, epsilon=eps, delta_sp=delta, dp_queries=dp,

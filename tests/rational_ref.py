@@ -2,10 +2,12 @@
 
 Everything here is deliberately dumb: exact rational arithmetic where
 possible, raw enumeration elsewhere, and no reuse of the package's
-convolution or log-space machinery. The oracle's former loops (masked
-answer counts with tree nodes as row groups, and one rank column per
-template) are kept at the end as bit-for-bit references for its batched
-run simulator.
+convolution or log-space machinery. Former evaluation paths are kept at
+the end as references for the paths that replaced them: the oracle's
+masked answer counts with tree nodes as row groups and its one rank column
+per template (bit for bit against its batched run simulator), and adaptive
+composition's per-template tree walk, which uses the package's own laws
+and divergences so that only the order of summation differs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from spacct.curve import as_grid, fsum_terms, shift_pair_rows
+from spacct.distkit import cdf, poisson_binomial, poisson_binomial_rows
+from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -236,3 +242,43 @@ def per_template_exact_hist(probs: np.ndarray, critical_index: int, spec,
             ranks[order, 0] = np.arange(len(order))
             np.add.at(hist[v], masked_count_answers(ranks, entries, spec), w * row_prob)
     return hist
+
+
+def per_template_adaptive_general(scenario, spec, epsilon) -> list[np.ndarray]:
+    """Block k's adaptive general delta for each k, one template at a time:
+    every template of blocks 1..k under the law restricted to (critical
+    index, k), with the tree walked from the root to depth k. A branch's
+    probability is a tail of the earlier block's Poisson-binomial answer
+    law; a depth-k node adds P(reach node) times the divergence of block
+    k's laws on the template's co-members. `spec` is an AdaptiveSpec."""
+    probs = scenario.probs_matrix()
+    j = scenario.critical_index
+    sizes = spec.format.sizes
+    grid = as_grid(epsilon)
+
+    def tree_sum(template, k: int) -> np.ndarray:
+        terms = []
+
+        def walk(node, level: int, prob: float) -> None:
+            if level == k:
+                co_members = [i - 1 for i in template.block(k) if i != j]
+                success = node.query.success_probs(probs[co_members])
+                divergence = shift_pair_rows(poisson_binomial_rows(success[None]), grid)[:, 0]
+                terms.append(prob * divergence)
+                return
+            members = [i - 1 for i in template.block(level)]
+            law = poisson_binomial(node.query.success_probs(probs[members]))
+            below = cdf(law, node.threshold - 1)
+            above = 1.0 - below if node.threshold <= law.top else 0.0
+            for child, branch in ((node.low, below), (node.high, above)):
+                if branch > 0.0:
+                    walk(child, level + 1, prob * branch)
+
+        walk(spec.tree, 1, 1.0)
+        return fsum_terms(terms)
+
+    deltas = []
+    for k in range(1, len(sizes) + 1):
+        law = PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), restriction=(j, k))
+        deltas.append(fsum_terms([w * tree_sum(t, k) for t, w in enumerate_templates(law)]))
+    return deltas

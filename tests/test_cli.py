@@ -71,6 +71,14 @@ class TestCurveCommand:
         assert code == 0
         assert 0.0 <= float(parse_csv(out)[1][1]) <= 1.0
 
+    @pytest.mark.parametrize("known", [[], ["--known", "0"]], ids=["no --known", "--known 0"])
+    def test_known_positive_without_known_exits_2(self, capsys, known):
+        code, out, err = run(capsys, "curve", "--n", "100", "--p", "0.5", *known,
+                             "--known-positive", "5", "--eps", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "known_positive may not exceed known" in err
+
     def test_oversized_known_entry_mixture_exits_3(self, capsys):
         # 10^11 mixture terms: refused before any array is allocated
         code, out, err = run(capsys, "curve", "--n", str(10**12), "--p", "0.5",
@@ -211,7 +219,7 @@ class TestComposeCommand:
         assert "Monte-Carlo" in err
 
     def test_known_entries_capacity_message_is_short(self, capsys, tmp_path):
-        # adaptive known entries still enumerate templates: C(32767, 1023) of them
+        # adaptive known entries are still capped by their template count, C(32767, 1023)
         doc = self.scenario_doc()
         doc.update(n=32768, format=[1024, 1024],
                    entry_model={"kind": "known", "p": 0.5, "known": 16000},

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import spacct.compose
 from spacct import (
     AdaptiveSpec,
+    CapacityError,
     DomainError,
     Enumerate,
     ExplicitEntries,
@@ -31,12 +32,14 @@ from spacct import (
     spc_iid,
     spc_known_entries,
 )
+from spacct.tables import TABLE1, TABLE2, compute_table
 
 from rational_ref import (
     adaptive_iid_prefix_sum,
     adaptive_theorem_sum,
     dhat_shift_pair,
     nonadaptive_theorem_sum,
+    per_template_adaptive_general,
     tree_choice,
 )
 
@@ -309,6 +312,15 @@ class TestEpsilonGrid:
         assert report.split() == (report,)
 
 
+class TestTables:
+    @pytest.mark.parametrize("table", [TABLE1, TABLE2], ids=["table1", "table2"])
+    def test_row_grid_equals_per_cell_calls(self, table):
+        sc = Scenario(table.n, IidEntries((table.p,)))
+        for cell in compute_table(table, with_dp=False):
+            report = nonadaptive_iid(sc, equal_spec(table.n, cell.m), cell.epsilon)
+            assert cell.delta_sp == report.total_delta
+
+
 class TestAdaptiveIid:
     def test_degenerate_tree_equals_nonadaptive(self):
         sc = Scenario(8, IidEntries((0.4,)))
@@ -462,6 +474,42 @@ class TestTreeWalkAgainstPrefixWalks:
         mine = adaptive_iid(sc, AdaptiveSpec(TemplateFormat(sizes), tree), eps).raw_delta
         ref = adaptive_iid_prefix_sum(n, (p0, p1), sizes, tree_choice(tree), eps)
         assert abs(mine - ref) <= 1e-12
+
+
+class TestPrefixWalkAgainstTemplateLoop:
+    """adaptive_general's walk over prefix blocks against the per-template
+    loop it replaced (rational_ref.per_template_adaptive_general)."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_template_loop(self, data):
+        n = data.draw(st.integers(1, 7))
+        sizes = []
+        while len(sizes) < 3 and sum(sizes) < n:
+            sizes.append(data.draw(st.integers(1, min(3, n - sum(sizes)))))
+            if data.draw(st.booleans()):
+                break
+        sizes = tuple(sizes)
+        if data.draw(st.booleans()):
+            known = data.draw(st.integers(0, n - 1))
+            entries = KnownEntries(data.draw(PROBS), known, data.draw(st.integers(0, known)))
+        else:
+            width = data.draw(st.integers(1, 2))
+            entries = ExplicitEntries(tuple(tuple(data.draw(PROBS) for _ in range(width))
+                                            for _ in range(n)))
+        sc = Scenario(n, entries, critical_index=data.draw(st.integers(1, n)))
+        # queries reach attribute 1, which one-attribute entries lack
+        spec = AdaptiveSpec(TemplateFormat(sizes), data.draw(threshold_trees(sizes)))
+        eps = sorted(data.draw(st.sets(EPSILONS, min_size=1)))
+        try:
+            want = per_template_adaptive_general(sc, spec, eps)
+        except (DomainError, CapacityError) as exc:
+            with pytest.raises(type(exc)):
+                adaptive_general(sc, spec, eps)
+            return
+        report = adaptive_general(sc, spec, eps)
+        for term, block in zip(report.per_block, want, strict=True):
+            assert np.max(np.abs(term.delta - block)) <= 1e-15
 
 
 class TestAdaptiveSpecTree:
