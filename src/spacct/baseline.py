@@ -80,11 +80,11 @@ def _log_125_over(delta0: float) -> float:
 
 def gaussian_sigma_for(epsilon0: float, delta0: float, sensitivity: float) -> float:
     """Noise scale of the (epsilon0, delta0) Gaussian mechanism."""
-    if epsilon0 <= 0.0:
+    if not epsilon0 > 0.0:
         raise DomainError("epsilon0 must be positive")
     if not 0.0 < delta0 < 1.0:
         raise DomainError("delta0 must lie in (0, 1)")
-    if sensitivity <= 0.0:
+    if not sensitivity > 0.0:
         raise DomainError("sensitivity must be positive")
     return sensitivity * math.sqrt(2.0 * _log_125_over(float(delta0))) / epsilon0
 
@@ -156,7 +156,7 @@ def kov_compose(epsilon0: float, delta0: float, k: int) -> PrivacyCurve:
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    if epsilon0 <= 0.0:
+    if not epsilon0 > 0.0:
         raise DomainError("epsilon0 must be positive")
     if not 0.0 <= delta0 < 1.0:
         raise DomainError("delta0 must lie in [0, 1)")

@@ -24,7 +24,7 @@ class CurvePoint:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise DomainError("epsilon must be nonnegative")
         if not 0.0 <= self.delta <= 1.0:
             raise DomainError(f"delta={self.delta!r} outside [0, 1]")
@@ -71,18 +71,21 @@ class PrivacyCurve:
 _EXP_CAP = 700.0
 
 
-def _scale(epsilon: float) -> float:
-    if epsilon < 0.0:
-        raise DomainError("epsilon must be nonnegative")
-    return math.exp(min(epsilon, _EXP_CAP))
-
-
 def as_grid(epsilon) -> np.ndarray:
-    """An epsilon or a 1-D grid of them as a 1-D array; a scalar is a grid of one."""
+    """An epsilon or a 1-D grid of them as a 1-D array; a scalar is a grid of one.
+    A NaN or negative epsilon raises DomainError, so it never reads as a delta."""
     eps = np.asarray(epsilon, dtype=np.float64)
     if eps.ndim > 1:
         raise DomainError("epsilon must be a number or a 1-D grid")
-    return eps.reshape(-1)
+    eps = eps.reshape(-1)
+    if not (eps >= 0.0).all():
+        raise DomainError("epsilon must be nonnegative")
+    return eps
+
+
+def _scales(epsilon) -> np.ndarray:
+    """e^eps over the checked grid, saturated at _EXP_CAP (math.exp per point)."""
+    return np.array([math.exp(min(e, _EXP_CAP)) for e in as_grid(epsilon).tolist()])
 
 
 def per_epsilon(epsilon, values: np.ndarray):
@@ -99,37 +102,44 @@ def fsum_terms(terms) -> np.ndarray:
     return np.array([math.fsum(col) for col in np.asarray(terms).T.tolist()])
 
 
+def _positive_sums(diff: np.ndarray) -> np.ndarray:
+    """min(1, math.fsum of the positive entries) along the last axis: every
+    hockey-stick value's sum (fsum is exact, so the entries left out change nothing)."""
+    positive = diff > 0.0
+    flat = diff[positive].tolist()
+    ends = positive.sum(axis=-1).ravel().cumsum().tolist()
+    sums = [min(1.0, math.fsum(flat[lo:hi])) for lo, hi in zip([0, *ends], ends)]
+    return np.array(sums).reshape(diff.shape[:-1])
+
+
+def _on_union(laws) -> np.ndarray:
+    """The laws' masses as rows over the union of their supports."""
+    lo = min(d.offset for d in laws)
+    rows = np.zeros((len(laws), max(d.top for d in laws) - lo + 1))
+    for row, d in zip(rows, laws):
+        row[d.offset - lo : d.offset - lo + d.masses.size] = d.masses
+    return rows
+
+
 def hockey_stick(p: Pmf, q: Pmf, epsilon):
     """sum_a max(0, p(a) - e^eps * q(a)) over the union support (direct sum).
 
     `epsilon` may be a 1-D grid: the (grid x support) difference is built
     once and each row summed on its own, so every value equals the scalar
-    call's (fsum is exact, so the zeros put in for negative terms change
-    nothing).
+    call's.
     """
-    grid = as_grid(epsilon)
-    scales = np.array([_scale(e) for e in grid.tolist()])
-    lo = min(p.offset, q.offset)
-    diff = np.zeros((grid.size, max(p.top, q.top) - lo + 1))
-    diff[:, p.offset - lo : p.offset - lo + p.masses.size] = p.masses
-    diff[:, q.offset - lo : q.offset - lo + q.masses.size] -= scales[:, None] * q.masses
-    positive = np.where(diff > 0.0, diff, 0.0).tolist()
-    return per_epsilon(epsilon, np.array([min(1.0, math.fsum(row)) for row in positive]))
+    rows = _on_union((p, q))
+    return per_epsilon(epsilon, _positive_sums(rows[0] - _scales(epsilon)[:, None] * rows[1]))
 
 
 def d_hat(p_by_value: dict, epsilon):
-    """Max of hockey_stick over ordered pairs of conditional answer laws,
-    at one epsilon or over a 1-D grid."""
+    """Max of hockey_stick over ordered pairs of conditional answer laws, at one
+    epsilon or over a 1-D grid; a law against itself adds 0, as e^eps >= 1."""
     if len(p_by_value) < 2:
         raise DomainError("need at least two critical values")
-    laws = list(p_by_value.values())
-    grid = as_grid(epsilon)
-    best = np.zeros(grid.size)
-    for i, pv in enumerate(laws):
-        for j, pw in enumerate(laws):
-            if i != j:
-                best = np.maximum(best, hockey_stick(pv, pw, grid))
-    return per_epsilon(epsilon, best)
+    rows = _on_union(list(p_by_value.values()))
+    diff = rows[:, None] - _scales(epsilon)[:, None, None, None] * rows  # (grid, v, w, support)
+    return per_epsilon(epsilon, _positive_sums(diff).max(axis=(1, 2)))
 
 
 def shift_pair_rows(masses: np.ndarray, epsilon) -> np.ndarray:
@@ -138,57 +148,51 @@ def shift_pair_rows(masses: np.ndarray, epsilon) -> np.ndarray:
     `masses` holds raw laws on {0, ..., s}, one per row. Each row is checked
     and end-trimmed as a Pmf would be (distkit.checked_rows), and its value at
     each epsilon equals d_hat of the pair {Pmf(0, row), its shift by one} bit
-    for bit: each direction is the math.fsum of the positive differences
-    p(a) - e^eps q(a) over the union support, which is exact, so leaving out
-    the terms that are not positive changes nothing.
+    for bit: both take the positive-part sum of p(a) - e^eps q(a) over the
+    union support per direction.
     """
     rows = checked_rows(masses)
-    grid = as_grid(epsilon)
-    count, points = rows.shape
-    base, up = np.zeros((count, points + 1)), np.zeros((count, points + 1))
-    base[:, :-1], up[:, 1:] = rows, rows
-    out = np.empty((grid.size, count))
-    for e, scale in enumerate(_scale(x) for x in grid.tolist()):
-        diff = np.stack((base - scale * up, up - scale * base))
-        positive = diff > 0.0
-        flat = diff[positive].tolist()
-        ends = np.cumsum(np.count_nonzero(positive, axis=2).ravel()).tolist()
-        sums = [min(1.0, math.fsum(flat[lo:hi])) for lo, hi in zip([0] + ends, ends)]
-        out[e] = np.maximum(sums[:count], sums[count:])
-    return out
+    pair = np.zeros((2, rows.shape[0], rows.shape[1] + 1))  # B, then B + 1
+    pair[0, :, :-1], pair[1, :, 1:] = rows, rows
+    diff = pair - _scales(epsilon)[:, None, None, None] * pair[::-1]  # (grid, 2, rows, points)
+    return _positive_sums(diff).max(axis=1)
 
 
-def _shift_up_delta(u: np.ndarray, p: float, scale: float) -> np.ndarray:
+def _shift_up_delta(u: np.ndarray, p: float, scale: np.ndarray) -> np.ndarray:
     """Hockey-stick divergence of B + 1 against B, B ~ Bin(u, p).
 
     The optimal set is {a >= t}, t = floor((u+1) p / (p + q e^-eps)) + 1 (the
     ratio test divided through by e^eps, so nothing overflows), and
     delta(t) = P(B > t-2) - e^eps P(B > t-1) is taken at t and both
-    neighbours, with P(B > k) = I_p(k + 1, u - k) for 0 <= k < u.
+    neighbours, with P(B > k) = I_p(k + 1, u - k) for 0 <= k < u. `scale`
+    broadcasts against `u`.
     """
     t = np.floor((u + 1.0) * p / (p + (1.0 - p) / scale)) + 1.0
     k, u = t[..., None] + np.arange(-3.0, 1.0), u[..., None]
     inside = (k >= 0.0) & (k < u)
     tails = betainc(np.where(inside, k + 1.0, 1.0), np.where(inside, u - k, 1.0), p)
     above = np.where(inside, tails, np.where(k < 0.0, 1.0, 0.0))
-    return np.max(above[..., :-1] - scale * above[..., 1:], axis=-1)
+    return np.max(above[..., :-1] - scale[..., None] * above[..., 1:], axis=-1)
 
 
-def shift_pair_delta(u, p: float, epsilon: float):
+def shift_pair_delta(u, p: float, epsilon):
     """Two-sided hockey-stick divergence between B + 1 and B, B ~ Bin(u, p).
 
     d_hat of a property query's answer laws over u iid entries, in closed
     form: the likelihood ratio b(a-1)/b(a) = a q / ((u-a+1) p) is monotone,
     so each direction is one tail difference at a threshold, and the
     reflection a -> u + 1 - a maps B against B + 1 to B' + 1 against B',
-    B' ~ Bin(u, q). An array `u` gives the scalar results bit for bit.
+    B' ~ Bin(u, q). An array `u` gives the scalar results bit for bit, and
+    a 1-D epsilon grid adds a leading axis: the result is (grid,) + u's shape.
     """
-    scale = _scale(epsilon)
     u = np.asarray(u, dtype=np.float64)
+    scale = _scales(epsilon).reshape((-1,) + (1,) * u.ndim)
     if not 0.0 <= p <= 1.0 or np.any(u < 0.0):
         raise DomainError(f"need u >= 0 and p in [0, 1], got p={p!r}")
     both = np.maximum(_shift_up_delta(u, p, scale), _shift_up_delta(u, 1.0 - p, scale))
     delta = np.clip(both, 0.0, 1.0)
+    if np.ndim(epsilon) == 0:
+        delta = delta[0]
     return float(delta) if delta.ndim == 0 else delta
 
 

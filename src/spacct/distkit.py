@@ -26,11 +26,12 @@ NORMALIZATION_TOL = 1e-9
 
 
 def _check_masses(masses: list[float], negative: bool) -> None:
-    """Refuse masses with a negative entry or a compensated sum off 1."""
+    """Refuse masses with a negative entry or a compensated sum off 1 (a NaN
+    mass makes the sum NaN, which is off 1)."""
     if negative:
         raise DomainError("masses must be nonnegative")
     total = math.fsum(masses)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise DomainError(f"masses sum to {total!r}, expected 1 +- {NORMALIZATION_TOL}")
 
 
@@ -50,13 +51,11 @@ class Pmf:
         arr = np.asarray(self.masses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("masses must be a nonempty 1-D sequence")
-        _check_masses(arr.tolist(), bool(np.any(arr < 0.0)))
-        lo, hi = 0, arr.size
-        while hi - lo > 1 and arr[lo] < SUPPORT_FLOOR:
-            lo += 1
-        while hi - lo > 1 and arr[hi - 1] < SUPPORT_FLOOR:
-            hi -= 1
-        arr = arr[lo:hi].copy()
+        # checked_rows zeroes the trimmed ends; the kept ones are >= SUPPORT_FLOOR
+        row = checked_rows(arr[None, :])[0]
+        kept = np.flatnonzero(row)
+        lo, hi = int(kept[0]), int(kept[-1]) + 1
+        arr = row[lo:hi].copy()
         arr.setflags(write=False)
         object.__setattr__(self, "offset", int(self.offset) + lo)
         object.__setattr__(self, "masses", arr)
@@ -243,7 +242,7 @@ def mixture(components) -> Pmf:
     if not components:
         raise DomainError("mixture needs at least one component")
     weights = [w for w, _ in components]
-    if any(w < 0 for w in weights):
+    if not all(w >= 0 for w in weights):
         raise DomainError("weights must be nonnegative")
     wsum = math.fsum(weights)
     if abs(wsum - 1.0) > NORMALIZATION_TOL:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree, _require_fits
-from .curve import _scale, as_grid, d_hat, per_epsilon
+from .curve import _scales, d_hat, per_epsilon
 from .distkit import Pmf
 from .errors import CapacityError, DomainError, magnitude
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
@@ -320,7 +320,7 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec | Sequence[Composit
             f"{magnitude(trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
     for one in specs:
         _require_fits(scenario, one.format)
-    scales = [_scale(e) for e in as_grid(epsilon).tolist()]
+    scales = _scales(epsilon).tolist()
     estimates = []
     for hist in _mc_histograms(scenario, specs, trials, seed):
         values = np.array([_mc_estimate(hist, scale, trials) for scale in scales])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -66,19 +66,16 @@ class ExplicitEntries:
     probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = []
-        for row in self.probs:
-            if isinstance(row, (int, float)):
-                row = (float(row),)
-            rows.append(tuple(float(p) for p in row))
+        rows = [(row,) if isinstance(row, (int, float)) else tuple(row) for row in self.probs]
         if not rows:
             raise DomainError("need at least one entry")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise DomainError("entries must share the same attribute count")
-        if any(not 0.0 <= p <= 1.0 for r in rows for p in r):
+        probs = np.fromiter(chain.from_iterable(rows), np.float64, count=len(rows) * width)
+        if not ((probs >= 0.0) & (probs <= 1.0)).all():
             raise DomainError("Bernoulli parameters must lie in [0, 1]")
-        object.__setattr__(self, "probs", tuple(rows))
+        object.__setattr__(self, "probs", tuple(map(tuple, probs.reshape(-1, width).tolist())))
 
     @property
     def num_attributes(self) -> int:
@@ -115,9 +112,8 @@ class KnownEntries:
     def matrix(self, n: int, critical_index: int = 1) -> np.ndarray:
         # known entries occupy the first non-critical positions, positives first
         out = np.full((n, 1), self.p)
-        slots = [i for i in range(n) if i != critical_index - 1]
-        for pos, slot in enumerate(slots[: self.known]):
-            out[slot, 0] = 1.0 if pos < self.known_positive else 0.0
+        slots = np.flatnonzero(np.arange(n) != critical_index - 1)[: self.known]
+        out[slots, 0] = np.arange(slots.size) < self.known_positive
         return out
 
 
@@ -257,9 +253,7 @@ def spc_iid(scenario: Scenario, sample_size: int, epsilon,
         raise DomainError("use spc_known_entries when known entries are present")
     if not 1 <= sample_size <= scenario.n:
         raise DomainError(f"sample size must lie in [1, {scenario.n}]")
-    p = success_prob(scenario, query)
-    return per_epsilon(epsilon, np.array([shift_pair_delta(sample_size - 1, p, e)
-                                          for e in as_grid(epsilon).tolist()]))
+    return shift_pair_delta(sample_size - 1, success_prob(scenario, query), epsilon)
 
 
 def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -> Pmf:
@@ -294,9 +288,8 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
     weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
     # float counts: a sample of 10^20 entries overflows int64
     unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
-    return per_epsilon(epsilon, np.array([
-        min(1.0, math.fsum((weights.masses * shift_pair_delta(unknown, p, e)).tolist()))
-        for e in as_grid(epsilon).tolist()]))
+    terms = weights.masses * shift_pair_delta(unknown, p, as_grid(epsilon))
+    return per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms.T)))
 
 
 def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsilon: float,
@@ -366,14 +359,8 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
-    values = np.empty((grid.size, mode.trials))
-    for first in range(0, mode.trials, MC_CHUNK):
-        chunk = min(MC_CHUNK, mode.trials - first)
-        co_members = np.empty((chunk, picks), dtype=np.intp)
-        for row in co_members:
-            row[:] = rng.permutation(others)[start : start + picks]
-        values[:, first : first + chunk] = shift_pair_rows(
-            poisson_binomial_rows(success[co_members]), grid)
+    draws = (rng.permutation(others)[start : start + picks] for _ in range(mode.trials))
+    values = _subset_values(success, draws, mode.trials, grid)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
     means = np.array([row.mean() for row in values])
     spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])
@@ -381,15 +368,21 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
 
 
-def _subset_mean(success: np.ndarray, pool, picks: int, grid: np.ndarray) -> np.ndarray:
-    """Mean over every `picks`-subset of `pool` (indices into `success`) of
-    the divergence of {B, B + 1}, B the subset's Poisson-binomial count, per
-    grid point and capped at 1; subsets are evaluated MC_CHUNK at a time."""
-    count = math.comb(len(pool), picks)
-    subsets = combinations(pool, picks)
+def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -> np.ndarray:
+    """The divergence of {B, B + 1}, B a subset's Poisson-binomial count, for
+    each of `count` subsets (index sequences into `success`, drawn from the
+    iterable in order), as a (grid x count) array; MC_CHUNK subsets at a time."""
     values = np.empty((grid.size, count))
     for first in range(0, count, MC_CHUNK):
         chunk = np.array(list(islice(subsets, MC_CHUNK)), dtype=np.intp)
         values[:, first : first + len(chunk)] = shift_pair_rows(
             poisson_binomial_rows(success[chunk]), grid)
+    return values
+
+
+def _subset_mean(success: np.ndarray, pool, picks: int, grid: np.ndarray) -> np.ndarray:
+    """Mean over every `picks`-subset of `pool` (indices into `success`) of
+    the divergence of {B, B + 1}, per grid point and capped at 1."""
+    count = math.comb(len(pool), picks)
+    values = _subset_values(success, combinations(pool, picks), count, grid)
     return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))

@@ -73,6 +73,9 @@ class TestGaussianSigma:
             gaussian_sigma_for(0.0, 0.01, 1.0)
         with pytest.raises(DomainError):
             gaussian_sigma_for(0.5, 1.0, 1.0)
+        for args in ((math.nan, 0.01, 0.1), (0.5, math.nan, 0.1), (0.5, 0.01, math.nan)):
+            with pytest.raises(DomainError):
+                gaussian_sigma_for(*args)
 
 
 class TestKovCompose:
@@ -124,6 +127,9 @@ class TestKovCompose:
             kov_compose(0.1, 0.01, 0)
         with pytest.raises(DomainError):
             kov_compose(0.0, 0.01, 2)
+        for args in ((math.nan, 0.01, 3), (0.1, math.nan, 3)):
+            with pytest.raises(DomainError):
+                kov_compose(*args)
 
 
 class TestMaxDpQueries:

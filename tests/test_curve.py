@@ -3,30 +3,61 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spacct import (
     DomainError,
+    ExplicitEntries,
+    IidEntries,
+    KnownEntries,
+    NonadaptiveSpec,
+    PartitionLaw,
     Pmf,
+    PropertyQuery,
+    Scenario,
+    TemplateFormat,
     binomial,
+    composition_delta,
     d_hat,
     eval_curve,
+    exact_mechanism_law,
     hockey_stick,
+    mc_distinguish,
     point,
     property_query_answer_law,
     shift,
     shift_pair_delta,
+    spc_general,
+    spc_iid,
+    spc_known_entries,
+    spc_known_entries_threshold_bound,
 )
 from spacct.cli import main
 from spacct.curve import _EXP_CAP, CurvePoint, PrivacyCurve, shift_pair_rows
 from spacct.distkit import poisson_binomial_rows
 
-from rational_ref import dhat_shift_pair, total_variation
+from rational_ref import dhat_shift_pair, hockey_stick_dicts, total_variation
 
 
 def _as_dict(d):
     return dict(d.items())
+
+
+@st.composite
+def random_pmfs(draw):
+    """A Pmf on a short support at a small offset, interior zeros allowed."""
+    masses = st.sampled_from((0.0, 1e-12, 0.1, 0.3, 1.0, 7.0)) | st.floats(0.0, 1.0)
+    weights = draw(st.lists(masses, min_size=1, max_size=12))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    total = math.fsum(weights)
+    return Pmf(draw(st.integers(-3, 3)), np.array(weights) / total)
+
+
+# every grid holds 0 and a point past the e^eps cap
+epsilon_grids = st.lists(st.floats(0.0, 5.0) | st.floats(_EXP_CAP, 900.0), max_size=6).map(
+    lambda extra: np.array([0.0, *extra, _EXP_CAP + 50.0]))
 
 
 class TestHockeyStick:
@@ -148,12 +179,19 @@ class TestShiftPairDelta:
 
     def test_array_matches_scalar_calls_bit_for_bit(self):
         us = np.concatenate((np.arange(0, 300), [1023, 4095, 32767, 1 << 20]))
+        grid = (0.0, 0.1, 3.0, 800.0)
         for p in (0.02, 0.5, 0.77):
-            for eps in (0.0, 0.1, 3.0, 800.0):
+            table = shift_pair_delta(us, p, grid)
+            assert table.shape == (len(grid), us.size)
+            for e, eps in enumerate(grid):
                 values = shift_pair_delta(us, p, eps)
                 assert values.shape == us.shape
                 assert all(values[i] == shift_pair_delta(int(u), p, eps)
                            for i, u in enumerate(us))
+                assert table[e].tolist() == values.tolist()
+            # a scalar u over the grid gives the grid's values, a 2-D u one row per epsilon
+            assert shift_pair_delta(7, p, grid).tolist() == table[:, 7].tolist()
+            assert shift_pair_delta(us[:6].reshape(2, 3), p, grid).shape == (len(grid), 2, 3)
 
     def test_rejects_bad_arguments(self):
         for args in ((4, 1.5, 0.1), (4, float("nan"), 0.1), (-1, 0.5, 0.1), (4, 0.5, -0.1)):
@@ -187,10 +225,15 @@ class TestDhat:
         laws = {c: property_query_answer_law(512, 0.5, c) for c in (0, 1)}
         assert d_hat(laws, 0.005) == pytest.approx(0.0329, abs=5e-4)
 
-    def test_asymmetric_pair_takes_max(self):
-        a, b = binomial(3, 0.2), binomial(3, 0.7)
-        expected = max(hockey_stick(a, b, 0.1), hockey_stick(b, a, 0.1))
-        assert d_hat({0: a, 1: b}, 0.1) == expected
+    @given(laws=st.lists(random_pmfs(), min_size=2, max_size=4),
+           eps=st.floats(0.0, 5.0) | st.just(_EXP_CAP + 50.0))
+    @example(laws=[binomial(3, 0.2), binomial(3, 0.7)], eps=0.1)
+    @settings(max_examples=100, deadline=None)
+    def test_asymmetric_pair_takes_max(self, laws, eps):
+        # every ordered pair in one batched difference against one call per pair
+        expected = max(hockey_stick(a, b, eps)
+                       for i, a in enumerate(laws) for j, b in enumerate(laws) if i != j)
+        assert d_hat(dict(enumerate(laws)), eps) == expected
 
 
 class TestPropertyQueryAnswerLaw:
@@ -211,20 +254,15 @@ class TestPropertyQueryAnswerLaw:
             property_query_answer_law(0, 0.5, 1)
 
 
-@st.composite
-def random_pmfs(draw):
-    """A Pmf on a short support at a small offset, interior zeros allowed."""
-    masses = st.sampled_from((0.0, 1e-12, 0.1, 0.3, 1.0, 7.0)) | st.floats(0.0, 1.0)
-    weights = draw(st.lists(masses, min_size=1, max_size=12))
-    if sum(weights) == 0.0:
-        weights[0] = 1.0
-    total = math.fsum(weights)
-    return Pmf(draw(st.integers(-3, 3)), np.array(weights) / total)
+class TestAgainstDirectReference:
+    """hockey_stick against the dict-based direct sum of rational_ref, which
+    shares no code with the package's positive-part kernel."""
 
-
-# every grid holds 0 and a point past the e^eps cap
-epsilon_grids = st.lists(st.floats(0.0, 5.0) | st.floats(_EXP_CAP, 900.0), max_size=6).map(
-    lambda extra: np.array([0.0, *extra, _EXP_CAP + 50.0]))
+    @given(p=random_pmfs(), q=random_pmfs(), eps=st.floats(0.0, _EXP_CAP))
+    @settings(max_examples=200, deadline=None)
+    def test_hockey_stick_equals_reference_bit_for_bit(self, p, q, eps):
+        assert hockey_stick(p, q, eps) == min(1.0, hockey_stick_dicts(
+            dict(p.items()), dict(q.items()), eps))
 
 
 class TestEpsilonGridEvaluation:
@@ -327,10 +365,56 @@ class TestEvalCurve:
             eval_curve(laws, [0.2, 0.1])
 
 
+_IID = Scenario(10, IidEntries(0.5))
+_KNOWN = Scenario(10, KnownEntries(0.5, 3, 1))
+_EXPLICIT = Scenario(4, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.3,))), critical_index=2)
+_RESTRICTED = PartitionLaw(4, TemplateFormat((2, 2)), restriction=(2, 1))
+_SPLIT = NonadaptiveSpec(TemplateFormat((5, 5)), (PropertyQuery(), PropertyQuery()))
+_TINY = Scenario(2, IidEntries(0.5))
+_TINY_SPEC = NonadaptiveSpec(TemplateFormat((2,)), (PropertyQuery(),))
+_B4 = binomial(4, 0.5)
+
+# every library entry point that takes an epsilon; the grid-capable ones also
+# get a grid with one bad point
+EPSILON_ENTRY_POINTS = {
+    "spc_iid": (lambda e: spc_iid(_IID, 5, e), True),
+    "composition_delta": (lambda e: composition_delta(_IID, _SPLIT, e), True),
+    "hockey_stick": (lambda e: hockey_stick(shift(_B4, 1), _B4, e), True),
+    "d_hat": (lambda e: d_hat({0: _B4, 1: shift(_B4, 1)}, e), True),
+    "shift_pair_rows": (lambda e: shift_pair_rows(
+        poisson_binomial_rows(np.array([[0.5] * 4])), e), True),
+    "shift_pair_delta": (lambda e: shift_pair_delta(4, 0.5, e), True),
+    "exact_mechanism_law.delta": (lambda e: exact_mechanism_law(_TINY, _TINY_SPEC).delta(e), True),
+    "mc_distinguish": (lambda e: mc_distinguish(_TINY, _TINY_SPEC, e, 1000, 0), True),
+    "spc_known_entries": (lambda e: spc_known_entries(_KNOWN, 5, e), True),
+    "spc_known_entries_threshold_bound": (
+        lambda e: spc_known_entries_threshold_bound(_KNOWN, 5, e, 1), False),
+    "spc_general": (lambda e: spc_general(_EXPLICIT, _RESTRICTED, PropertyQuery(), e), True),
+}
+
+
+class TestEpsilonGate:
+    """A NaN or negative epsilon raises DomainError at every entry point; it
+    never reads as a delta."""
+
+    @pytest.mark.parametrize("name,bad", [
+        pytest.param(name, bad, id=f"{name}-{label}")
+        for name, (_, grid_ok) in EPSILON_ENTRY_POINTS.items()
+        for label, bad in (("nan", math.nan), ("negative", -0.5),
+                           *([("nan-in-grid", [0.1, math.nan])] if grid_ok else []))])
+    def test_invalid_epsilon_raises(self, name, bad):
+        call = EPSILON_ENTRY_POINTS[name][0]
+        call(0.1)  # the same call with a valid epsilon goes through
+        with pytest.raises(DomainError, match="epsilon must be nonnegative"):
+            call(bad)
+
+
 class TestCurveTypes:
     def test_point_validation(self):
         with pytest.raises(DomainError):
             CurvePoint(-1.0, 0.5)
+        with pytest.raises(DomainError):
+            CurvePoint(math.nan, 0.1)
         with pytest.raises(DomainError):
             CurvePoint(0.0, 1.5)
 

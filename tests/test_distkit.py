@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacct import DomainError, binomial, cdf, hypergeometric, mixture, point, poisson_binomial, shift
-from spacct.distkit import Pmf, poisson_binomial_rows
+from spacct.distkit import SUPPORT_FLOOR, Pmf, poisson_binomial_rows
 from spacct.spc import MC_CHUNK
 
 from rational_ref import binom_pmf_exact, hyper_pmf_exact
@@ -172,6 +172,8 @@ class TestMixture:
             mixture([(0.5, point(0)), (0.4, point(1))])
         with pytest.raises(DomainError):
             mixture([(-0.2, point(0)), (1.2, point(1))])
+        with pytest.raises(DomainError, match="nonnegative"):
+            mixture([(math.nan, point(0)), (1.0, point(1))])
 
     @given(
         st.lists(
@@ -284,6 +286,10 @@ class TestPmfInvariants:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             Pmf(0, np.array([0.5, 0.4]))
+        # a NaN mass makes the compensated sum NaN, which is not within the tolerance
+        for masses in ([math.nan, 1.0], [math.nan], [0.5, math.nan, 0.5]):
+            with pytest.raises(DomainError, match="sum to nan"):
+                Pmf(0, np.array(masses))
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -297,3 +303,19 @@ class TestPmfInvariants:
     def test_keeps_interior_zeros(self):
         d = Pmf(0, np.array([0.5, 0.0, 0.5]))
         assert d.masses.size == 3
+
+    @given(st.lists(st.sampled_from((0.0, 1e-320, 1e-301, 1e-300, 0.25, 1.0)), min_size=1,
+                    max_size=8).filter(lambda m: max(m) >= 0.25), st.integers(-5, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_trimming_matches_an_end_loop(self, raw, offset):
+        # reference: drop end masses below SUPPORT_FLOOR one at a time, keeping one point
+        masses = np.array(raw) / math.fsum(raw)
+        lo, hi = 0, masses.size
+        while hi - lo > 1 and masses[lo] < SUPPORT_FLOOR:
+            lo += 1
+        while hi - lo > 1 and masses[hi - 1] < SUPPORT_FLOOR:
+            hi -= 1
+        d = Pmf(offset, masses)
+        assert d.offset == offset + lo
+        assert d.masses.tolist() == masses[lo:hi].tolist()
+        assert not d.masses.flags.writeable

@@ -59,6 +59,42 @@ class TestScenario:
         sc = Scenario(3, IidEntries((0.5, 0.2)))
         assert sc.num_attributes == 2 and sc.num_values == 4
 
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_known_matrix_matches_a_slot_loop(self, n, data):
+        known = data.draw(st.integers(0, n - 1))
+        entries = KnownEntries(0.3, known, data.draw(st.integers(0, known)))
+        critical = data.draw(st.integers(1, n))
+        want = np.full((n, 1), 0.3)
+        slots = [i for i in range(n) if i != critical - 1]
+        for pos, slot in enumerate(slots[:known]):
+            want[slot, 0] = 1.0 if pos < entries.known_positive else 0.0
+        assert entries.matrix(n, critical).tolist() == want.tolist()
+
+
+class TestExplicitEntries:
+    def test_rows_are_tuples_of_floats(self):
+        for given_probs in ([0.2, 1], ((0.2,), (1,)), [np.float64(0.25), [True]],
+                            np.array([[0.2], [1.0]])):
+            probs = ExplicitEntries(given_probs).probs
+            assert isinstance(probs, tuple) and all(isinstance(r, tuple) for r in probs)
+            assert all(type(p) is float for r in probs for p in r)
+        assert ExplicitEntries([0.2, 1]).probs == ((0.2,), (1.0,))
+        assert ExplicitEntries(((0.1, 0.9), (0.0, 0.5))).probs == ((0.1, 0.9), (0.0, 0.5))
+
+    @pytest.mark.parametrize("probs,message", [
+        ((), "need at least one entry"),
+        (((),), "same attribute count"),
+        (((0.1, 0.2), (0.3,)), "same attribute count"),
+        (((0.1,), 0.2, (0.3, 0.4)), "same attribute count"),
+        (((0.1,), (1.5,)), "must lie in \\[0, 1\\]"),
+        (((0.1, -0.2),), "must lie in \\[0, 1\\]"),
+        ((0.5, math.nan), "must lie in \\[0, 1\\]"),
+    ])
+    def test_refusals_keep_their_messages(self, probs, message):
+        with pytest.raises(DomainError, match=message):
+            ExplicitEntries(probs)
+
 
 class TestSpcIid:
     def test_full_sample_equals_whole_database(self):
