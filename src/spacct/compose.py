@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betainc
 
-from .curve import as_grid, fsum_terms
+from .curve import _binomial_above, as_grid, fsum_terms
 from .distkit import cdf, poisson_binomial
 from .errors import CapacityError, DomainError, magnitude
 from .partition import TEMPLATE_CAP, PartitionLaw, TemplateFormat, template_count
@@ -230,104 +229,91 @@ def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
     return _nonadaptive(scenario, spec, epsilon, mode, "nonadaptive-general")
 
 
-def _descend(reach: list, tails) -> list:
-    """The (node, P(reach node)) pairs one tree level below `reach`, in order.
-    A branch multiplies its parent's probability by tails(query, threshold) =
-    (P(answer < threshold), P(answer >= threshold)) on the parent's block;
-    zero-probability branches are dropped, so their subtrees are never evaluated."""
-    out = []
-    for node, prob in reach:
-        below, above = tails(node.query, node.threshold)
-        out += [(child, prob * branch)
-                for child, branch in ((node.low, below), (node.high, above)) if branch > 0.0]
-    return out
+def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> CompositionReport:
+    """One walk over prefixes (disjoint blocks 1..k-1 of the non-critical
+    indices) serves every block k: a prefix adds P(reach a depth-k node)
+    times the node query's divergence on block k, given the pool of indices
+    left. The entry model supplies prefixes, branch tails and divergences.
+    """
+    if not isinstance(spec, AdaptiveSpec):
+        raise DomainError("spec must be adaptive")
+    _require_fits(scenario, spec.format)
+    sizes = spec.format.sizes
+    grid = as_grid(epsilon)
+    if scenario.is_iid:
+        # exchangeable entries: one prefix per level stands for all of them, a
+        # block is just its size u, and the divergence needs no pool
+        pool = None
+
+        def prefixes(pool, size: int, weight: float):
+            return ((size, pool, weight),)
+
+        def tails(u: int, query: PropertyQuery, threshold: int):  # P(B < t), P(B >= t)
+            p = success_prob(scenario, query)
+            return (float(_binomial_above(u, 1.0 - p, u - threshold)),
+                    float(_binomial_above(u, p, threshold - 1)))
+
+        def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:
+            return spc_iid(scenario, size, grid, query)
+    else:
+        probs = scenario.probs_matrix()
+        j = scenario.critical_index
+        for k in range(1, len(sizes) + 1):
+            count = template_count(PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), (j, k)))
+            if count > TEMPLATE_CAP:
+                raise CapacityError(
+                    f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
+        pool = tuple(i for i in range(scenario.n) if i != j - 1)
+
+        def prefixes(pool: tuple[int, ...], size: int, weight: float):
+            share = weight / math.comb(len(pool), size)
+            return ((block, tuple(i for i in pool if i not in block), share)
+                    for block in combinations(pool, size))
+
+        def tails(block: tuple[int, ...], query: PropertyQuery, threshold: int):
+            law = poisson_binomial(query.success_probs(probs[list(block)]))
+            below = cdf(law, threshold - 1)
+            return below, (1.0 - below if threshold <= law.top else 0.0)
+
+        def divergence(pool: tuple[int, ...], size: int, query: PropertyQuery) -> np.ndarray:
+            return _subset_mean(query.success_probs(probs), pool, size - 1, grid)
+
+    tails, divergence = cache(tails), cache(divergence)
+    terms = [[] for _ in sizes]
+
+    def walk(level: int, pool, reach: list, weight: float) -> None:
+        # a prefix of `level` blocks, of probability `weight`, leaves `pool` to
+        # block level + 1; `reach` holds its (node, P(reach node)) pairs in order
+        terms[level] += [weight * prob * divergence(pool, sizes[level], node.query)
+                         for node, prob in reach]
+        if level + 1 < len(sizes):
+            for block, rest, share in prefixes(pool, sizes[level], weight):
+                # tails = (P(answer < threshold), P(answer >= threshold)) on the block;
+                # a zero-probability branch's subtree is never evaluated
+                below = [(child, prob * branch) for node, prob in reach
+                         for child, branch in zip((node.low, node.high),
+                                                  tails(block, node.query, node.threshold))
+                         if branch > 0.0]
+                walk(level + 1, rest, below, share)
+
+    walk(0, pool, [(spec.tree, 1.0)], 1.0)
+    return _report(epsilon, [BlockTerm(block=k, weight=size / scenario.n, delta=fsum_terms(t))
+                             for k, (size, t) in enumerate(zip(sizes, terms), start=1)], label)
 
 
 def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
-    """Adaptive bound for iid entries.
-
-    Block k contributes (n_k / n) times the expectation, over the tree's
-    depth-k nodes, of the divergence of the node's query. Every block's
-    answers are Bin(n_l, p) wherever the critical index lands, so the branch
-    probabilities are binomial tails.
-    """
+    """Adaptive bound for iid entries: block answers are binomial wherever
+    the critical index lands, so one prefix per level stands for all."""
     if not scenario.is_iid:
         raise DomainError("adaptive_iid requires an iid scenario")
-    if not isinstance(spec, AdaptiveSpec):
-        raise DomainError("spec must be adaptive")
-    _require_fits(scenario, spec.format)
-    sizes = spec.format.sizes
-    grid = as_grid(epsilon)
-
-    @cache
-    def divergence(size: int, query: PropertyQuery) -> np.ndarray:
-        return spc_iid(scenario, size, grid, query)
-
-    def tails(u: int, query: PropertyQuery, threshold: int) -> tuple[float, float]:
-        # P(B < t) and P(B >= t) = I_p(t, u - t + 1) for B ~ Bin(u, p), as in shift_pair_delta
-        p = success_prob(scenario, query)
-        if threshold <= 0:
-            return 0.0, 1.0
-        if threshold > u:
-            return 1.0, 0.0
-        return (float(betainc(u - threshold + 1, threshold, 1.0 - p)),
-                float(betainc(threshold, u - threshold + 1, p)))
-
-    reach, terms = [(spec.tree, 1.0)], []
-    for k, size in enumerate(sizes, start=1):
-        if k > 1:
-            reach = _descend(reach, partial(tails, sizes[k - 2]))
-        terms.append(BlockTerm(block=k, weight=size / scenario.n, delta=fsum_terms(
-            [prob * divergence(size, node.query) for node, prob in reach])))
-    return _report(epsilon, terms, "adaptive-iid")
+    return _adaptive(scenario, spec, epsilon, "adaptive-iid")
 
 
 def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
-    """Adaptive bound for arbitrary entry models, by full enumeration.
-
-    Block k's term averages over prefixes (disjoint blocks 1..k-1 of the
-    non-critical indices) P(reach a depth-k node) times the node query's
-    mean divergence over block k's co-member subsets of the indices left,
-    so one walk over prefixes serves every k. The template count of blocks
-    1..k is capped for every k before any work. Tiny instances only.
-    """
-    if not isinstance(spec, AdaptiveSpec):
-        raise DomainError("spec must be adaptive")
-    _require_fits(scenario, spec.format)
-    probs = scenario.probs_matrix()
-    sizes = spec.format.sizes
-    grid = as_grid(epsilon)
-    j = scenario.critical_index
-    for k in range(1, len(sizes) + 1):
-        count = template_count(PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), (j, k)))
-        if count > TEMPLATE_CAP:
-            raise CapacityError(f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
-
-    @cache
-    def tails(block: tuple[int, ...], query: PropertyQuery, threshold: int) -> tuple[float, float]:
-        law = poisson_binomial(query.success_probs(probs[list(block)]))
-        below = cdf(law, threshold - 1)
-        return below, (1.0 - below if threshold <= law.top else 0.0)
-
-    @cache
-    def mean(pool: tuple[int, ...], level: int, query: PropertyQuery) -> np.ndarray:
-        return _subset_mean(query.success_probs(probs), pool, sizes[level] - 1, grid)
-
-    terms = [[] for _ in sizes]
-
-    def walk(level: int, pool: tuple[int, ...], reach: list, weight: float) -> None:
-        # a prefix of `level` blocks, of probability `weight`, leaves `pool` to block level + 1
-        terms[level] += [weight * prob * mean(pool, level, node.query) for node, prob in reach]
-        if level + 1 < len(sizes):
-            share = weight / math.comb(len(pool), sizes[level])
-            for block in combinations(pool, sizes[level]):
-                walk(level + 1, tuple(i for i in pool if i not in block),
-                     _descend(reach, partial(tails, block)), share)
-
-    walk(0, tuple(i for i in range(scenario.n) if i != j - 1), [(spec.tree, 1.0)], 1.0)
-    return _report(epsilon, [BlockTerm(block=k, weight=size / scenario.n, delta=fsum_terms(t))
-                             for k, (size, t) in enumerate(zip(sizes, terms), start=1)],
-                   "adaptive-general")
+    """Adaptive bound for any entry model. iid entries take one prefix per
+    level, as in adaptive_iid; others enumerate every prefix, with the
+    template count of blocks 1..k capped for every k before any work."""
+    return _adaptive(scenario, spec, epsilon, "adaptive-general")
 
 
 def composition_delta(scenario: Scenario, spec: CompositionSpec, epsilon,

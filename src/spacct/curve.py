@@ -158,20 +158,24 @@ def shift_pair_rows(masses: np.ndarray, epsilon) -> np.ndarray:
     return _positive_sums(diff).max(axis=1)
 
 
+def _binomial_above(u, p: float, k):
+    """P(B > k) for B ~ Bin(u, p): I_p(k + 1, u - k) for 0 <= k < u, 1 below
+    that range and 0 above it. `u` and `k` broadcast against each other."""
+    inside = (k >= 0.0) & (k < u)
+    tails = betainc(np.where(inside, k + 1.0, 1.0), np.where(inside, u - k, 1.0), p)
+    return np.where(inside, tails, np.where(k < 0.0, 1.0, 0.0))
+
+
 def _shift_up_delta(u: np.ndarray, p: float, scale: np.ndarray) -> np.ndarray:
     """Hockey-stick divergence of B + 1 against B, B ~ Bin(u, p).
 
     The optimal set is {a >= t}, t = floor((u+1) p / (p + q e^-eps)) + 1 (the
     ratio test divided through by e^eps, so nothing overflows), and
     delta(t) = P(B > t-2) - e^eps P(B > t-1) is taken at t and both
-    neighbours, with P(B > k) = I_p(k + 1, u - k) for 0 <= k < u. `scale`
-    broadcasts against `u`.
+    neighbours. `scale` broadcasts against `u`.
     """
     t = np.floor((u + 1.0) * p / (p + (1.0 - p) / scale)) + 1.0
-    k, u = t[..., None] + np.arange(-3.0, 1.0), u[..., None]
-    inside = (k >= 0.0) & (k < u)
-    tails = betainc(np.where(inside, k + 1.0, 1.0), np.where(inside, u - k, 1.0), p)
-    above = np.where(inside, tails, np.where(k < 0.0, 1.0, 0.0))
+    above = _binomial_above(u[..., None], p, t[..., None] + np.arange(-3.0, 1.0))
     return np.max(above[..., :-1] - scale[..., None] * above[..., 1:], axis=-1)
 
 

@@ -34,6 +34,12 @@ MC_TRIALS_CAP = 10**6
 MC_CHUNK = 256
 
 
+def _row(value) -> tuple:
+    """One entry's Bernoulli parameters as a tuple. A number, a numpy scalar
+    or a 0-d array is a row of one attribute."""
+    return tuple(value) if hasattr(value, "__iter__") and getattr(value, "ndim", 1) else (value,)
+
+
 @dataclass(frozen=True)
 class IidEntries:
     """All entries share one Bernoulli parameter per attribute."""
@@ -41,10 +47,10 @@ class IidEntries:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = self.probs
-        if isinstance(probs, (int, float)):
-            probs = (float(probs),)
-        probs = tuple(float(p) for p in probs)
+        try:
+            probs = tuple(float(p) for p in _row(self.probs))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"Bernoulli parameters must be numbers: {exc}") from exc
         if not probs:
             raise DomainError("need at least one attribute")
         if any(not 0.0 <= p <= 1.0 for p in probs):
@@ -66,13 +72,16 @@ class ExplicitEntries:
     probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = [(row,) if isinstance(row, (int, float)) else tuple(row) for row in self.probs]
+        rows = [_row(row) for row in self.probs]
         if not rows:
             raise DomainError("need at least one entry")
         width = len(rows[0])
         if width == 0 or any(len(r) != width for r in rows):
             raise DomainError("entries must share the same attribute count")
-        probs = np.fromiter(chain.from_iterable(rows), np.float64, count=len(rows) * width)
+        try:
+            probs = np.fromiter(chain.from_iterable(rows), np.float64, count=len(rows) * width)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"Bernoulli parameters must be numbers: {exc}") from exc
         if not ((probs >= 0.0) & (probs <= 1.0)).all():
             raise DomainError("Bernoulli parameters must lie in [0, 1]")
         object.__setattr__(self, "probs", tuple(map(tuple, probs.reshape(-1, width).tolist())))
@@ -149,7 +158,9 @@ class Scenario:
 
     @property
     def is_iid(self) -> bool:
-        return isinstance(self.entries, IidEntries)
+        """iid entries, or known entries none of which are known."""
+        return isinstance(self.entries, IidEntries) or (
+            isinstance(self.entries, KnownEntries) and self.entries.known == 0)
 
     def probs_matrix(self) -> np.ndarray:
         """(n, T) Bernoulli parameters; known entries appear as 0/1 rows."""
@@ -247,10 +258,8 @@ def spc_iid(scenario: Scenario, sample_size: int, epsilon,
     divergence at database size `sample_size`. A 1-D epsilon grid gives an
     array; a scalar gives a float.
     """
-    if not isinstance(scenario.entries, (IidEntries, KnownEntries)):
-        raise DomainError("spc_iid requires an iid entry model")
-    if isinstance(scenario.entries, KnownEntries) and scenario.entries.known > 0:
-        raise DomainError("use spc_known_entries when known entries are present")
+    if not scenario.is_iid:
+        raise DomainError("spc_iid requires iid entries; known entries take spc_known_entries")
     if not 1 <= sample_size <= scenario.n:
         raise DomainError(f"sample size must lie in [1, {scenario.n}]")
     return shift_pair_delta(sample_size - 1, success_prob(scenario, query), epsilon)
@@ -292,25 +301,24 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
     return per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms.T)))
 
 
-def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsilon: float,
-                                      phi: int, *,
-                                      population_excludes_critical: bool = False) -> float:
+def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsilon, phi: int,
+                                      *, population_excludes_critical: bool = False):
     """Upper bound on spc_known_entries from a single divergence evaluation.
 
     Replaces the mixture terms above a threshold phi by 1 and those below by
     the value at phi (the terms are nondecreasing in z), giving
-    (1 - cdf(phi)) + cdf(phi) * delta(phi).
+    (1 - cdf(phi)) + cdf(phi) * delta(phi). A 1-D epsilon grid gives an
+    array; a scalar gives a float.
     """
     if not isinstance(scenario.entries, KnownEntries):
         raise DomainError("threshold bound requires a known-entries model")
     if not 0 <= phi < sample_size - 1:
         raise DomainError(f"phi must lie in [0, {sample_size - 2}]")
-    p = scenario.entries.p
     weights = _known_weights(scenario.n, scenario.entries.known, sample_size,
                              population_excludes_critical)
     head = distkit.cdf(weights, phi)
-    delta_phi = shift_pair_delta(sample_size - 1 - phi, p, epsilon)
-    return min(1.0, (1.0 - head) + head * delta_phi)
+    delta_phi = shift_pair_delta(sample_size - 1 - phi, scenario.entries.p, as_grid(epsilon))
+    return per_epsilon(epsilon, np.minimum(1.0, (1.0 - head) + head * delta_phi))
 
 
 def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,

@@ -5,9 +5,10 @@ possible, raw enumeration elsewhere, and no reuse of the package's
 convolution or log-space machinery. Former evaluation paths are kept at
 the end as references for the paths that replaced them: the oracle's
 masked answer counts with tree nodes as row groups and its one rank column
-per template (bit for bit against its batched run simulator), and adaptive
+per template (bit for bit against its batched run simulator), adaptive
 composition's per-template tree walk, which uses the package's own laws
-and divergences so that only the order of summation differs.
+and divergences so that only the order of summation differs, and the
+adaptive iid level loop (bit for bit against the prefix walk).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+from scipy.special import betainc
 
 from spacct.curve import as_grid, fsum_terms, shift_pair_rows
 from spacct.distkit import cdf, poisson_binomial, poisson_binomial_rows
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
+from spacct.spc import spc_iid, success_prob
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -281,4 +284,34 @@ def per_template_adaptive_general(scenario, spec, epsilon) -> list[np.ndarray]:
     for k in range(1, len(sizes) + 1):
         law = PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), restriction=(j, k))
         deltas.append(fsum_terms([w * tree_sum(t, k) for t, w in enumerate_templates(law)]))
+    return deltas
+
+
+def level_loop_adaptive_iid(scenario, spec, epsilon) -> list[np.ndarray]:
+    """Block k's adaptive iid delta for each k, one tree level per block: the
+    depth-k nodes with their reach probabilities, each branch probability a
+    binomial tail straight from betainc (P(B < t) = I_q(u - t + 1, t) and
+    P(B >= t) = I_p(t, u - t + 1) for B ~ Bin(u, p), q = 1 - p, u the earlier
+    block's size), and each node's divergence spc_iid at size n_k. `spec` is
+    an AdaptiveSpec."""
+    sizes = spec.format.sizes
+    grid = as_grid(epsilon)
+    reach, deltas = [(spec.tree, 1.0)], []
+    for k, size in enumerate(sizes):
+        if k:
+            u, below = sizes[k - 1], []
+            for node, prob in reach:
+                p, t = success_prob(scenario, node.query), node.threshold
+                if t <= 0:
+                    tails = (0.0, 1.0)
+                elif t > u:
+                    tails = (1.0, 0.0)
+                else:
+                    tails = (float(betainc(u - t + 1, t, 1.0 - p)),
+                             float(betainc(t, u - t + 1, p)))
+                below += [(child, prob * branch)
+                          for child, branch in zip((node.low, node.high), tails) if branch > 0.0]
+            reach = below
+        deltas.append(fsum_terms([prob * spc_iid(scenario, size, grid, node.query)
+                                  for node, prob in reach]))
     return deltas

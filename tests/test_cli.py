@@ -284,6 +284,33 @@ class TestComposeCommand:
         assert [len(r["per_block"]) for r in reports] == [len(sizes)] * 3
         assert all(0.0 < r["total_delta"] <= 1.0 for r in reports)
 
+    def test_known_entries_with_none_known_are_iid(self, capsys, tmp_path):
+        # known = 0 takes the iid walk, not an enumeration of about 10^140 templates
+        doc = self.scenario_doc()
+        doc.update(n=4096, format=[64, 64], epsilons=[0.1, 0.5, 1.0],
+                   queries={"mode": "adaptive", "tree": {
+                       "query": {"attribute": 0}, "next": {
+                           "threshold": 2, "low": {"query": {"attribute": 0, "negate": True}},
+                           "high": {"query": {"attribute": 0}}}}})
+        totals = []
+        for model in ({"kind": "iid", "p": 0.5}, {"kind": "known", "p": 0.5, "known": 0}):
+            path = tmp_path / f"{model['kind']}.json"
+            path.write_text(json.dumps({**doc, "entry_model": model}))
+            code, out, _ = run(capsys, "compose", "--scenario", str(path))
+            assert code == 0
+            reports = json.loads(out)["reports"]
+            assert {r["mode"] for r in reports} == {"adaptive-iid"}
+            totals.append([r["total_delta"] for r in reports])
+        assert totals[0] == totals[1]
+        # Monte-Carlo mode gives the exact value, as it does for iid entries
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({**self.scenario_doc(), "mode": {"monte_carlo": {"trials": 50}},
+                                    "entry_model": {"kind": "known", "p": 0.5, "known": 0}}))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        (report,) = json.loads(out)["reports"]
+        assert code == 0 and report["mode"] == "nonadaptive-iid"
+        assert report["total_delta"] == spc_iid(Scenario(6, IidEntries((0.5,))), 3, 0.1)
+
     def test_sixteen_entries_four_blocks_enumerate(self, capsys, tmp_path):
         # 455 co-member subsets per block; whole templates would exceed the cap
         doc = self.scenario_doc()

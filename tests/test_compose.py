@@ -38,6 +38,7 @@ from rational_ref import (
     adaptive_iid_prefix_sum,
     adaptive_theorem_sum,
     dhat_shift_pair,
+    level_loop_adaptive_iid,
     nonadaptive_theorem_sum,
     per_template_adaptive_general,
     tree_choice,
@@ -474,6 +475,45 @@ class TestTreeWalkAgainstPrefixWalks:
         mine = adaptive_iid(sc, AdaptiveSpec(TemplateFormat(sizes), tree), eps).raw_delta
         ref = adaptive_iid_prefix_sum(n, (p0, p1), sizes, tree_choice(tree), eps)
         assert abs(mine - ref) <= 1e-12
+
+
+# the README's two-block tree: zeros counted after fewer than 2 ones, else ones
+README_TREE = ThresholdTree(PropertyQuery(), 2, low=ThresholdTree(PropertyQuery(negate=True)),
+                            high=ThresholdTree(PropertyQuery()))
+
+
+class TestExchangeableWalk:
+    """iid entries take one prefix per level through the prefix walk."""
+
+    @given(st.lists(st.integers(1, 1024), min_size=1, max_size=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_level_loop_bit_for_bit(self, sizes, data):
+        sizes = tuple(sizes)
+        n = sum(sizes) + data.draw(st.integers(0, 4096 - sum(sizes)))
+        sc = Scenario(n, IidEntries((data.draw(PROBS), data.draw(PROBS))))
+        spec = AdaptiveSpec(TemplateFormat(sizes), data.draw(threshold_trees(sizes)))
+        eps = sorted(data.draw(st.sets(EPSILONS, min_size=1)))
+        report = adaptive_iid(sc, spec, eps)
+        want = level_loop_adaptive_iid(sc, spec, eps)
+        assert [t.delta.tolist() for t in report.per_block] == [d.tolist() for d in want]
+
+    def test_general_takes_the_exchangeable_walk_on_iid_entries(self):
+        sc = Scenario(4096, IidEntries((0.5,)))
+        spec = AdaptiveSpec(TemplateFormat((64, 64)), README_TREE)
+        eps = [0.1, 0.5, 1.0]
+        general, iid = adaptive_general(sc, spec, eps), adaptive_iid(sc, spec, eps)
+        assert general.mode == "adaptive-general"
+        assert [t.delta.tolist() for t in general.per_block] == [
+            t.delta.tolist() for t in iid.per_block]
+
+    def test_known_entries_with_none_known_are_iid(self):
+        spec = AdaptiveSpec(TemplateFormat((64, 64)), README_TREE)
+        known = Scenario(4096, KnownEntries(0.3, 0), critical_index=7)
+        iid = adaptive_iid(Scenario(4096, IidEntries((0.3,))), spec, 0.2)
+        assert known.is_iid and not Scenario(4096, KnownEntries(0.3, 1)).is_iid
+        for report in (adaptive_iid(known, spec, 0.2), composition_delta(known, spec, 0.2)):
+            assert report.mode == "adaptive-iid"
+            assert [t.delta for t in report.per_block] == [t.delta for t in iid.per_block]
 
 
 class TestPrefixWalkAgainstTemplateLoop:

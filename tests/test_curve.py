@@ -388,7 +388,7 @@ EPSILON_ENTRY_POINTS = {
     "mc_distinguish": (lambda e: mc_distinguish(_TINY, _TINY_SPEC, e, 1000, 0), True),
     "spc_known_entries": (lambda e: spc_known_entries(_KNOWN, 5, e), True),
     "spc_known_entries_threshold_bound": (
-        lambda e: spc_known_entries_threshold_bound(_KNOWN, 5, e, 1), False),
+        lambda e: spc_known_entries_threshold_bound(_KNOWN, 5, e, 1), True),
     "spc_general": (lambda e: spc_general(_EXPLICIT, _RESTRICTED, PropertyQuery(), e), True),
 }
 

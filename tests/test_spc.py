@@ -55,6 +55,15 @@ class TestScenario:
         assert sorted(col[[0, 2, 3]]) == [0.0, 1.0, 1.0]
         assert col[4] == 0.5
 
+    def test_iid_probs_are_a_row_of_floats(self):
+        for given_probs, want in ((0.5, (0.5,)), (np.float32(0.5), (0.5,)), (np.int64(1), (1.0,)),
+                                  (np.array(0.25), (0.25,)), (np.array([0.2, 1.0]), (0.2, 1.0))):
+            probs = IidEntries(given_probs).probs
+            assert probs == want and all(type(p) is float for p in probs)
+        for bad in ("a", ["a"], None):
+            with pytest.raises(DomainError, match="must be numbers"):
+                IidEntries(bad)
+
     def test_value_encoding(self):
         sc = Scenario(3, IidEntries((0.5, 0.2)))
         assert sc.num_attributes == 2 and sc.num_values == 4
@@ -75,7 +84,8 @@ class TestScenario:
 class TestExplicitEntries:
     def test_rows_are_tuples_of_floats(self):
         for given_probs in ([0.2, 1], ((0.2,), (1,)), [np.float64(0.25), [True]],
-                            np.array([[0.2], [1.0]])):
+                            np.array([[0.2], [1.0]]), [np.float32(0.5), 0.5],
+                            [np.int64(1), np.array(0.25)], np.array([0.2, 1.0])):
             probs = ExplicitEntries(given_probs).probs
             assert isinstance(probs, tuple) and all(isinstance(r, tuple) for r in probs)
             assert all(type(p) is float for r in probs for p in r)
@@ -90,6 +100,8 @@ class TestExplicitEntries:
         (((0.1,), (1.5,)), "must lie in \\[0, 1\\]"),
         (((0.1, -0.2),), "must lie in \\[0, 1\\]"),
         ((0.5, math.nan), "must lie in \\[0, 1\\]"),
+        ([["a"], [0.5]], "must be numbers"),
+        (("a", 0.5), "must be numbers"),
     ])
     def test_refusals_keep_their_messages(self, probs, message):
         with pytest.raises(DomainError, match=message):
@@ -209,6 +221,18 @@ class TestSpcKnownEntries:
         assert a != b
         assert abs(a - b) < 0.05
 
+    @given(st.integers(2, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_default_population_is_never_above_the_adjusted_one(self, n, data):
+        # hypergeometric(n, v, s-1) draws stochastically fewer known entries
+        # than the exact law at n - 1, and the mixture terms rise with that count
+        v, s = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, n))
+        sc = Scenario(n, KnownEntries(data.draw(st.floats(0.0, 1.0)), v))
+        grid = sorted(data.draw(st.sets(st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]), min_size=1)))
+        default = spc_known_entries(sc, s, grid)
+        adjusted = spc_known_entries(sc, s, grid, population_excludes_critical=True)
+        assert (adjusted >= default - 1e-12).all()
+
 
 class TestThresholdBound:
     def test_dominates_exact_for_all_phi(self):
@@ -229,6 +253,15 @@ class TestThresholdBound:
         sc = Scenario(10, KnownEntries(0.3, known=0))
         exact = spc_known_entries(sc, 5, 0.2)
         assert spc_known_entries_threshold_bound(sc, 5, 0.2, 0) == pytest.approx(exact, abs=1e-12)
+
+    def test_grid_equals_scalar_calls(self):
+        grid = np.array([0.0, 0.1, 0.2, 1.5, 800.0])
+        for adjusted in (False, True):
+            sc = Scenario(10, KnownEntries(0.5, 3, 1))
+            got = spc_known_entries_threshold_bound(sc, 6, grid, 2,
+                                                    population_excludes_critical=adjusted)
+            assert got.tolist() == [spc_known_entries_threshold_bound(
+                sc, 6, eps, 2, population_excludes_critical=adjusted) for eps in grid.tolist()]
 
     def test_rejects_phi_out_of_range(self):
         sc = Scenario(10, KnownEntries(0.3, known=2))
