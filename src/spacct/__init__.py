@@ -4,7 +4,6 @@ from .baseline import (
     AccuracyFigure,
     DpCalibration,
     gaussian_sigma_for,
-    kov_compose,
     max_dp_queries,
     mse_increase,
 )
@@ -22,15 +21,12 @@ from .compose import (
     nonadaptive_iid,
 )
 from .curve import (
-    CurvePoint,
-    PrivacyCurve,
     d_hat,
-    eval_curve,
     hockey_stick,
     property_query_answer_law,
     shift_pair_delta,
 )
-from .distkit import Pmf, binomial, cdf, hypergeometric, mixture, point, poisson_binomial, shift
+from .distkit import Pmf, binomial, cdf, hypergeometric, point, poisson_binomial, shift
 from .errors import CapacityError, DomainError
 from .oracle import (
     ExactMechanismLaw,

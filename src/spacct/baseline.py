@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .curve import CurvePoint, PrivacyCurve
 from .errors import CapacityError, DomainError
 
 # Hard ceiling for the query-count search: max_dp_queries raises
@@ -144,29 +143,6 @@ def _kov_total(dhat: float, delta0: float, k: int) -> float:
     return min(1.0, -math.expm1(log_keep + math.log1p(-dhat)))
 
 
-def _kov_total_delta(epsilon0: float, delta0: float, k: int, i: int) -> float:
-    return _kov_total(_kov_dhat(epsilon0, k, i), delta0, k)
-
-
-def kov_compose(epsilon0: float, delta0: float, k: int) -> PrivacyCurve:
-    """Optimal homogeneous k-fold composition curve for (eps0, delta0)-DP.
-
-    Returns the floor(k/2) + 1 achievable points ((k - 2i) eps0, delta_i),
-    listed by increasing epsilon. O(k^2) overall; intended for moderate k.
-    """
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    if not epsilon0 > 0.0:
-        raise DomainError("epsilon0 must be positive")
-    if not 0.0 <= delta0 < 1.0:
-        raise DomainError("delta0 must lie in [0, 1)")
-    points = []
-    for i in range(k // 2, -1, -1):
-        eps = (k - 2 * i) * epsilon0
-        points.append(CurvePoint(eps, _kov_total_delta(epsilon0, delta0, k, i)))
-    return PrivacyCurve(tuple(points))
-
-
 def _kov_achieves(epsilon0: float, delta0: float, k: int,
                   target_epsilon: float, target_delta: float) -> bool:
     """Whether some composition curve point has eps <= target and delta <= target.
@@ -230,8 +206,8 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
         math.log10(target_delta * 0.999),
         DELTA0_GRID_POINTS,
     )
-    eps0 = {d0: sensitivity * math.sqrt(2.0 * _log_125_over(d0)) / sigma_target
-            for d0 in grid.tolist()}
+    # sigma = sens * c(d0) / eps0 solved for eps0: the same formula, sigma in eps0's place
+    eps0 = {d0: gaussian_sigma_for(sigma_target, d0, sensitivity) for d0 in grid.tolist()}
 
     @functools.cache
     def feasible(k: int) -> float | None:

@@ -142,6 +142,13 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _domination(exact: float, bound: float) -> dict:
+    """A bound checked against the exact delta, as the JSON record's fields."""
+    margin = bound - exact
+    return {"exact_delta": exact, "bound_delta": bound, "margin": margin,
+            "dominated": margin >= -DOMINATION_TOL}
+
+
 def cmd_compose(args) -> int:
     config = load_scenario(args.scenario)
     grid_report = composition_delta(config.scenario, config.spec, config.epsilons, config.mode)
@@ -150,15 +157,9 @@ def cmd_compose(args) -> int:
     failed = False
     if args.verify:
         exacts = exact_mechanism_law(config.scenario, config.spec).delta(config.epsilons)
-        checks = []
-        for report, exact in zip(reports, exacts.tolist()):
-            margin = report["total_delta"] - exact
-            checks.append({
-                "epsilon": report["epsilon"], "exact_delta": exact,
-                "bound_delta": report["total_delta"], "margin": margin,
-                "dominated": margin >= -DOMINATION_TOL,
-            })
-            failed = failed or margin < -DOMINATION_TOL
+        checks = [{"epsilon": report["epsilon"], **_domination(exact, report["total_delta"])}
+                  for report, exact in zip(reports, exacts.tolist())]
+        failed = not all(check["dominated"] for check in checks)
         payload["verify"] = checks
     _emit_json(payload, args.out)
     return 1 if failed else 0
@@ -183,13 +184,9 @@ def cmd_verify(args) -> int:
         bounds = composition_delta(instance.scenario, instance.spec, MATRIX_EPSILONS).total_delta
         for i, eps in enumerate(MATRIX_EPSILONS):
             exact, bound = float(exacts[i]), float(bounds[i])
-            margin = bound - exact
-            ok = margin >= -DOMINATION_TOL
+            record = {"instance": instance.name, "epsilon": eps, **_domination(exact, bound)}
+            ok = record["dominated"]
             failed = failed or not ok
-            record = {
-                "instance": instance.name, "epsilon": eps, "exact_delta": exact,
-                "bound_delta": bound, "margin": margin, "dominated": ok,
-            }
             if args.trials:
                 mc = estimates[index]
                 estimate, half_width = float(mc.estimate[i]), float(mc.half_width[i])
@@ -201,7 +198,7 @@ def cmd_verify(args) -> int:
                 failed = failed or not consistent
             records.append(record)
             line = (f"{instance.name} eps={eps}: exact={exact:.6f} "
-                    f"bound={bound:.6f} margin={margin:.2e} "
+                    f"bound={bound:.6f} margin={record['margin']:.2e} "
                     f"{'ok' if ok else 'VIOLATED'}")
             if args.trials:
                 line += (f" mc={record['mc_estimate']:.6f}"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curve import _binomial_above, as_grid, fsum_terms
 from .distkit import cdf, poisson_binomial
-from .errors import CapacityError, DomainError, magnitude
+from .errors import CapacityError, DomainError, is_int, magnitude
 from .partition import TEMPLATE_CAP, PartitionLaw, TemplateFormat, template_count
 from .spc import (
     Enumerate,
@@ -80,7 +80,7 @@ class AdaptiveSpec:
                         f"tree path of length {depth} shorter than the {m}-block format")
             elif depth == m:
                 raise DomainError(f"tree deeper than the {m}-block format")
-            elif not isinstance(node.threshold, int):
+            elif not is_int(node.threshold):
                 raise DomainError(f"tree thresholds must be integers, got {node.threshold!r}")
             else:
                 check(node.low, depth + 1)

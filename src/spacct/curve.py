@@ -9,62 +9,12 @@ the critical entry) is the quantity the accountant reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
 from .distkit import Pmf, binomial, checked_rows, shift
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    epsilon: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not self.epsilon >= 0.0:
-            raise DomainError("epsilon must be nonnegative")
-        if not 0.0 <= self.delta <= 1.0:
-            raise DomainError(f"delta={self.delta!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class PrivacyCurve:
-    """Sampled (epsilon, delta) pairs with strictly increasing epsilon.
-
-    delta is nonincreasing along the curve; at epsilon = 0 it equals the
-    total-variation distance of the underlying pair of laws.
-    """
-
-    points: tuple[CurvePoint, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if not pts:
-            raise DomainError("a privacy curve needs at least one point")
-        for a, b in zip(pts, pts[1:]):
-            if b.epsilon <= a.epsilon:
-                raise DomainError("epsilons must be strictly increasing")
-            if b.delta > a.delta + 1e-12:
-                raise DomainError("delta must be nonincreasing along the curve")
-
-    def epsilons(self) -> list[float]:
-        return [p.epsilon for p in self.points]
-
-    def deltas(self) -> list[float]:
-        return [p.delta for p in self.points]
-
-    def delta_at(self, epsilon: float) -> float:
-        """Smallest recorded delta among points with epsilon <= the query."""
-        best = 1.0
-        for p in self.points:
-            if p.epsilon <= epsilon:
-                best = min(best, p.delta)
-        return best
-
 
 # e^eps saturates here; beyond it any mass above the support floor already
 # annihilates its counterpart, so results are unchanged and exp cannot overflow
@@ -227,10 +177,3 @@ def epsilon_grid(epsilons) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise DomainError("epsilon grid must be strictly increasing")
     return eps
-
-
-def eval_curve(p_by_value: dict, epsilons) -> PrivacyCurve:
-    """Evaluate d_hat on a strictly increasing epsilon grid."""
-    eps = epsilon_grid(epsilons)
-    deltas = d_hat(p_by_value, eps).tolist()
-    return PrivacyCurve(tuple(CurvePoint(e, d) for e, d in zip(eps, deltas)))

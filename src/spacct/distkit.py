@@ -73,15 +73,6 @@ class Pmf:
     def total(self) -> float:
         return math.fsum(self.masses.tolist())
 
-    def mean(self) -> float:
-        pts = np.arange(self.offset, self.top + 1, dtype=np.float64)
-        return math.fsum((pts * self.masses).tolist())
-
-    def variance(self) -> float:
-        mu = self.mean()
-        pts = np.arange(self.offset, self.top + 1, dtype=np.float64) - mu
-        return math.fsum((pts * pts * self.masses).tolist())
-
     def items(self):
         """Iterate (support point, mass) pairs."""
         for i, m in enumerate(self.masses):
@@ -234,22 +225,3 @@ def shift(d: Pmf, k: int) -> Pmf:
     object.__setattr__(out, "offset", d.offset + int(k))
     object.__setattr__(out, "masses", d.masses)
     return out
-
-
-def mixture(components) -> Pmf:
-    """Pointwise weighted sum of (weight, Pmf) components over the union support."""
-    components = list(components)
-    if not components:
-        raise DomainError("mixture needs at least one component")
-    weights = [w for w, _ in components]
-    if not all(w >= 0 for w in weights):
-        raise DomainError("weights must be nonnegative")
-    wsum = math.fsum(weights)
-    if abs(wsum - 1.0) > NORMALIZATION_TOL:
-        raise DomainError(f"weights sum to {wsum!r}, expected 1 +- {NORMALIZATION_TOL}")
-    lo = min(d.offset for _, d in components)
-    hi = max(d.top for _, d in components)
-    out = np.zeros(hi - lo + 1)
-    for w, d in components:
-        out[d.offset - lo : d.offset - lo + d.masses.size] += w * d.masses
-    return Pmf(lo, out)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree
 from .curve import epsilon_grid
-from .errors import DomainError
+from .errors import DomainError, is_int
 from .partition import TemplateFormat
 from .spc import (
     Enumerate,
@@ -48,7 +48,7 @@ def _fail(msg: str) -> None:
 
 def _int(value, what: str) -> int:
     """A JSON integer; floats, strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         _fail(f"{what} must be an integer, got {value!r}")
     return value
 

@@ -16,10 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import distkit
 from .curve import as_grid, fsum_terms, per_epsilon, shift_pair_delta, shift_pair_rows
-from .distkit import Pmf, hypergeometric, poisson_binomial, poisson_binomial_rows, shift
-from .errors import CapacityError, DomainError, magnitude
+from .distkit import Pmf, cdf, hypergeometric, poisson_binomial_rows
+from .errors import CapacityError, DomainError, is_int, magnitude
 from .partition import TEMPLATE_CAP, PartitionLaw
 
 # Known-entry mixtures refuse hypergeometric supports with more points than this.
@@ -181,8 +180,11 @@ class PropertyQuery:
     negate: bool = False
 
     def __post_init__(self) -> None:
-        if self.attribute < 0:
-            raise DomainError("attribute index must be nonnegative")
+        if not is_int(self.attribute) or self.attribute < 0:
+            raise DomainError(f"attribute index must be a nonnegative integer, "
+                              f"got {self.attribute!r}")
+        if not isinstance(self.negate, (bool, np.bool_)):
+            raise DomainError(f"negate must be a bool, got {self.negate!r}")
 
     def require_attribute(self, num_attributes: int) -> None:
         """Refuse an attribute index the entries do not have."""
@@ -194,14 +196,6 @@ class PropertyQuery:
         self.require_attribute(rows.shape[1])
         col = rows[:, self.attribute]
         return 1.0 - col if self.negate else col
-
-    def indicator_laws(self, rows: np.ndarray) -> dict[int, Pmf]:
-        """The two conditional answer laws a block can have, keyed by the
-        predicate's value on the critical entry. Critical values with equal
-        indicator yield identical laws, so the two-sided divergence over the
-        full value space reduces to these."""
-        base = poisson_binomial(self.success_probs(rows)) if rows.shape[0] else distkit.point(0)
-        return {0: base, 1: shift(base, 1)}
 
 
 class SpcEstimate(NamedTuple):
@@ -316,7 +310,7 @@ def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsi
         raise DomainError(f"phi must lie in [0, {sample_size - 2}]")
     weights = _known_weights(scenario.n, scenario.entries.known, sample_size,
                              population_excludes_critical)
-    head = distkit.cdf(weights, phi)
+    head = cdf(weights, phi)
     delta_phi = shift_pair_delta(sample_size - 1 - phi, scenario.entries.p, as_grid(epsilon))
     return per_epsilon(epsilon, np.minimum(1.0, (1.0 - head) + head * delta_phi))
 

@@ -3,7 +3,9 @@
 Everything here is deliberately dumb: exact rational arithmetic where
 possible, raw enumeration elsewhere, and no reuse of the package's
 convolution or log-space machinery. Former evaluation paths are kept at
-the end as references for the paths that replaced them: the oracle's
+the end as references for the paths that replaced them: the KOV
+composition curve (against the DP search's certified decision), a block's
+two indicator answer laws (against the batched subset divergences), the oracle's
 masked answer counts with tree nodes as row groups and its one rank column
 per template (bit for bit against its batched run simulator), adaptive
 composition's per-template tree walk, which uses the package's own laws
@@ -20,8 +22,10 @@ from itertools import combinations, product
 import numpy as np
 from scipy.special import betainc
 
+from spacct.baseline import _kov_dhat, _kov_total
 from spacct.curve import as_grid, fsum_terms, shift_pair_rows
-from spacct.distkit import cdf, poisson_binomial, poisson_binomial_rows
+from spacct.distkit import cdf, point, poisson_binomial, poisson_binomial_rows, shift
+from spacct.errors import DomainError
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
 from spacct.spc import spc_iid, success_prob
 
@@ -179,6 +183,34 @@ def adaptive_iid_prefix_sum(n: int, probs: tuple[float, ...], sizes: tuple[int, 
 
         total += (size / n) * walk((), Fraction(1))
     return total
+
+
+def kov_total_delta(epsilon0: float, delta0: float, k: int, i: int) -> float:
+    """KOV composed delta at the curve point (k - 2i) eps0, from the fsum of
+    its terms."""
+    return _kov_total(_kov_dhat(epsilon0, k, i), delta0, k)
+
+
+def kov_compose(epsilon0: float, delta0: float, k: int) -> list[tuple[float, float]]:
+    """Optimal homogeneous k-fold composition curve for (eps0, delta0)-DP: the
+    floor(k/2) + 1 achievable points ((k - 2i) eps0, delta_i), listed by
+    increasing epsilon. O(k^2); intended for moderate k."""
+    if k < 1:
+        raise DomainError("k must be at least 1")
+    if not epsilon0 > 0.0:
+        raise DomainError("epsilon0 must be positive")
+    if not 0.0 <= delta0 < 1.0:
+        raise DomainError("delta0 must lie in [0, 1)")
+    return [((k - 2 * i) * epsilon0, kov_total_delta(epsilon0, delta0, k, i))
+            for i in range(k // 2, -1, -1)]
+
+
+def indicator_laws(query, rows: np.ndarray) -> dict:
+    """A block's two conditional answer laws, keyed by the query's predicate
+    on the critical entry, for co-members with Bernoulli parameters `rows`:
+    critical values with equal indicator give identical laws."""
+    base = poisson_binomial(query.success_probs(rows)) if rows.shape[0] else point(0)
+    return {0: base, 1: shift(base, 1)}
 
 
 def masked_count_answers(ranks: np.ndarray, entries: np.ndarray, spec) -> np.ndarray:

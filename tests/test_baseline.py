@@ -13,7 +13,6 @@ from spacct import (
     CapacityError,
     DomainError,
     gaussian_sigma_for,
-    kov_compose,
     max_dp_queries,
     mse_increase,
 )
@@ -22,10 +21,11 @@ from spacct.baseline import (
     MAX_QUERIES,
     _kov_achieves,
     _kov_dhat,
-    _kov_total_delta,
     _log_factorials,
 )
 from spacct.tables import TABLE1, TABLE2, compute_table
+
+from rational_ref import kov_compose, kov_total_delta
 
 
 class TestMseIncrease:
@@ -79,32 +79,32 @@ class TestGaussianSigma:
 
 
 class TestKovCompose:
+    """The test reference's KOV curve, whose points the DP search decides on."""
+
     def test_single_query(self):
         curve = kov_compose(0.3, 0.01, 1)
-        assert len(curve.points) == 1
-        pt = curve.points[0]
-        assert pt.epsilon == pytest.approx(0.3) and pt.delta == pytest.approx(0.01, rel=1e-12)
+        assert len(curve) == 1
+        eps, delta = curve[0]
+        assert eps == pytest.approx(0.3) and delta == pytest.approx(0.01, rel=1e-12)
 
     def test_top_point_is_pure_delta_union(self):
         for k in (1, 3, 8):
-            curve = kov_compose(0.2, 0.02, k)
-            top = curve.points[-1]
-            assert top.epsilon == pytest.approx(k * 0.2)
-            assert top.delta == pytest.approx(1 - (1 - 0.02) ** k, rel=1e-12)
+            eps, delta = kov_compose(0.2, 0.02, k)[-1]
+            assert eps == pytest.approx(k * 0.2)
+            assert delta == pytest.approx(1 - (1 - 0.02) ** k, rel=1e-12)
 
     def test_two_fold_closed_form_at_zero(self):
-        curve = kov_compose(0.1, 0.0, 2)
-        at_zero = curve.points[0]
-        assert at_zero.epsilon == 0.0
+        eps, delta = kov_compose(0.1, 0.0, 2)[0]
+        assert eps == 0.0
         closed = (math.exp(0.1) - 1) / (math.exp(0.1) + 1)
-        assert at_zero.delta == pytest.approx(closed, rel=1e-12)
+        assert delta == pytest.approx(closed, rel=1e-12)
 
     def test_point_count_and_ordering(self):
         curve = kov_compose(0.05, 0.001, 9)
-        assert len(curve.points) == 5
-        eps = curve.epsilons()
+        assert len(curve) == 5
+        eps = [e for e, _ in curve]
         assert eps == sorted(eps)
-        deltas = curve.deltas()
+        deltas = [d for _, d in curve]
         assert all(b <= a + 1e-15 for a, b in zip(deltas, deltas[1:]))
 
     def test_dominated_by_advanced_composition(self):
@@ -113,14 +113,13 @@ class TestKovCompose:
         for eps0 in (0.01, 0.1, 0.3):
             for delta0 in (0.0, 1e-6, 1e-3):
                 for k in (2, 5, 11, 24):
-                    curve = kov_compose(eps0, delta0, k)
-                    for pt in curve.points:
+                    for eps, delta in kov_compose(eps0, delta0, k):
                         drift = k * eps0 * (math.exp(eps0) - 1)
-                        if pt.epsilon <= drift:
+                        if eps <= drift:
                             continue  # advanced composition gives nothing here
-                        z = (pt.epsilon - drift) / (eps0 * math.sqrt(2 * k))
+                        z = (eps - drift) / (eps0 * math.sqrt(2 * k))
                         adv = min(1.0, k * delta0 + math.exp(-z * z))
-                        assert pt.delta <= adv + 1e-12
+                        assert delta <= adv + 1e-12
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -155,6 +154,16 @@ class TestMaxDpQueries:
         # the reported per-query epsilon matches the noise formula
         expected = (1 / 32768) * math.sqrt(2 * math.log(1.25 / cal.per_query_delta)) / 0.0153
         assert cal.per_query_epsilon == pytest.approx(expected, rel=1e-12)
+
+    def test_per_query_epsilon_is_the_noise_formula_bit_for_bit(self):
+        # gaussian_sigma_for(sigma, d0, sens) is the calibration with eps0 and
+        # sigma in each other's place, so the TABLE_DP integers do not move
+        for d0 in (0.0163 * 1e-6, 1e-9, 0.0163 * 0.999):
+            inline = (1 / 32768) * math.sqrt(2.0 * math.log(1.25 / d0)) / 0.0153
+            assert gaussian_sigma_for(0.0153, d0, 1 / 32768) == inline
+        cal = max_dp_queries(0.02, 0.0163, 0.0153, 32768)
+        assert cal.per_query_epsilon == \
+            (1 / 32768) * math.sqrt(2.0 * math.log(1.25 / cal.per_query_delta)) / 0.0153
 
     def test_diagnostic_against_recorded_cell(self, capsys):
         # the recorded value for this cell is 9; the grid-optimized search is
@@ -237,7 +246,7 @@ def reference_achieves(epsilon0, delta0, k, target_epsilon, target_delta):
         i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
         if i > k // 2:
             return False
-    return _kov_total_delta(epsilon0, delta0, k, i) <= target_delta
+    return kov_total_delta(epsilon0, delta0, k, i) <= target_delta
 
 
 def inline_gammaln_dhat(epsilon0, k, i):
@@ -288,7 +297,7 @@ class TestKovTerms:
         # kov_compose(0.5, 1e-6, 3000) read delta = 1.0 at all 791 points from
         # i = 710 on. The log-gamma terms carry a relative error of a few 1e-12
         # at this k: log(3000!) ~ 2.1e4 is itself rounded by up to 1.8e-12.
-        got = _kov_total_delta(0.5, 1e-6, 3000, i)
+        got = kov_total_delta(0.5, 1e-6, 3000, i)
         assert got == pytest.approx(mpmath_total_delta(0.5, 1e-6, 3000, i), rel=1e-11)
 
 
@@ -304,7 +313,7 @@ class TestCertifiedDecision:
     def test_equals_the_fsum_decision(self, k, epsilon0, delta0, point, rel, step):
         target_epsilon = (k - 2 * round(point * (k // 2))) * epsilon0
         i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
-        target_delta = _kov_total_delta(epsilon0, delta0, k, min(max(i, 0), k // 2)) * (1 + rel)
+        target_delta = kov_total_delta(epsilon0, delta0, k, min(max(i, 0), k // 2)) * (1 + rel)
         if step:
             target_delta = float(np.nextafter(target_delta, step * np.inf))
         assert _kov_achieves(epsilon0, delta0, k, target_epsilon, target_delta) \
@@ -312,7 +321,7 @@ class TestCertifiedDecision:
 
     def test_target_at_the_fsum_total_takes_the_fallback(self, monkeypatch):
         epsilon0, delta0, k, target_epsilon = 0.05, 1e-6, 1000, 1.0
-        total = _kov_total_delta(epsilon0, delta0, k, 490)
+        total = kov_total_delta(epsilon0, delta0, k, 490)
         assert 0.1 < total < 0.9
         calls = []
         fsum = math.fsum

@@ -572,8 +572,10 @@ class TestAdaptiveSpecTree:
         ThresholdTree((0, False), 1, low=ThresholdTree(PropertyQuery()),
                       high=ThresholdTree(PropertyQuery())),
         ThresholdTree(PropertyQuery(), 1, low="low", high=ThresholdTree(PropertyQuery())),
+        ThresholdTree(PropertyQuery(), True, low=ThresholdTree(PropertyQuery()),
+                      high=ThresholdTree(PropertyQuery())),
     ], ids=["float threshold", "missing child", "children without threshold",
-            "query not a PropertyQuery", "child not a tree"])
+            "query not a PropertyQuery", "child not a tree", "bool threshold"])
     def test_malformed_nodes_are_refused(self, node):
         with pytest.raises(DomainError):
             AdaptiveSpec(TemplateFormat((2, 2)), node)

@@ -20,7 +20,6 @@ from spacct import (
     binomial,
     composition_delta,
     d_hat,
-    eval_curve,
     exact_mechanism_law,
     hockey_stick,
     mc_distinguish,
@@ -34,7 +33,7 @@ from spacct import (
     spc_known_entries_threshold_bound,
 )
 from spacct.cli import main
-from spacct.curve import _EXP_CAP, CurvePoint, PrivacyCurve, shift_pair_rows
+from spacct.curve import _EXP_CAP, epsilon_grid, shift_pair_rows
 from spacct.distkit import poisson_binomial_rows
 
 from rational_ref import dhat_shift_pair, hockey_stick_dicts, total_variation
@@ -343,26 +342,28 @@ class TestShiftPairRows:
 
 
 class TestEvalCurve:
+    """A privacy curve is d_hat over a strictly increasing epsilon grid."""
+
     def test_single_point(self):
         laws = {c: property_query_answer_law(16, 0.5, c) for c in (0, 1)}
-        curve = eval_curve(laws, [0.3])
-        assert curve.points[0].delta == d_hat(laws, 0.3)
+        assert d_hat(laws, [0.3])[0] == d_hat(laws, 0.3)
 
     def test_table1_row32_grid(self):
         laws = {c: property_query_answer_law(1024, 0.5, c) for c in (0, 1)}
-        curve = eval_curve(laws, [0.005, 0.01, 0.02])
-        for got, expected in zip(curve.deltas(), (0.0225, 0.0203, 0.0163)):
+        deltas = d_hat(laws, epsilon_grid([0.005, 0.01, 0.02]))
+        for got, expected in zip(deltas, (0.0225, 0.0203, 0.0163)):
             assert got == pytest.approx(expected, abs=5e-4)
 
     def test_monotone_deltas(self):
         laws = {c: property_query_answer_law(32, 0.3, c) for c in (0, 1)}
-        curve = eval_curve(laws, [0.0, 0.5, 10.0])
-        assert curve.deltas()[-1] <= curve.deltas()[0]
+        deltas = d_hat(laws, epsilon_grid([0.0, 0.5, 10.0]))
+        assert deltas[-1] <= deltas[0]
 
     def test_rejects_unsorted_grid(self):
-        laws = {c: property_query_answer_law(8, 0.5, c) for c in (0, 1)}
-        with pytest.raises(DomainError):
-            eval_curve(laws, [0.2, 0.1])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            epsilon_grid([0.2, 0.1])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            epsilon_grid([0.1, 0.1])
 
 
 _IID = Scenario(10, IidEntries(0.5))
@@ -407,24 +408,3 @@ class TestEpsilonGate:
         call(0.1)  # the same call with a valid epsilon goes through
         with pytest.raises(DomainError, match="epsilon must be nonnegative"):
             call(bad)
-
-
-class TestCurveTypes:
-    def test_point_validation(self):
-        with pytest.raises(DomainError):
-            CurvePoint(-1.0, 0.5)
-        with pytest.raises(DomainError):
-            CurvePoint(math.nan, 0.1)
-        with pytest.raises(DomainError):
-            CurvePoint(0.0, 1.5)
-
-    def test_curve_validation(self):
-        with pytest.raises(DomainError):
-            PrivacyCurve((CurvePoint(0.0, 0.2), CurvePoint(1.0, 0.5)))
-        with pytest.raises(DomainError):
-            PrivacyCurve((CurvePoint(1.0, 0.2), CurvePoint(1.0, 0.1)))
-
-    def test_delta_at(self):
-        curve = PrivacyCurve((CurvePoint(0.0, 0.5), CurvePoint(1.0, 0.1)))
-        assert curve.delta_at(0.5) == 0.5
-        assert curve.delta_at(1.5) == 0.1

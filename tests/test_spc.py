@@ -32,7 +32,13 @@ from spacct import (
 from spacct.curve import fsum_terms
 from spacct.spc import MC_CHUNK, MC_TRIALS_CAP
 
-from rational_ref import block_answer_law, dhat_shift_pair, hockey_stick_dicts, hyper_pmf_exact
+from rational_ref import (
+    block_answer_law,
+    dhat_shift_pair,
+    hockey_stick_dicts,
+    hyper_pmf_exact,
+    indicator_laws,
+)
 
 
 class TestScenario:
@@ -106,6 +112,24 @@ class TestExplicitEntries:
     def test_refusals_keep_their_messages(self, probs, message):
         with pytest.raises(DomainError, match=message):
             ExplicitEntries(probs)
+
+
+class TestPropertyQuery:
+    @pytest.mark.parametrize("kwargs", [
+        {"attribute": True}, {"attribute": 0.5}, {"attribute": -1}, {"negate": "yes"},
+        {"negate": 1},
+    ], ids=["bool attribute", "float attribute", "negative attribute", "string negate",
+            "int negate"])
+    def test_refuses_what_is_not_an_index_or_a_bool(self, kwargs):
+        # PropertyQuery(True) used to read attribute 1 and PropertyQuery(0.5)
+        # to end in a raw TypeError inside spc_iid
+        with pytest.raises(DomainError):
+            PropertyQuery(**kwargs)
+
+    def test_numpy_integers_and_bools_are_taken(self):
+        scenario = Scenario(6, IidEntries((0.05, 0.5)))
+        assert spc_iid(scenario, 3, 0.1, PropertyQuery(np.int64(1), np.True_)) == \
+            spc_iid(scenario, 3, 0.1, PropertyQuery(1, True))
 
 
 class TestSpcIid:
@@ -353,7 +377,7 @@ def restricted_explicit_cases(draw):
 def _template_block_delta(scenario, template, law, query, eps):
     j, k = law.restriction
     members = [i - 1 for i in template.block(k) if i != j]
-    return d_hat(query.indicator_laws(scenario.probs_matrix()[members, :]), eps)
+    return d_hat(indicator_laws(query, scenario.probs_matrix()[members, :]), eps)
 
 
 class TestSpcGeneralSubsets:
@@ -436,7 +460,7 @@ def _per_trial_monte_carlo(scenario, law, query, grid, trials, seed):
     start, picks = sum(law.format.sizes[: k - 1]), law.format.sizes[k - 1] - 1
     probs = scenario.probs_matrix()
     values = np.array([
-        d_hat(query.indicator_laws(probs[rng.permutation(others)[start : start + picks], :]),
+        d_hat(indicator_laws(query, probs[rng.permutation(others)[start : start + picks], :]),
               grid)
         for _ in range(trials)
     ]).T
@@ -484,7 +508,7 @@ def _per_subset_enumerate(scenario, law, query, grid):
     picks = law.format.sizes[k - 1] - 1
     probs = scenario.probs_matrix()
     weight = 1.0 / math.comb(law.n - 1, picks)
-    terms = [weight * d_hat(query.indicator_laws(probs[list(co), :]), grid)
+    terms = [weight * d_hat(indicator_laws(query, probs[list(co), :]), grid)
              for co in combinations(others, picks)]
     return np.minimum(1.0, fsum_terms(terms))
 
