@@ -17,8 +17,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from .distkit import _log_factorial, sum_bracket
 from .errors import CapacityError, DomainError
 
 # Hard ceiling for the query-count search: max_dp_queries raises
@@ -92,12 +92,13 @@ _log_factorial_table = np.zeros(0)
 
 
 def _log_factorials(n: int) -> np.ndarray:
-    """A read-only table whose entry j is log(j!) = gammaln(j + 1.0), for j < n
-    at least. The table grows by doubling on first use, not at import."""
+    """A read-only table whose entry j is log(j!) (distkit._log_factorial, within
+    2 ulp), for j < n at least. The table grows by doubling on first use, not
+    at import."""
     global _log_factorial_table
     if len(_log_factorial_table) < n:
         size = max(1024, 1 << (n - 1).bit_length())
-        _log_factorial_table = gammaln(np.arange(size, dtype=np.float64) + 1.0)
+        _log_factorial_table = _log_factorial(np.arange(size, dtype=np.float64))
         _log_factorial_table.flags.writeable = False
     return _log_factorial_table
 
@@ -160,22 +161,18 @@ def _kov_achieves(epsilon0: float, delta0: float, k: int,
         return False  # the delta0 part alone misses; dhat >= 0 only adds to it
     if i == 0:
         return True
-    # The decision needs only a bracket around the fsum total. The i terms are
-    # nonnegative, so their float sum s in any order, numpy's pairwise order
-    # included, is within gamma_{i-1} S ~ (i - 1) 2^-53 S of their exact sum S
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2); a sum
-    # that underflows is exact. The slack 8 i 2^-53 s covers that and the
-    # rounding of s -+ slack, so s - slack <= S <= s + slack, and the same holds
-    # for fsum's correctly rounded S. _kov_total is nondecreasing in dhat
-    # (math.log1p and math.expm1 are monotone), so the fsum total lies between
-    # the totals at s - slack and s + slack; only a target in between needs fsum.
+    # The decision needs only a bracket around the fsum total: the i terms are
+    # nonnegative, so distkit.sum_bracket around their float sum holds fsum's
+    # correctly rounded sum. _kov_total is nondecreasing in dhat (math.log1p
+    # and math.expm1 are monotone), so the fsum total lies between the totals
+    # at the two ends; only a target in between needs fsum.
     terms = _kov_terms(epsilon0, k, i)
     s = float(terms.sum())
     if math.isfinite(s):
-        slack = i * 2.0**-50 * s
-        if _kov_total(s - slack, delta0, k) > target_delta:
+        lo, hi = sum_bracket(s, i)
+        if _kov_total(lo, delta0, k) > target_delta:
             return False
-        if _kov_total(s + slack, delta0, k) <= target_delta:
+        if _kov_total(hi, delta0, k) <= target_delta:
             return True
     return _kov_total(math.fsum(terms.tolist()), delta0, k) <= target_delta
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -283,8 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it is most of a small command's time, and
+# parse_args keeps no state between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

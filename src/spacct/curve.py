@@ -11,14 +11,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc
 
-from .distkit import Pmf, binomial, checked_rows, shift
-from .errors import DomainError
+from .distkit import FLOAT_INT_LIMIT, Pmf, _dbinom, binomial, checked_rows, shift
+from .errors import CapacityError, DomainError
 
 # e^eps saturates here; beyond it any mass above the support floor already
 # annihilates its counterpart, so results are unchanged and exp cannot overflow
 _EXP_CAP = 700.0
+
+# Terms of one batch of binomial tail windows (rows x width), 8 MB; a single
+# window longer than this (u above ~10^10 with an epsilon near 0) is refused
+# with CapacityError.
+_WINDOW_TERMS = 1 << 20
 
 
 def as_grid(epsilon) -> np.ndarray:
@@ -108,25 +112,110 @@ def shift_pair_rows(masses: np.ndarray, epsilon) -> np.ndarray:
     return _positive_sums(diff).max(axis=1)
 
 
+def _windows(u: np.ndarray, p, q, a: np.ndarray):
+    """Masses b(a + i) and tails P(B >= a + i), i < 4, of B ~ Bin(u, p), one
+    row per entry of the equally long 1-D arrays u, p, q and a (0 <= a <= u;
+    p and q = 1 - p in (0, 1), q given so that a reflected law keeps a tiny
+    q exact). Returns two (rows x 4) arrays.
+
+    Each row is one window of masses from a upward: b(a) from Loader's form
+    (distkit._dbinom), then the ratio b(j + 1) / b(j) = (u - j) p / ((j + 1) q)
+    through a cumulative product, and the tails as sums over the window.
+    With a at or above the mean minus 2 the masses fall off like a Gaussian,
+    or geometrically once a is z standard deviations out, so min(9, 40.5 / z)
+    standard deviations plus 24 terms leave out less than 2^-55 of the tail.
+    The width is then rounded up to one of a few sizes, and rows of one size
+    are summed together, so each row's terms and sums depend on its own
+    (u, p, a) only, not on the other rows.
+    """
+    if not u.size:
+        return np.empty((0, 4)), np.empty((0, 4))
+    if u.max() > FLOAT_INT_LIMIT:
+        raise DomainError(f"binomial tails need u <= 2^53, the float64 integer limit; "
+                          f"got u = {u.max():.17g}")
+    var = u * p * q
+    reach = np.maximum(a - u * p, 4.5 * np.sqrt(var))
+    span = np.divide(40.5 * var, reach, out=np.zeros_like(var), where=reach > 0.0)
+    need = np.minimum(u - a + 1.0, np.ceil(span) + 24.0)
+    # the next multiple of a power of two at most 1/16 of the width (at least 4)
+    grain = np.ldexp(1.0, np.maximum(np.frexp(need)[1] - 4, 2))
+    widths = (np.ceil(need / grain) * grain).astype(np.intp)
+    widest = int(widths.max())
+    if widest > _WINDOW_TERMS:
+        raise CapacityError(f"a binomial tail window of {widest} terms exceeds the cap of "
+                            f"{_WINDOW_TERMS} (u up to {u.max():.17g})")
+    # a q below 1e-300 occurs only with the window at its top point u, where
+    # the ratio multiplies 0; the floor keeps it from being 0 * inf
+    anchors, ratios = _dbinom(a, u, p, q), p / np.maximum(q, 1e-300)
+    above, below = u - a, a + 1.0
+    # rows sorted by width, so that each width is one contiguous run
+    order = None if widest == widths.min() else np.argsort(widths, kind="stable")
+    if order is not None:
+        above, below, anchors, ratios, widths = (
+            x[order] for x in (above, below, anchors, ratios, widths))
+    masses, tails = np.empty((u.size, 4)), np.empty((u.size, 4))
+    starts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), u.size]
+    for lo, hi in zip(starts, starts[1:]):
+        width = int(widths[lo])
+        offsets = np.arange(width - 1, dtype=np.float64)
+        share = max(1, _WINDOW_TERMS // width)
+        for part in (slice(at, min(at + share, hi)) for at in range(lo, hi, share)):
+            terms = np.empty((part.stop - part.start, width))
+            terms[:, 0] = anchors[part]
+            # b(j + 1) / b(j) for j = a, a + 1, ...; 0 at j = u and of either sign after
+            step = terms[:, 1:]
+            np.subtract(above[part, None], offsets, out=step)
+            step /= below[part, None] + offsets
+            step *= ratios[part, None]
+            np.cumprod(terms, axis=1, out=terms)
+            # P(B >= a + 3) as one pairwise sum over a row of fixed width, then
+            # the three nearer tails added on; adding 0.0 turns a -0.0 past u into 0.0
+            masses[part] = terms[:, :4] + 0.0
+            head = terms[:, 3::-1].copy()
+            head[:, 0] = np.add.reduce(terms[:, 3:], axis=1) + 0.0
+            tails[part] = np.cumsum(head, axis=1)[:, ::-1]
+    if order is not None:
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        masses, tails = masses[back], tails[back]
+    return masses, tails
+
+
 def _binomial_above(u, p: float, k):
-    """P(B > k) for B ~ Bin(u, p): I_p(k + 1, u - k) for 0 <= k < u, 1 below
-    that range and 0 above it. `u` and `k` broadcast against each other."""
+    """P(B > k) for B ~ Bin(u, p): 1 for k < 0 and 0 for k >= u, with `u`
+    and `k` broadcast against each other. Inside, the tail on the far side of
+    the mean is summed (_windows): P(B >= k + 1) at or above the mean, and
+    1 - P(B' >= u - k), B' ~ Bin(u, 1 - p), below it."""
+    u, k = np.broadcast_arrays(np.asarray(u, dtype=np.float64), np.asarray(k, dtype=np.float64))
+    out = np.where(k < 0.0, 1.0, 0.0)
     inside = (k >= 0.0) & (k < u)
-    tails = betainc(np.where(inside, k + 1.0, 1.0), np.where(inside, u - k, 1.0), p)
-    return np.where(inside, tails, np.where(k < 0.0, 1.0, 0.0))
+    if p in (0.0, 1.0):
+        out[inside] = p  # B is 0 or u
+    elif inside.any():
+        size, below = u[inside], k[inside]
+        upper = below + 1.0 >= size * p
+        far = _windows(size, np.where(upper, p, 1.0 - p), np.where(upper, 1.0 - p, p),
+                       np.where(upper, below + 1.0, size - below))[1][:, 0]
+        out[inside] = np.where(upper, far, 1.0 - far)
+    return out
 
 
-def _shift_up_delta(u: np.ndarray, p: float, scale: np.ndarray) -> np.ndarray:
-    """Hockey-stick divergence of B + 1 against B, B ~ Bin(u, p).
+def _shift_up_rows(u: np.ndarray, p: np.ndarray, q: np.ndarray, scale: np.ndarray,
+                   growth: np.ndarray):
+    """Hockey-stick divergence of B + 1 against B, B ~ Bin(u, p), q = 1 - p,
+    per entry of the equally shaped 1-D arrays (growth = e^eps - 1 = scale - 1
+    exactly rounded).
 
     The optimal set is {a >= t}, t = floor((u+1) p / (p + q e^-eps)) + 1 (the
     ratio test divided through by e^eps, so nothing overflows), and
-    delta(t) = P(B > t-2) - e^eps P(B > t-1) is taken at t and both
-    neighbours. `scale` broadcasts against `u`.
+    delta(t) = P(B >= t - 1) - e^eps P(B >= t) = b(t - 1) - (e^eps - 1) P(B >= t)
+    (no difference of two tails) is taken at t and both neighbours, all from
+    one window anchored at t - 2. At t = 1 the window starts at 0 and the
+    neighbour t - 1, whose value is -(e^eps - 1), gives way to t + 2.
     """
-    t = np.floor((u + 1.0) * p / (p + (1.0 - p) / scale)) + 1.0
-    above = _binomial_above(u[..., None], p, t[..., None] + np.arange(-3.0, 1.0))
-    return np.max(above[..., :-1] - scale[..., None] * above[..., 1:], axis=-1)
+    t = np.floor((u + 1.0) * p / (p + q / scale)) + 1.0
+    masses, tails = _windows(u, p, q, np.maximum(t - 2.0, 0.0))
+    return (masses[:, :3] - growth[:, None] * tails[:, 1:]).max(axis=1)
 
 
 def shift_pair_delta(u, p: float, epsilon):
@@ -134,17 +223,30 @@ def shift_pair_delta(u, p: float, epsilon):
 
     d_hat of a property query's answer laws over u iid entries, in closed
     form: the likelihood ratio b(a-1)/b(a) = a q / ((u-a+1) p) is monotone,
-    so each direction is one tail difference at a threshold, and the
+    so each direction is one tail expression at a threshold, and the
     reflection a -> u + 1 - a maps B against B + 1 to B' + 1 against B',
-    B' ~ Bin(u, q). An array `u` gives the scalar results bit for bit, and
-    a 1-D epsilon grid adds a leading axis: the result is (grid,) + u's shape.
+    B' ~ Bin(u, q). Every (epsilon, direction, u) is one row of one batch of
+    tail windows. An array `u` gives the scalar results bit for bit, and a
+    1-D epsilon grid adds a leading axis: the result is (grid,) + u's shape.
     """
     u = np.asarray(u, dtype=np.float64)
-    scale = _scales(epsilon).reshape((-1,) + (1,) * u.ndim)
-    if not 0.0 <= p <= 1.0 or np.any(u < 0.0):
+    grid = as_grid(epsilon)
+    if not 0.0 <= p <= 1.0 or (u < 0.0).any():
         raise DomainError(f"need u >= 0 and p in [0, 1], got p={p!r}")
-    both = np.maximum(_shift_up_delta(u, p, scale), _shift_up_delta(u, 1.0 - p, scale))
-    delta = np.clip(both, 0.0, 1.0)
+    shape = grid.shape + u.shape
+    if p in (0.0, 1.0):
+        delta = np.ones(shape)  # B and B + 1 are point masses one apart
+    else:
+        # (p, q) and the reflection (q, p); p = 1/2 is its own reflection
+        sides = [(p, 1.0 - p)] if p == 0.5 else [(p, 1.0 - p), (1.0 - p, p)]
+        # one row per (direction, epsilon, u), all in one batch of windows
+        eps = [min(e, _EXP_CAP) for e in grid.tolist()]
+        sizes, sides, grids = np.broadcast_arrays(
+            u.reshape(1, 1, -1, 1), np.array(sides)[:, None, None, :],
+            np.array([[math.exp(e), math.expm1(e)] for e in eps])[None, :, None, :])
+        values = _shift_up_rows(sizes[..., 0].ravel(), *sides.reshape(-1, 2).T,
+                                *grids.reshape(-1, 2).T).reshape((len(sides),) + shape)
+        delta = np.minimum(np.maximum(values.max(axis=0), 0.0), 1.0)
     if np.ndim(epsilon) == 0:
         delta = delta[0]
     return float(delta) if delta.ndim == 0 else delta

@@ -1,6 +1,7 @@
 """Golden outputs of the benchmark's commands, for "no change" checks.
 
     python3 tests/golden.py OUTDIR
+    python3 tests/golden.py --compare A B
 
 Runs the 32 commands of perfbench's workloads through `spacct.cli.main`, in
 this process: `table1` and `table2 --check --format json`, the 12 `curve`
@@ -11,12 +12,20 @@ OUTDIR/<workload>-<seed>/, and OUTDIR/status.json records every exit code
 and stderr. spacct is imported from the src/ of the checkout holding this
 file, so to show that a change alters no output, run the script in a
 checkout of the parent and in the change and compare with `diff -r`.
+A change that moves digits on purpose is compared with `--compare A B`:
+it prints every exit-code or stderr difference, every difference of
+non-numeric text, and per file the largest absolute and relative
+deviation over the numeric JSON and CSV leaves (relative where both
+values are at least 1e-300), then the largest over all files and the
+number of leaves that are off by more than both 1e-13 absolute and 1e-10
+relative.
 The name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -49,7 +58,83 @@ def main(outdir: str) -> int:
     return 0
 
 
+def _leaves(path: Path):
+    """The file's values in document order: JSON leaves, or CSV cells with
+    numbers parsed."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        stack, out = [json.loads(text)], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                stack.extend(reversed([v for kv in node.items() for v in kv]))
+            elif isinstance(node, list):
+                stack.extend(reversed(node))
+            else:
+                out.append(node)
+        return out
+    out = []
+    for cell in (c for row in csv.reader(io.StringIO(text)) for c in row):
+        try:
+            out.append(float(cell))
+        except ValueError:
+            out.append(cell)
+    return out
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare(a: str, b: str) -> int:
+    """Print how the outputs under B differ from those under A; 1 when the
+    exit codes, the file sets or any non-numeric value differ."""
+    a, b = Path(a), Path(b)
+    status_a = json.loads((a / "status.json").read_text())
+    status_b = json.loads((b / "status.json").read_text())
+    bad = 0
+    for key in sorted(set(status_a) | set(status_b)):
+        sa, sb = status_a.get(key), status_b.get(key)
+        if sa is None or sb is None or sa["rc"] != sb["rc"]:
+            print(f"EXIT {key}: {sa and sa['rc']} -> {sb and sb['rc']}")
+            bad = 1
+        elif sa["stderr"] != sb["stderr"]:
+            print(f"STDERR {key}: {sa['stderr']!r} -> {sb['stderr']!r}")
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file() and p.name != "status.json"}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file() and p.name != "status.json"}
+    for name in sorted(files_a ^ files_b):
+        print(f"ONLY IN {'A' if name in files_a else 'B'}: {name}")
+        bad = 1
+    worst_abs, worst_rel, beyond = (0.0, None), (0.0, None), 0
+    for name in sorted(files_a & files_b):
+        va, vb = _leaves(a / name), _leaves(b / name)
+        if len(va) != len(vb):
+            print(f"SHAPE {name}: {len(va)} -> {len(vb)} values")
+            bad = 1
+            continue
+        dev_abs = dev_rel = 0.0
+        for x, y in zip(va, vb):
+            if _is_number(x) and _is_number(y):
+                gap = abs(y - x)
+                rel = gap / abs(x) if min(abs(x), abs(y)) >= 1e-300 else 0.0
+                dev_abs, dev_rel = max(dev_abs, gap), max(dev_rel, rel)
+                beyond += gap > 1e-13 and (rel > 1e-10 or min(abs(x), abs(y)) < 1e-300)
+            elif x != y:
+                print(f"TEXT {name}: {x!r} -> {y!r}")
+                bad = 1
+        if dev_abs:
+            print(f"{name}: max abs {dev_abs:.3g}, max rel {dev_rel:.3g}")
+        worst_abs = max(worst_abs, (dev_abs, str(name)))
+        worst_rel = max(worst_rel, (dev_rel, str(name)))
+    print(f"largest absolute deviation {worst_abs[0]:.3g} ({worst_abs[1]}), "
+          f"largest relative deviation {worst_rel[0]:.3g} ({worst_rel[1]}); "
+          f"{beyond} values beyond both 1e-13 absolute and 1e-10 relative")
+    return bad
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     sys.exit(main(sys.argv[1]))

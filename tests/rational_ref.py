@@ -10,7 +10,8 @@ masked answer counts with tree nodes as row groups and its one rank column
 per template (bit for bit against its batched run simulator), adaptive
 composition's per-template tree walk, which uses the package's own laws
 and divergences so that only the order of summation differs, and the
-adaptive iid level loop (bit for bit against the prefix walk).
+adaptive iid level loop (bit for bit against the prefix walk, with the
+package's binomial tails).
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import betainc
 
 from spacct.baseline import _kov_dhat, _kov_total
-from spacct.curve import as_grid, fsum_terms, shift_pair_rows
+from spacct.curve import _binomial_above, as_grid, fsum_terms, shift_pair_rows
 from spacct.distkit import cdf, point, poisson_binomial, poisson_binomial_rows, shift
 from spacct.errors import DomainError
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
@@ -322,10 +322,11 @@ def per_template_adaptive_general(scenario, spec, epsilon) -> list[np.ndarray]:
 def level_loop_adaptive_iid(scenario, spec, epsilon) -> list[np.ndarray]:
     """Block k's adaptive iid delta for each k, one tree level per block: the
     depth-k nodes with their reach probabilities, each branch probability a
-    binomial tail straight from betainc (P(B < t) = I_q(u - t + 1, t) and
-    P(B >= t) = I_p(t, u - t + 1) for B ~ Bin(u, p), q = 1 - p, u the earlier
-    block's size), and each node's divergence spc_iid at size n_k. `spec` is
-    an AdaptiveSpec."""
+    binomial tail from the package's one tail kernel (P(B < t) = P(B' > u - t)
+    with B' ~ Bin(u, q), and P(B >= t) = P(B > t - 1), for B ~ Bin(u, p),
+    q = 1 - p, u the earlier block's size; tests/test_curve.py checks the
+    kernel against mpmath), and each node's divergence spc_iid at size n_k.
+    `spec` is an AdaptiveSpec."""
     sizes = spec.format.sizes
     grid = as_grid(epsilon)
     reach, deltas = [(spec.tree, 1.0)], []
@@ -339,8 +340,8 @@ def level_loop_adaptive_iid(scenario, spec, epsilon) -> list[np.ndarray]:
                 elif t > u:
                     tails = (1.0, 0.0)
                 else:
-                    tails = (float(betainc(u - t + 1, t, 1.0 - p)),
-                             float(betainc(t, u - t + 1, p)))
+                    tails = (float(_binomial_above(u, 1.0 - p, u - t)),
+                             float(_binomial_above(u, p, t - 1)))
                 below += [(child, prob * branch)
                           for child, branch in zip((node.low, node.high), tails) if branch > 0.0]
             reach = below

@@ -23,6 +23,7 @@ from spacct.baseline import (
     _kov_dhat,
     _log_factorials,
 )
+from spacct.distkit import _log_factorial
 from spacct.tables import TABLE1, TABLE2, compute_table
 
 from rational_ref import kov_compose, kov_total_delta
@@ -249,13 +250,14 @@ def reference_achieves(epsilon0, delta0, k, target_epsilon, target_delta):
     return kov_total_delta(epsilon0, delta0, k, i) <= target_delta
 
 
-def inline_gammaln_dhat(epsilon0, k, i):
-    """_kov_dhat as written before the log-factorial table."""
+def inline_gammaln_dhat(epsilon0, k, i, log_factorial=lambda x: gammaln(x + 1.0)):
+    """_kov_dhat as written before the log-factorial table, with log(x!) from
+    `log_factorial` (scipy's gammaln by default)."""
     if i == 0:
         return 0.0
     log_denom = k * float(np.logaddexp(0.0, epsilon0))
     l = np.arange(i, dtype=np.float64)
-    log_comb = gammaln(k + 1.0) - gammaln(l + 1.0) - gammaln(k - l + 1.0)
+    log_comb = log_factorial(k + 0.0) - log_factorial(l) - log_factorial(k - l)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         base = np.exp(log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom)
         terms = base * np.expm1((2.0 * i - 2.0 * l) * epsilon0)
@@ -273,24 +275,38 @@ def mpmath_total_delta(epsilon0, delta0, k, i):
 
 class TestKovTerms:
     def test_log_factorial_table_is_gammaln(self):
-        n = (1 << 17) + 3
+        # within 4 ulp of 40-digit log(j!) on 0..1999 and 3000 random j < 2^20
+        # (scipy's gammaln reaches 2.6 ulp on this sample, math.lgamma 1.7)
+        n = (1 << 20) + 3
         table = _log_factorials(n)
         assert len(table) >= n and not table.flags.writeable
-        assert np.array_equal(table[:n], gammaln(np.arange(n) + 1.0))
+        rng = np.random.default_rng(20)
+        points = np.concatenate((np.arange(2000), rng.integers(2000, 1 << 20, 3000)))
+        with mpmath.workdps(40):
+            for j, got in zip(points.tolist(), table[points].tolist()):
+                want = mpmath.loggamma(j + 1)
+                assert abs(got - want) <= 4 * math.ulp(float(want)), (j, got, want)
 
     @pytest.mark.parametrize("epsilon0, k", [
         (0.3, 1), (0.2, 8), (0.05, 9), (0.01, 24), (0.02, 400), (0.001, 3000),
         (0.004, 8000), (0.5, 3000), (2.0, 500),
     ])
     def test_dhat_equals_the_inline_gammaln_formula(self, epsilon0, k):
-        # bit for bit wherever the old formula was finite; where it was NaN
-        # (0 * inf beyond (2i - 2l) eps0 ~ 709), the new value is a probability
+        # bit for bit with the inline formula over the table's log(j!) wherever
+        # that formula is finite; where it is NaN (0 * inf beyond
+        # (2i - 2l) eps0 ~ 709), the new value is a probability. scipy's gammaln
+        # in the same formula agrees to the rounding of log(k!), whose ulp is
+        # 7.3e-12 at k = 8000 (6.4e-12 relative is the largest gap seen)
+        tol = 16 * math.ulp(math.lgamma(k + 1.0)) + 1e-15
         for i in range(0, k // 2 + 1, max(1, k // 300)):
-            old, new = inline_gammaln_dhat(epsilon0, k, i), _kov_dhat(epsilon0, k, i)
+            old = inline_gammaln_dhat(epsilon0, k, i, _log_factorial)
+            new, reference = _kov_dhat(epsilon0, k, i), inline_gammaln_dhat(epsilon0, k, i)
             if math.isnan(old):
                 assert 0.0 <= new <= 1.0 + 1e-9
             else:
                 assert new == old
+            if math.isfinite(reference):
+                assert abs(new - reference) <= tol * reference
 
     @pytest.mark.parametrize("i", [710, 760, 850, 1000, 1105, 1200, 1350, 1500])
     def test_overflowing_terms_match_mpmath(self, i):

@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -29,6 +30,17 @@ from spacct import (
 )
 from spacct.cli import _emit_json, main
 from spacct.scenario_io import load_scenario
+
+
+def _mp_tails(u: int, lo: int, hi: int) -> list:
+    """P(B >= t) for t = lo..hi-1, B ~ Bin(u, 1/2), exactly, as mpmath numbers."""
+    tails, total, comb = [], 0, 1  # comb = C(u, j), from j = u down
+    for j in range(u, max(lo, 0) - 1, -1):
+        total += comb
+        if j < hi:
+            tails.append(mpmath.mpf(total) / 2**u)
+        comb = comb * j // (u - j + 1)
+    return tails[::-1]
 
 
 def run(capsys, *argv):
@@ -58,7 +70,11 @@ class TestCurveCommand:
         assert code == 0
         got = float(parse_csv(out)[1][1])
         laws = {c: property_query_answer_law(4, 0.5, c) for c in (0, 1)}
-        assert got == d_hat(laws, 0.0)
+        # total variation of B + 1 against B is the mass at the mode, which the
+        # curve reads off directly while d_hat sums rounded differences of the
+        # same masses, so the two agree to the last bits
+        assert got == laws[0].mass(1)
+        assert got == pytest.approx(d_hat(laws, 0.0), rel=1e-15)
 
     def test_missing_n_exits_2(self, capsys):
         code, _, err = run(capsys, "curve", "--p", "0.5")
@@ -127,9 +143,48 @@ class TestCurveCommand:
     @pytest.mark.parametrize("n", [10**12, 10**20])
     def test_known_entries_past_the_log_gamma_limit_exit_2(self, capsys, n):
         code, out, err = run(capsys, "curve", "--n", str(n), "--p", "0.5", "--known", "5")
-        assert code == 2
-        assert out == ""
-        assert f"population of {n}" in err and "log-gamma" in err
+        if n <= 2**53:
+            # the log-gamma limit near 10^6 is gone: 10^12 - 6 or - 5 unknown
+            # entries put every default epsilon tens of thousands of standard
+            # deviations inside, where the exact delta underflows to 0
+            assert code == 0
+            assert [row[1] for row in parse_csv(out)[1:]] == ["0.0"] * 6
+        else:
+            assert code == 2
+            assert out == ""
+            assert f"population of {n}" in err and "2^53" in err
+
+    def test_known_entries_at_a_million_match_mpmath(self, capsys):
+        # exit 2 when the hypergeometric came from log-gamma sums
+        code, out, _ = run(capsys, "curve", "--n", "1000000", "--p", "0.5", "--known",
+                           "250000", "--sample-size", "1024", "--eps", "0.1")
+        assert code == 0
+        got = float(parse_csv(out)[1][1])
+        with mpmath.workdps(40):
+            growth, half = mpmath.expm1(mpmath.mpf(0.1)), mpmath.mpf(1) / 2
+            total = mpmath.binomial(10**6, 1023)
+            want = mpmath.mpf(0)
+            for z in range(256 - 170, 256 + 170):  # +-12 standard deviations
+                u = 1023 - z
+                # B ~ Bin(u, 1/2) is its own reflection; t is the optimal threshold
+                t = math.floor((u + 1) * 0.5 / (0.5 + 0.5 * math.exp(-0.1))) + 1
+                tails = _mp_tails(u, t - 2, t + 3)
+                delta = max(tails[c] - tails[c + 1] - growth * tails[c + 1] for c in range(3))
+                weight = mpmath.binomial(250000, z) * mpmath.binomial(750000, u) / total
+                want += weight * delta
+        assert got == pytest.approx(float(want), rel=1e-10)
+
+    def test_iid_curve_past_the_float64_integer_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "curve", "--n", str(10**17), "--p", "0.5", "--eps", "0.01")
+        assert code == 2 and out == ""
+        assert "2^53" in err
+
+    def test_tail_window_over_the_cap_exits_3(self, capsys):
+        # an epsilon of 1e-9 at 10^12 entries puts the threshold at the mean,
+        # where the tail needs about 9 standard deviations, 4.5 million terms
+        code, out, err = run(capsys, "curve", "--n", str(10**12), "--p", "0.5", "--eps", "1e-9")
+        assert code == 3 and out == ""
+        assert "cap" in err
 
     def test_known_entries_sample_past_int64(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", str(10**20), "--p", "0", "--known", "1",

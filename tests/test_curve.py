@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,7 @@ from spacct import (
     spc_known_entries_threshold_bound,
 )
 from spacct.cli import main
-from spacct.curve import _EXP_CAP, epsilon_grid, shift_pair_rows
+from spacct.curve import _EXP_CAP, _binomial_above, epsilon_grid, shift_pair_rows
 from spacct.distkit import poisson_binomial_rows
 
 from rational_ref import dhat_shift_pair, hockey_stick_dicts, total_variation
@@ -205,6 +206,53 @@ class TestShiftPairDelta:
         delta = json.loads(capsys.readouterr().out)["points"][0]["delta"]
         assert delta == pytest.approx(expected, rel=1e-10)
         assert delta == pytest.approx(_binom_tail_reference(n - 1, 0.5, 0.01), rel=1e-9)
+
+
+def _mp_above(u: int, p: float, k: int):
+    """P(B > k), B ~ Bin(u, p), at 40 digits: the far side of the mean summed
+    term by term from its nearest point until the terms stop counting."""
+    with mpmath.workdps(40):
+        P = mpmath.mpf(p)
+        upper = k + 1 >= u * p
+        j, step = (k + 1, 1) if upper else (k, -1)
+        term = mpmath.binomial(u, j) * P**j * (1 - P) ** (u - j)
+        total = mpmath.mpf(0)
+        while 0 <= j <= u and term > total * mpmath.mpf(10) ** -30:
+            total += term
+            term *= (u - j) * P / ((j + 1) * (1 - P)) if step > 0 else j * (1 - P) / ((u - j + 1) * P)
+            j += step
+        return total if upper else 1 - total
+
+
+class TestBinomialTails:
+    """_binomial_above against 40-digit sums: within 1e-11 of each tail >= 1e-280."""
+
+    @pytest.mark.parametrize("u", [1, 2, 17, 40, 1000, 4097, 32767, (1 << 20) + 3,
+                                   (1 << 24) - 1])
+    def test_tails_match_mpmath(self, u):
+        rng = np.random.default_rng(u)
+        for p in (1e-9, 0.02, 0.3, 0.5, 0.77, 0.999):
+            mean, sd = u * p, math.sqrt(u * p * (1 - p))
+            ks = np.round(mean + sd * rng.uniform(-40.0, 40.0, 6 if u > 10**5 else 16))
+            ks = np.unique(np.clip(np.concatenate((ks, [0, u - 1])), 0, u - 1)).astype(int)
+            got = _binomial_above(u, p, ks)
+            for k, g in zip(ks.tolist(), got.tolist()):
+                want = _mp_above(u, p, k)
+                if want >= 1e-280:
+                    assert abs(g - want) <= 1e-11 * want, (u, p, k, g, want)
+
+    def test_outside_the_support(self):
+        assert _binomial_above(5, 0.3, np.array([-3, -1, 5, 9])).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert _binomial_above(5, 0.0, 0) == 0.0 and _binomial_above(5, 1.0, 4) == 1.0
+
+    def test_agrees_with_betainc(self):
+        from scipy.special import betainc
+
+        for u, p in ((30, 0.3), (1000, 0.5), (4096, 0.02)):
+            k = np.arange(u)
+            want = betainc(k + 1.0, u - k, p)
+            np.testing.assert_allclose(_binomial_above(u, p, k), want, rtol=1e-11,
+                                       atol=1e-300)
 
 
 class TestDhat:

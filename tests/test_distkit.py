@@ -1,13 +1,22 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacct import DomainError, binomial, cdf, hypergeometric, point, poisson_binomial, shift
-from spacct.distkit import SUPPORT_FLOOR, Pmf, poisson_binomial_rows
+from spacct.distkit import (
+    NORMALIZATION_TOL,
+    SUPPORT_FLOOR,
+    Pmf,
+    _check_masses,
+    _dbinom,
+    checked_rows,
+    poisson_binomial_rows,
+)
 from spacct.spc import MC_CHUNK
 
 from rational_ref import binom_pmf_exact, hyper_pmf_exact
@@ -99,8 +108,36 @@ class TestHypergeometric:
 
     @pytest.mark.parametrize("population", [10**12, 10**20])
     def test_log_gamma_precision_limit_is_named(self, population):
-        with pytest.raises(DomainError, match=f"population of {population} .*log-gamma"):
-            hypergeometric(population, 5, population - 1)
+        # log-gamma sums used to lose the normalization from populations of
+        # about 10^6; the binomial-ratio masses hold up to 2^53, past which
+        # the float64 integer limit is named
+        if population <= 2**53:
+            h = hypergeometric(population, 5, population - 1)
+            assert h.offset == 4 and h.top == 5
+            assert h.mass(4) == pytest.approx(5 / population, rel=1e-13)
+            assert h.mass(5) == pytest.approx((population - 5) / population, rel=1e-15)
+        else:
+            with pytest.raises(DomainError, match=f"population of {population} .*2\\^53"):
+                hypergeometric(population, 5, population - 1)
+
+    @pytest.mark.parametrize("pop,succ,draws", [
+        (10**6, 250_000, 1023), (32768, 4000, 1023), (2**40 + 7, 2**39, 5000),
+        (2**53, 3, 2**52), (999_999, 1, 500_000)])
+    def test_matches_mpmath_at_large_populations(self, pop, succ, draws):
+        h = hypergeometric(pop, succ, draws)
+        assert abs(h.total() - 1.0) <= 1e-12
+        mpmath.mp.dps = 40
+        total = mpmath.binomial(pop, draws)
+        points = np.linspace(h.offset, h.top, min(h.masses.size, 60)).round().astype(int)
+        for z in sorted(set(points.tolist())):
+            want = mpmath.binomial(succ, z) * mpmath.binomial(pop - succ, draws - z) / total
+            if want >= 1e-280:
+                assert abs(h.mass(z) - want) <= 1e-11 * want, (z, h.mass(z), want)
+
+    def test_point_masses_past_the_float64_integer_limit(self):
+        assert hypergeometric(10**20, 1, 10**20).mass(1) == 1.0
+        assert hypergeometric(10**20, 10**20, 5).mass(5) == 1.0
+        assert hypergeometric(10**20, 0, 10**19).mass(0) == 1.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -282,3 +319,75 @@ class TestPmfInvariants:
         assert d.offset == offset + lo
         assert d.masses.tolist() == masses[lo:hi].tolist()
         assert not d.masses.flags.writeable
+
+
+class TestLoaderKernel:
+    """_dbinom against 40-digit mpmath: within 1e-11 of each mass >= 1e-280."""
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 100, 4097, 32768, (1 << 20) + 3,
+                                   (1 << 24) - 1, 1 << 24])
+    def test_masses_match_mpmath(self, n):
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(n)
+        for p in (1e-9, 0.001, 0.02, 0.3, 0.5, 0.77, 0.999, 1 - 1e-9):
+            mean, sd = n * p, math.sqrt(n * p * (1 - p))
+            ks = np.round(mean + sd * rng.uniform(-40.0, 40.0, 24))
+            ks = np.unique(np.clip(np.concatenate((ks, [0, 1, n - 1, n])), 0, n))
+            got = _dbinom(ks, n, p)
+            exact_p = mpmath.mpf(p)
+            for k, g in zip(ks.astype(int).tolist(), got.tolist()):
+                want = mpmath.binomial(n, k) * exact_p**k * (1 - exact_p) ** (n - k)
+                if want >= 1e-280:
+                    assert abs(g - want) <= 1e-11 * want, (n, p, k, g, want)
+
+    def test_outside_the_support_and_empty_trials(self):
+        np.testing.assert_array_equal(_dbinom(np.array([-1.0, 6.0]), 5, 0.3), [0.0, 0.0])
+        assert _dbinom(0, 0, 0.3) == 1.0 and _dbinom(1, 0, 0.3) == 0.0
+
+    def test_shapes_broadcast(self):
+        got = _dbinom(np.arange(6.0).reshape(2, 3), np.array([[5.0], [7.0]]), 0.4)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == _dbinom(5.0, 7.0, 0.4)
+
+
+def _fsum_accepts(row: np.ndarray) -> bool:
+    return abs(math.fsum(row.tolist()) - 1.0) <= NORMALIZATION_TOL
+
+
+class TestNormalizationDecision:
+    """checked_rows accepts a row from a certified bracket around its float sum
+    and leaves every other row to fsum; the decision must equal fsum's."""
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400).filter(lambda m: sum(m) > 0),
+           st.sampled_from((1.0, -1.0)), st.integers(-300, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_at_the_edge_of_the_tolerance(self, raw, side, ulps):
+        row = np.array(raw) / math.fsum(raw)
+        # scale the row so that its sum lands within a few hundred ulp of 1 +- TOL
+        target = 1.0 + side * NORMALIZATION_TOL + ulps * 2.0**-52
+        row = row * (target / math.fsum(row.tolist()))
+        accepted = _fsum_accepts(row)
+        if accepted:
+            checked_rows(row[None, :])
+        else:
+            with pytest.raises(DomainError, match="masses sum to"):
+                checked_rows(row[None, :])
+
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=12), st.integers(1, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_first_failing_row_raises_its_own_error(self, offsets, width):
+        rows = np.full((len(offsets), width), 1.0 / width)
+        rows *= (1.0 + np.array(offsets, dtype=np.float64) * NORMALIZATION_TOL / 2)[:, None]
+        want = None
+        for row in rows:
+            try:
+                _check_masses(row.tolist(), False)
+            except DomainError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            checked_rows(rows)
+        else:
+            with pytest.raises(DomainError) as err:
+                checked_rows(rows)
+            assert str(err.value) == want
