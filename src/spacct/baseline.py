@@ -15,6 +15,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,16 @@ MAX_QUERIES = 1 << 20
 # Number of per-query delta values probed between target_delta * 1e-6 and
 # target_delta * 0.999 (log spacing).
 DELTA0_GRID_POINTS = 64
+
+# Number of KOV terms next to l = i - 1 that the batched probe sums for every
+# open grid row. Enough to reject almost every infeasible row; a row whose sum
+# has more terms and is not rejected goes to the scalar _kov_achieves.
+KOV_WINDOW = 64
+
+# Relative distance from the target inside which the numpy twin of _kov_total
+# does not decide a comparison and the math-module _kov_total does. The twin
+# is within a few ulp of it (np.log1p, np.expm1 against math's).
+_TWIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,14 +119,21 @@ def _kov_terms(epsilon0: float, k: int, i: int) -> np.ndarray:
     C(k,l) e^{(k-2i+l) eps0} (e^{(2i-2l) eps0} - 1) / (1 + e^{eps0})^k for l < i.
     """
     lf = _log_factorials(k + 1)
-    log_denom = k * float(np.logaddexp(0.0, epsilon0))
-    l = np.arange(i, dtype=np.float64)
     log_comb = lf[k] - lf[:i] - lf[k - i + 1:k + 1][::-1]
+    return _kov_lanes(k, i, np.arange(i, dtype=np.float64), log_comb, epsilon0,
+                      k * float(np.logaddexp(0.0, epsilon0)))
+
+
+def _kov_lanes(k: int, i: int | np.ndarray, l: np.ndarray, log_comb: np.ndarray,
+               epsilon0: float | np.ndarray, log_denom: float | np.ndarray) -> np.ndarray:
+    """The KOV term of index l at curve index i, from log C(k, l) and
+    log_denom = k log(1 + e^eps0); i, epsilon0 and log_denom broadcast
+    against l."""
     log_low = log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom
     gap = (2.0 * i - 2.0 * l) * epsilon0
     # e^x rounds to 0.0 below x = -745.2; numpy's exp is slow on such lanes, so
     # they are left at 0.0 instead of computed.
-    base = np.zeros(i)
+    base = np.zeros(log_low.shape)
     np.exp(log_low, out=base, where=log_low > -750.0)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = base * np.expm1(gap)
@@ -177,6 +195,103 @@ def _kov_achieves(epsilon0: float, delta0: float, k: int,
     return _kov_total(math.fsum(terms.tolist()), delta0, k) <= target_delta
 
 
+class _DeltaGrid(NamedTuple):
+    """The delta0 grid of one search, with its per-query epsilons and the two
+    per-row constants of every probe: log1p(-delta0) and logaddexp(0, eps0)."""
+
+    delta0: np.ndarray
+    epsilon0: np.ndarray
+    log_keep: np.ndarray
+    log_norm: np.ndarray
+
+    @classmethod
+    def of(cls, delta0: list[float], epsilon0: list[float]) -> _DeltaGrid:
+        d0, e0 = np.array(delta0), np.array(epsilon0)
+        return cls(d0, e0, np.log1p(-d0), np.logaddexp(0.0, e0))
+
+
+def _kov_exceeds(dhat: np.ndarray, grid: _DeltaGrid, rows: np.ndarray, k: int,
+                 target_delta: float) -> np.ndarray:
+    """Whether _kov_total(dhat[j], delta0[rows[j]], k) > target_delta, for each j.
+
+    A numpy twin of _kov_total decides every row whose twin total lies more
+    than _TWIN_TOL relative from the target; the rows within it take the
+    math-module _kov_total, so each answer is the scalar one.
+    """
+    below = dhat < 1.0  # _kov_total is 1.0 from dhat = 1 on, above any target
+    log_rest = np.log1p(-dhat, out=np.zeros(len(dhat)), where=below)
+    twin = -np.expm1(k * grid.log_keep[rows] + log_rest)
+    out = (twin > target_delta) | ~below
+    for j in np.flatnonzero(np.abs(twin - target_delta) <= _TWIN_TOL * target_delta).tolist():
+        out[j] = _kov_total(float(dhat[j]), float(grid.delta0[rows[j]]), k) > target_delta
+    return out
+
+
+def _kov_window(grid: _DeltaGrid, rows: np.ndarray, k: int, i: np.ndarray) -> np.ndarray:
+    """The KOV_WINDOW terms l in [i - KOV_WINDOW, i) of each row, one row per
+    entry of `rows` with its own i >= 1; a slot with l < 0 holds 0.0. Each term
+    is bit for bit the same-index entry of _kov_terms(epsilon0, k, i)."""
+    lf = _log_factorials(k + 1)
+    l = i[:, None] - KOV_WINDOW + np.arange(KOV_WINDOW)
+    inside = l >= 0
+    l = np.maximum(l, 0)
+    terms = _kov_lanes(k, i[:, None], l.astype(np.float64), lf[k] - lf[l] - lf[k - l],
+                       grid.epsilon0[rows][:, None], (k * grid.log_norm[rows])[:, None])
+    terms[~inside] = 0.0
+    return terms
+
+
+def _kov_verdicts(grid: _DeltaGrid, k: int, target_epsilon: float,
+                  target_delta: float) -> np.ndarray:
+    """_kov_achieves for every grid row at query count k, decided in one
+    batched pass: 1 where it holds, 0 where it fails, -1 where only the
+    scalar _kov_achieves can tell.
+
+    The gates of _kov_achieves run on all rows at once. Then the KOV_WINDOW
+    terms nearest l = i - 1 of every open row are summed: they are
+    nonnegative, so the low end of sum_bracket around their float sum is at
+    most fsum of all i terms, and a total above the target there rejects the
+    row. When i <= KOV_WINDOW the window is the whole sum, and a total at or
+    below the target at the high end accepts it. _kov_total is nondecreasing
+    in dhat, so each verdict equals the fsum decision.
+    """
+    verdicts = np.zeros(len(grid.delta0), dtype=np.int8)
+    wide = k * grid.epsilon0 > target_epsilon
+    i = np.zeros(len(verdicts), dtype=np.int64)
+    i[wide] = np.ceil((k - target_epsilon / grid.epsilon0[wide]) / 2.0)
+    rows = np.flatnonzero(i <= k // 2)
+    rows = rows[~_kov_exceeds(np.zeros(len(rows)), grid, rows, k, target_delta)]
+    verdicts[rows[i[rows] == 0]] = 1
+    rows = rows[i[rows] > 0]
+    if not len(rows):
+        return verdicts
+    i = i[rows]
+    s = _kov_window(grid, rows, k, i).sum(axis=1)
+    finite = np.isfinite(s)
+    verdicts[rows[~finite]] = -1  # as in _kov_achieves, only fsum decides these
+    rows, i = rows[finite], i[finite]
+    lo, hi = sum_bracket(s[finite], np.minimum(i, KOV_WINDOW))
+    open_ = ~_kov_exceeds(lo, grid, rows, k, target_delta)
+    whole = open_ & (i <= KOV_WINDOW)
+    verdicts[rows[whole]] = np.where(
+        _kov_exceeds(hi[whole], grid, rows[whole], k, target_delta), -1, 1)
+    verdicts[rows[open_ & ~whole]] = -1
+    return verdicts
+
+
+def _kov_first_feasible(grid: _DeltaGrid, k: int, target_epsilon: float,
+                        target_delta: float) -> int | None:
+    """Index of the first grid row for which _kov_achieves holds at k, or None.
+    Rows the batched pass leaves open take the scalar _kov_achieves, in grid
+    order, up to the first feasible row."""
+    verdicts = _kov_verdicts(grid, k, target_epsilon, target_delta)
+    for r in np.flatnonzero(verdicts).tolist():
+        if verdicts[r] == 1 or _kov_achieves(float(grid.epsilon0[r]), float(grid.delta0[r]),
+                                             k, target_epsilon, target_delta):
+            return r
+    return None
+
+
 def max_dp_queries(target_epsilon: float, target_delta: float,
                    sigma_target: float, n: int) -> DpCalibration:
     """Largest query count k for which some per-query delta0 on the grid
@@ -198,26 +313,26 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
         raise DomainError(f"target delta {target_delta!r} is subnormal; the delta0 grid "
                           f"needs at least {sys.float_info.min!r}")
     sensitivity = 1.0 / n
-    grid = np.logspace(
+    delta0 = np.logspace(
         math.log10(target_delta * 1e-6),
         math.log10(target_delta * 0.999),
         DELTA0_GRID_POINTS,
-    )
+    ).tolist()
     # sigma = sens * c(d0) / eps0 solved for eps0: the same formula, sigma in eps0's place
-    eps0 = {d0: gaussian_sigma_for(sigma_target, d0, sensitivity) for d0 in grid.tolist()}
+    grid = _DeltaGrid.of(delta0, [gaussian_sigma_for(sigma_target, d0, sensitivity)
+                                  for d0 in delta0])
 
     @functools.cache
-    def feasible(k: int) -> float | None:
-        for d0, e0 in eps0.items():
-            if _kov_achieves(e0, d0, k, target_epsilon, target_delta):
-                return d0
-        return None
+    def feasible(k: int) -> int | None:
+        return _kov_first_feasible(grid, k, target_epsilon, target_delta)
 
-    best_d0 = feasible(1)
-    if best_d0 is None:
+    def calibration(row: int, k: int) -> DpCalibration:
+        return DpCalibration(float(grid.epsilon0[row]), delta0[row], sigma_target,
+                             sensitivity, k)
+
+    if feasible(1) is None:
         # report the calibration with the least per-query epsilon tried
-        d0 = float(grid[-1])
-        return DpCalibration(eps0[d0], d0, sigma_target, sensitivity, 0)
+        return calibration(-1, 0)
     hi = 2
     while feasible(hi) is not None:
         if hi >= MAX_QUERIES:
@@ -231,6 +346,6 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
             lo = mid
         else:
             hi = mid
-    d0 = feasible(lo)
-    assert d0 is not None
-    return DpCalibration(eps0[d0], d0, sigma_target, sensitivity, lo)
+    row = feasible(lo)
+    assert row is not None
+    return calibration(row, lo)

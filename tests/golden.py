@@ -3,15 +3,17 @@
     python3 tests/golden.py OUTDIR
     python3 tests/golden.py --compare A B
 
-Runs the 32 commands of perfbench's workloads through `spacct.cli.main`, in
-this process: `table1` and `table2 --check --format json`, the 12 `curve`
-commands, and at seeds 1, 2 and 3 the five `compose` scenario files and
-`verify --trials 100000 --json`. perfbench/workloads.py builds the inputs
-and is only imported. Each command's output file lands under
-OUTDIR/<workload>-<seed>/, and OUTDIR/status.json records every exit code
-and stderr. spacct is imported from the src/ of the checkout holding this
-file, so to show that a change alters no output, run the script in a
-checkout of the parent and in the change and compare with `diff -r`.
+Runs 36 commands through `spacct.cli.main`, in this process. 32 are
+perfbench's workloads: `table1` and `table2 --check --format json`, the 12
+`curve` commands, and at seeds 1, 2 and 3 the five `compose` scenario files
+and `verify --trials 100000 --json`. perfbench/workloads.py builds their
+inputs and is only imported. The other 4 are `dp-compare` searches outside
+the tables (DP_COMPARE). Each command's output file lands under
+OUTDIR/<workload>-<seed>/ or OUTDIR/dp-compare/, and OUTDIR/status.json
+records every exit code and stderr. spacct is imported from the src/ of
+the checkout holding this file, so to show that a change alters no
+output, run the script in a checkout of the parent and in the change and
+compare with `diff -r`.
 A change that moves digits on purpose is compared with `--compare A B`:
 it prints every exit-code or stderr difference, every difference of
 non-numeric text, and per file the largest absolute and relative
@@ -40,6 +42,24 @@ import workloads  # noqa: E402
 
 RUNS = (("tables", 1), ("curves", 1), ("scenarios", 1), ("scenarios", 2), ("scenarios", 3))
 
+# The DP baseline beyond the table cells: the largest count (70,862), a tight
+# target, the query ceiling (exit 3 at 2^20) and the smallest normal target
+# delta, whose delta0 grid reaches subnormal values.
+DP_COMPARE = (
+    ("eps5-delta0.3", ["--eps", "5", "--delta", "0.3", "--sigma", "0.5", "--n", "1000"]),
+    ("eps0.1-delta1e-5", ["--eps", "0.1", "--delta", "1e-5", "--sigma", "0.01", "--n", "10000"]),
+    ("ceiling", ["--eps", "1e7", "--delta", "0.999", "--sigma", "1.0", "--n", "10"]),
+    ("subnormal-edge", ["--eps", "0", "--delta", "2.2250738585072014e-308", "--sigma", "1.0",
+                        "--n", "1"]),
+)
+
+
+def _run(status: dict, key: str, argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = spacct.cli.main(argv)
+    status[key] = {"rc": rc, "stderr": err.getvalue()}
+
 
 def main(outdir: str) -> int:
     out = Path(outdir)
@@ -50,10 +70,12 @@ def main(outdir: str) -> int:
         workdir = Path(f"{name}-{seed}")
         workdir.mkdir(exist_ok=True)
         for command in workloads.WORKLOADS[name](seed, workdir):
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                rc = spacct.cli.main(command.argv)
-            status[f"{workdir}/{command.label}"] = {"rc": rc, "stderr": err.getvalue()}
+            _run(status, f"{workdir}/{command.label}", command.argv)
+    workdir = Path("dp-compare")
+    workdir.mkdir(exist_ok=True)
+    for label, args in DP_COMPARE:
+        _run(status, f"{workdir}/{label}",
+             ["dp-compare", *args, "--format", "json", "--out", str(workdir / f"{label}.json")])
     Path("status.json").write_text(json.dumps(status, indent=1) + "\n")
     return 0
 

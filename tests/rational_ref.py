@@ -4,7 +4,8 @@ Everything here is deliberately dumb: exact rational arithmetic where
 possible, raw enumeration elsewhere, and no reuse of the package's
 convolution or log-space machinery. Former evaluation paths are kept at
 the end as references for the paths that replaced them: the KOV
-composition curve (against the DP search's certified decision), a block's
+composition curve (against the DP search's certified decision), the
+row-by-row DP search (against the batched probe), a block's
 two indicator answer laws (against the batched subset divergences), the oracle's
 masked answer counts with tree nodes as row groups and its one rank column
 per template (bit for bit against its batched run simulator), adaptive
@@ -16,16 +17,18 @@ package's binomial tails).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
-from spacct.baseline import _kov_dhat, _kov_total
+from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_achieves,
+                             _kov_dhat, _kov_total, gaussian_sigma_for)
 from spacct.curve import _binomial_above, as_grid, fsum_terms, shift_pair_rows
 from spacct.distkit import cdf, point, poisson_binomial, poisson_binomial_rows, shift
-from spacct.errors import DomainError
+from spacct.errors import CapacityError, DomainError
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
 from spacct.spc import spc_iid, success_prob
 
@@ -203,6 +206,43 @@ def kov_compose(epsilon0: float, delta0: float, k: int) -> list[tuple[float, flo
         raise DomainError("delta0 must lie in [0, 1)")
     return [((k - 2 * i) * epsilon0, kov_total_delta(epsilon0, delta0, k, i))
             for i in range(k // 2, -1, -1)]
+
+
+def max_dp_queries_rowwise(target_epsilon: float, target_delta: float,
+                           sigma_target: float, n: int) -> DpCalibration:
+    """max_dp_queries as a loop over the delta0 grid, one scalar _kov_achieves
+    per row in grid order, with the same doubling/bisection probes of k.
+    Arguments are taken as valid."""
+    sensitivity = 1.0 / n
+    grid = np.logspace(math.log10(target_delta * 1e-6), math.log10(target_delta * 0.999),
+                       DELTA0_GRID_POINTS)
+    eps0 = {d0: gaussian_sigma_for(sigma_target, d0, sensitivity) for d0 in grid.tolist()}
+
+    @functools.cache
+    def feasible(k: int) -> float | None:
+        for d0, e0 in eps0.items():
+            if _kov_achieves(e0, d0, k, target_epsilon, target_delta):
+                return d0
+        return None
+
+    if feasible(1) is None:
+        d0 = float(grid[-1])
+        return DpCalibration(eps0[d0], d0, sigma_target, sensitivity, 0)
+    hi = 2
+    while feasible(hi) is not None:
+        if hi >= MAX_QUERIES:
+            raise CapacityError(f"at least MAX_QUERIES = {MAX_QUERIES} DP queries meet "
+                                f"the target; the search stops there")
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid) is not None:
+            lo = mid
+        else:
+            hi = mid
+    d0 = feasible(lo)
+    return DpCalibration(eps0[d0], d0, sigma_target, sensitivity, lo)
 
 
 def indicator_laws(query, rows: np.ndarray) -> dict:

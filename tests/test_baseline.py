@@ -18,15 +18,22 @@ from spacct import (
 )
 from spacct import baseline
 from spacct.baseline import (
+    KOV_WINDOW,
     MAX_QUERIES,
+    _DeltaGrid,
     _kov_achieves,
     _kov_dhat,
+    _kov_first_feasible,
+    _kov_terms,
+    _kov_total,
+    _kov_verdicts,
+    _kov_window,
     _log_factorials,
 )
 from spacct.distkit import _log_factorial
 from spacct.tables import TABLE1, TABLE2, compute_table
 
-from rational_ref import kov_compose, kov_total_delta
+from rational_ref import kov_compose, kov_total_delta, max_dp_queries_rowwise
 
 
 class TestMseIncrease:
@@ -201,11 +208,11 @@ class TestMaxDpQueries:
         # overflowed, warned and calibrated with eps0 = inf
         probed = []
 
-        def spy(epsilon0, delta0, k, *targets):
-            probed.append((epsilon0, delta0))
-            return _kov_achieves(epsilon0, delta0, k, *targets)
+        def spy(grid, k, *targets):
+            probed.extend(zip(grid.epsilon0.tolist(), grid.delta0.tolist()))
+            return _kov_first_feasible(grid, k, *targets)
 
-        monkeypatch.setattr(baseline, "_kov_achieves", spy)
+        monkeypatch.setattr(baseline, "_kov_first_feasible", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cal = max_dp_queries(0.0, 2.2250738585072014e-308, 1.0, 1)
@@ -218,11 +225,11 @@ class TestMaxDpQueries:
         # rather than report a count beyond MAX_QUERIES
         probed = []
 
-        def spy(epsilon0, delta0, k, *targets):
+        def spy(grid, k, *targets):
             probed.append(k)
-            return _kov_achieves(epsilon0, delta0, k, *targets)
+            return _kov_first_feasible(grid, k, *targets)
 
-        monkeypatch.setattr(baseline, "_kov_achieves", spy)
+        monkeypatch.setattr(baseline, "_kov_first_feasible", spy)
         with pytest.raises(CapacityError, match=str(MAX_QUERIES)):
             max_dp_queries(1e7, 0.999, 1.0, 10)
         assert max(probed) == MAX_QUERIES
@@ -366,3 +373,125 @@ class TestSearchReading:
         assert [k for k in range(1, 61) if feasible(k)] == \
             list(range(1, 40)) + [41, 43, 45, 47, 49]
         assert max_dp_queries(eps, delta, sigma, n).k_max == 39
+
+
+# The table cells' searches and the `dp-compare` points of tests/golden.py:
+# the largest count (70,862), a tight target, the query ceiling (exit 3) and
+# the smallest normal target delta, whose grid reaches subnormal delta0.
+TABLE_SEARCHES = [(c.epsilon, c.delta_sp, c.sigma, spec.n) for spec in (TABLE1, TABLE2)
+                  for c in compute_table(spec, with_dp=False)]
+DP_COMPARE_SEARCHES = [(5.0, 0.3, 0.5, 1000), (0.1, 1e-5, 0.01, 10000), (1e7, 0.999, 1.0, 10),
+                       (0.0, 2.2250738585072014e-308, 1.0, 1)]
+
+
+def search_grid(target_delta, sigma, n):
+    """The delta0 grid max_dp_queries builds for these arguments."""
+    delta0 = np.logspace(math.log10(target_delta * 1e-6), math.log10(target_delta * 0.999),
+                         baseline.DELTA0_GRID_POINTS).tolist()
+    return _DeltaGrid.of(delta0, [gaussian_sigma_for(sigma, d0, 1.0 / n) for d0 in delta0])
+
+
+def scalar_verdicts(grid, k, target_epsilon, target_delta):
+    return [_kov_achieves(e0, d0, k, target_epsilon, target_delta)
+            for e0, d0 in zip(grid.epsilon0.tolist(), grid.delta0.tolist())]
+
+
+def gated_index(epsilon0, delta0, k, target_epsilon, target_delta):
+    """The curve index i that _kov_achieves sums to, or None when one of its
+    gates decides the row before any term is summed."""
+    if k * epsilon0 <= target_epsilon:
+        return None
+    i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
+    if i > k // 2 or _kov_total(0.0, delta0, k) > target_delta:
+        return None
+    return i
+
+
+class TestBatchedProbe:
+    """The one-pass decision over the delta0 grid against the scalar
+    _kov_achieves, row by row, and the search against the row-by-row loop."""
+
+    @pytest.mark.parametrize("args", TABLE_SEARCHES + DP_COMPARE_SEARCHES,
+                             ids=lambda args: "-".join(map(repr, args)))
+    def test_search_equals_the_rowwise_loop(self, args):
+        try:
+            want = max_dp_queries_rowwise(*args)
+        except CapacityError:
+            with pytest.raises(CapacityError, match=str(MAX_QUERIES)):
+                max_dp_queries(*args)
+        else:
+            assert max_dp_queries(*args) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 30_000),
+           target_delta=st.floats(1e-9, 0.5),
+           sigma=st.floats(1e-3, 1.0),
+           n=st.sampled_from([10, 100, 1000, 32768]),
+           row=st.integers(0, 63),
+           point=st.floats(0.0, 1.0),
+           rel=st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]),
+           step=st.sampled_from([0, 1, -1]))
+    def test_verdicts_equal_the_scalar_decision(self, k, target_delta, sigma, n, row, point,
+                                                rel, step):
+        # the target pair sits on the curve of one row, at or within an ulp or
+        # a relative 1e-15..1e-9 of its fsum total
+        grid = search_grid(target_delta, sigma, n)
+        e0, d0 = float(grid.epsilon0[row]), float(grid.delta0[row])
+        target_epsilon = (k - 2 * round(point * (k // 2))) * e0
+        i = math.ceil((k - target_epsilon / e0) / 2.0)
+        target = kov_total_delta(e0, d0, k, min(max(i, 0), k // 2)) * (1 + rel)
+        if step:
+            target = float(np.nextafter(target, step * np.inf))
+        target = min(target, 0.999)
+        want = scalar_verdicts(grid, k, target_epsilon, target)
+        got = _kov_verdicts(grid, k, target_epsilon, target)
+        assert all(v == -1 or bool(v) == w for v, w in zip(got.tolist(), want))
+        first = _kov_first_feasible(grid, k, target_epsilon, target)
+        assert first == (want.index(True) if any(want) else None)
+
+    @pytest.mark.parametrize("epsilon0, k", [
+        (0.3, 1), (0.2, 8), (0.05, 130), (0.01, 400), (0.001, 3000), (2.0, 500), (0.5, 3000),
+    ])
+    def test_window_terms_are_the_scalar_terms(self, epsilon0, k):
+        # every count i from 1 to k // 2, in rows of one grid whose epsilons
+        # differ, including the lanes past gap ~ 709 (eps0 = 2 and 0.5)
+        i = np.arange(1, k // 2 + 1)
+        scale = epsilon0 * (1.0 + np.arange(len(i)) / len(i))
+        grid = _DeltaGrid.of([1e-6] * len(i), scale.tolist())
+        window = _kov_window(grid, np.arange(len(i)), k, i)
+        assert window.shape == (len(i), KOV_WINDOW)
+        for row, (e0, ii) in enumerate(zip(scale.tolist(), i.tolist())):
+            terms = _kov_terms(e0, k, ii)[-KOV_WINDOW:]
+            assert window[row, :KOV_WINDOW - len(terms)].tolist() == [0.0] * (KOV_WINDOW - len(terms))
+            assert window[row, KOV_WINDOW - len(terms):].tobytes() == terms.tobytes()
+
+    def test_every_decision_path_runs(self, monkeypatch):
+        # over the table searches: rows the window rejects, rows a whole window
+        # accepts, and rows left to the scalar _kov_achieves
+        counts = {"gate": 0, "window rejects": 0, "window accepts": 0, "open": 0, "scalar": 0}
+
+        def verdicts_spy(grid, k, target_epsilon, target_delta):
+            got = _kov_verdicts(grid, k, target_epsilon, target_delta)
+            for e0, d0, v in zip(grid.epsilon0.tolist(), grid.delta0.tolist(), got.tolist()):
+                i = gated_index(e0, d0, k, target_epsilon, target_delta)
+                if i is None:
+                    counts["gate"] += 1
+                elif v == 0:
+                    counts["window rejects"] += 1
+                elif v == 1:
+                    assert i <= KOV_WINDOW
+                    counts["window accepts"] += 1
+                else:
+                    counts["open"] += 1
+            return got
+
+        def scalar_spy(*args):
+            counts["scalar"] += 1
+            return _kov_achieves(*args)
+
+        monkeypatch.setattr(baseline, "_kov_verdicts", verdicts_spy)
+        monkeypatch.setattr(baseline, "_kov_achieves", scalar_spy)
+        for args in TABLE_SEARCHES:
+            max_dp_queries(*args)
+        assert all(counts.values()), counts
+        assert counts["scalar"] <= counts["open"]
