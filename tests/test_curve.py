@@ -201,8 +201,10 @@ class TestShiftPairDelta:
     # expected: 40-digit sums. scipy's tails lose digits here (5.7e-10 relative
     # at 2^20, 2.8e-7 at 2^24), so they are a coarse cross-check only. abs=0:
     # pytest.approx's default abs=1e-12 would accept any delta below 1e-12.
-    @pytest.mark.parametrize("n,expected", [(1 << 20, 5.478390057137e-11),
-                                            (1 << 24, 3.881566958177e-98)])
+    # The ids keep the case names these had when they pinned scipy's values.
+    @pytest.mark.parametrize("n,expected", [
+        pytest.param(1 << 20, 5.478390057137e-11, id="1048576-5.4783900602e-11"),
+        pytest.param(1 << 24, 3.881566958177e-98, id="16777216-3.881568031e-98")])
     def test_curve_beyond_the_normalization_ceiling(self, capsys, n, expected):
         code = main(["curve", "--n", str(n), "--p", "0.5", "--eps", "0.01", "--format", "json"])
         assert code == 0
