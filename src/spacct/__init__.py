@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .partition import (
     PartitionLaw,
-    Template,
     TemplateFormat,
     enumerate_templates,
     sample_template,

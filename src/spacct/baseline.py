@@ -59,15 +59,6 @@ class DpCalibration:
     sensitivity: float
     k_max: int
 
-    def to_dict(self) -> dict:
-        return {
-            "per_query_epsilon": self.per_query_epsilon,
-            "per_query_delta": self.per_query_delta,
-            "gaussian_sigma": self.gaussian_sigma,
-            "sensitivity": self.sensitivity,
-            "k_max": self.k_max,
-        }
-
 
 def mse_increase(n: int, s: int, p: float) -> AccuracyFigure:
     """MSE increase p(1-p)/s - p(1-p)/n of the fraction estimate from a
@@ -115,7 +106,8 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _kov_terms(epsilon0: float, k: int, i: int) -> np.ndarray:
-    """The i summands of _kov_dhat, each one nonnegative:
+    """The i summands of the optimal-composition delta component at the
+    curve point (k - 2i) * eps0, each one nonnegative:
     C(k,l) e^{(k-2i+l) eps0} (e^{(2i-2l) eps0} - 1) / (1 + e^{eps0})^k for l < i.
     """
     lf = _log_factorials(k + 1)
@@ -143,15 +135,6 @@ def _kov_lanes(k: int, i: int | np.ndarray, l: np.ndarray, log_comb: np.ndarray,
         # 0 * inf is NaN. Factor out the larger exponent log_low + gap <= 0 instead.
         terms[bad] = np.exp(log_low[bad] + gap[bad]) * -np.expm1(-gap[bad])
     return terms
-
-
-def _kov_dhat(epsilon0: float, k: int, i: int) -> float:
-    """Optimal-composition delta component at the curve point (k - 2i) * eps0.
-
-    sum_{l < i} C(k,l) (e^{(k-l) eps0} - e^{(k-2i+l) eps0}) / (1 + e^{eps0})^k,
-    evaluated in log space and summed exactly rounded.
-    """
-    return math.fsum(_kov_terms(epsilon0, k, i).tolist())
 
 
 def _kov_total(dhat: float, delta0: float, k: int) -> float:

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from itertools import groupby
 from pathlib import Path
 
@@ -129,7 +130,7 @@ def cmd_table(args) -> int:
         ]
         _emit(_csv_text(["m", "sigma", "eps", "delta_sp", "dp_queries"], rows), args.out)
     if args.check:
-        failures = check_table(cells, strict_dp=args.strict_dp)
+        failures = check_table(cells)
         for c in cells:
             if c.dp_queries is not None and not c.dp_ok:
                 _diag(
@@ -214,11 +215,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dp_compare(args) -> int:
-    calibration = max_dp_queries(args.eps, args.delta, args.sigma, args.n)
+    d = asdict(max_dp_queries(args.eps, args.delta, args.sigma, args.n))
     if args.format == "json":
-        _emit_json(calibration.to_dict(), args.out)
+        _emit_json(d, args.out)
     else:
-        d = calibration.to_dict()
         header = list(d)
         _emit(_csv_text(header, [[repr(d[k]) if isinstance(d[k], float) else d[k]
                                   for k in header]]), args.out)
@@ -250,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"recompute benchmark {name}")
         p.add_argument("--check", action="store_true",
                        help="compare against embedded expected values")
-        p.add_argument("--strict-dp", action="store_true",
-                       help="let #DP deviations fail the check")
         p.add_argument("--skip-dp", action="store_true",
                        help="skip the #DP column (faster)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -321,8 +321,6 @@ def cdf(d: Pmf, x: int) -> float:
     """P(D <= x); 0 below the support, ~1 at or above its top."""
     if x < d.offset:
         return 0.0
-    if x >= d.top:
-        return d.total()
     return math.fsum(d.masses[: x - d.offset + 1].tolist())
 
 

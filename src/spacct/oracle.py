@@ -58,12 +58,11 @@ class McEstimate(NamedTuple):
     half_width: float | np.ndarray
 
 
-def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
-                        cap: int = ORACLE_CAP) -> ExactMechanismLaw:
+def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMechanismLaw:
     """Exact joint answer laws by brute-force enumeration.
 
     Cost is |W|^(n-1) * #templates * #answer tuples and is checked against
-    `cap` before any work happens.
+    ORACLE_CAP before any work happens.
     """
     fmt = spec.format
     n = scenario.n
@@ -74,10 +73,10 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
     radix = tuple(s + 1 for s in fmt.sizes)
     n_answers = math.prod(radix)
     budget = num_values ** (n - 1) * n_templates * n_answers
-    if budget > cap:
+    if budget > ORACLE_CAP:
         raise CapacityError(
-            f"exact enumeration needs {magnitude(budget)} law evaluations, above the cap of {cap}"
-        )
+            f"exact enumeration needs {magnitude(budget)} law evaluations, above the cap of "
+            f"{ORACLE_CAP}")
     j0 = scenario.critical_index - 1
     probs = scenario.probs_matrix()
 
@@ -89,12 +88,15 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec,
     probs_nc = np.delete(probs, j0, axis=0)
     row_prob = np.prod(np.where(bits == 1, probs_nc[None], 1.0 - probs_nc[None]), axis=(1, 2))
 
-    templates = enumerate_templates(law, cap=max(n_templates, 1))
+    # every entry takes at least 2 values and every block 2 answers, so the
+    # budget keeps the templates within TEMPLATE_CAP: at most 10^7 / 2^n from
+    # n = 4 on, and at most 3! = 6 below
+    templates = enumerate_templates(law)
     # each template's places of the entries in the blocks laid end to end,
     # shared by every assignment; entries outside every block go after the last
     places = np.full((n, len(templates)), n, dtype=np.min_scalar_type(n))
     for t, (template, _) in enumerate(templates):
-        order = [i - 1 for block in template.index_lists for i in block]
+        order = [i - 1 for block in template for i in block]
         places[order, t] = np.arange(len(order))
     per_chunk = max(1, LAW_CHUNK_RUNS // num_rows)
     hist = {v: np.zeros(n_answers) for v in range(num_values)}

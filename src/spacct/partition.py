@@ -3,7 +3,7 @@
 A template assigns database indices (1-based) to m sample blocks; injective
 templates use each index at most once. Blocks are treated as index sets
 (within-block order carries no information for symmetric queries), though
-the Template type preserves the drawn sequences.
+sampled templates keep the drawn order.
 """
 
 from __future__ import annotations
@@ -44,30 +44,6 @@ class TemplateFormat:
 
 
 @dataclass(frozen=True)
-class Template:
-    """Concrete index assignment: one sequence of indices per block."""
-
-    index_lists: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        lists = tuple(tuple(int(i) for i in block) for block in self.index_lists)
-        object.__setattr__(self, "index_lists", lists)
-        flat = [i for block in lists for i in block]
-        if any(i < 1 for i in flat):
-            raise DomainError("indices are 1-based and must be positive")
-        if len(set(flat)) != len(flat):
-            raise DomainError("template is not injective")
-
-    @property
-    def format(self) -> TemplateFormat:
-        return TemplateFormat(tuple(len(b) for b in self.index_lists))
-
-    def block(self, k: int) -> tuple[int, ...]:
-        """Indices of block k (1-based)."""
-        return self.index_lists[k - 1]
-
-
-@dataclass(frozen=True)
 class PartitionLaw:
     """Uniform law over injective templates of a format on n indices.
 
@@ -95,88 +71,77 @@ class PartitionLaw:
             object.__setattr__(self, "restriction", (int(j), int(k)))
 
 
-def template_count(law: PartitionLaw) -> int:
-    """Number of templates in the law's support (blocks as unordered sets)."""
+def _reduced(law: PartitionLaw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices a law partitions and the block sizes it fills.
+
+    A law restricted to (j, k) is the uniform law over the indices other
+    than j with block k one smaller; j then joins block k.
+    """
     sizes = law.format.sizes
     if law.restriction is None:
-        count, remaining = 1, law.n
-        for s in sizes:
-            count *= math.comb(remaining, s)
-            remaining -= s
-        return count
-    _, k = law.restriction
-    count, remaining = 1, law.n - 1
-    for idx, s in enumerate(sizes, start=1):
-        pick = s - 1 if idx == k else s
-        count *= math.comb(remaining, pick)
-        remaining -= pick
+        return tuple(range(1, law.n + 1)), sizes
+    j, k = law.restriction
+    pool = tuple(i for i in range(1, law.n + 1) if i != j)
+    return pool, sizes[: k - 1] + (sizes[k - 1] - 1,) + sizes[k:]
+
+
+def template_count(law: PartitionLaw) -> int:
+    """Number of templates in the law's support (blocks as unordered sets)."""
+    pool, sizes = _reduced(law)
+    count, remaining = 1, len(pool)
+    for s in sizes:
+        count *= math.comb(remaining, s)
+        remaining -= s
     return count
 
 
-def enumerate_templates(law: PartitionLaw, cap: int = TEMPLATE_CAP) -> list[tuple[Template, float]]:
-    """Exhaustive (template, probability) list with uniform weights.
+def enumerate_templates(law: PartitionLaw) -> list[tuple[tuple[tuple[int, ...], ...], float]]:
+    """Exhaustive (template, probability) list with uniform weights; a
+    template is one sorted tuple of indices per block.
 
-    Raises CapacityError when the support exceeds `cap`, offering no remedy:
-    its one caller in the package, the exact oracle, has no sampled mode.
+    Raises CapacityError when the support exceeds TEMPLATE_CAP, offering no
+    remedy: its one caller in the package, the exact oracle, has no sampled
+    mode.
     """
     count = template_count(law)
-    if count > cap:
-        raise CapacityError(f"{magnitude(count)} templates exceed the cap of {cap}")
-    sizes = law.format.sizes
+    if count > TEMPLATE_CAP:
+        raise CapacityError(f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
+    pool, sizes = _reduced(law)
+    j, k = law.restriction or (0, 0)
     weight = 1.0 / count
-    forced = {}
-    if law.restriction is not None:
-        j, k = law.restriction
-        forced[k - 1] = j
-    out: list[tuple[Template, float]] = []
+    out: list[tuple[tuple[tuple[int, ...], ...], float]] = []
 
     def build(block_idx: int, available: tuple[int, ...], chosen: tuple) -> None:
         if block_idx == len(sizes):
-            out.append((Template(chosen), weight))
+            out.append((chosen, weight))
             return
-        size = sizes[block_idx]
-        force = forced.get(block_idx)
-        if force is None:
-            for combo in combinations(available, size):
-                rest = tuple(i for i in available if i not in combo)
-                build(block_idx + 1, rest, chosen + (combo,))
-        else:
-            for combo in combinations(available, size - 1):
-                block = tuple(sorted(combo + (force,)))
-                rest = tuple(i for i in available if i not in combo)
-                build(block_idx + 1, rest, chosen + (block,))
+        for combo in combinations(available, sizes[block_idx]):
+            rest = tuple(i for i in available if i not in combo)
+            if block_idx == k - 1:  # j joins block k at its sorted place
+                combo = tuple(sorted(combo + (j,)))
+            build(block_idx + 1, rest, chosen + (combo,))
 
-    start = tuple(i for i in range(1, law.n + 1) if i not in forced.values())
-    build(0, start, ())
+    build(0, pool, ())
     assert len(out) == count
     return out
 
 
-def sample_template(law: PartitionLaw, seed) -> Template:
-    """Uniform draw via a seeded shuffle and consecutive block slicing.
+def sample_template(law: PartitionLaw, seed) -> tuple[tuple[int, ...], ...]:
+    """Uniform draw via a seeded shuffle and consecutive block slicing: one
+    tuple of indices per block, in drawn order.
 
     `seed` may be an int, a SeedSequence, or a Generator; a fixed seed gives
-    a fixed template. Restricted laws place the conditioned index in its
-    block and draw the rest uniformly.
+    a fixed template. Restricted laws draw the other indices uniformly and
+    append the conditioned index to its block.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    sizes = law.format.sizes
-    if law.restriction is None:
-        perm = rng.permutation(np.arange(1, law.n + 1))
-        blocks, pos = [], 0
-        for s in sizes:
-            blocks.append(tuple(int(i) for i in perm[pos : pos + s]))
-            pos += s
-        return Template(tuple(blocks))
-    j, k = law.restriction
-    pool = np.array([i for i in range(1, law.n + 1) if i != j])
-    perm = rng.permutation(pool)
+    pool, sizes = _reduced(law)
+    perm = rng.permutation(np.array(pool, dtype=np.int64))
     blocks, pos = [], 0
-    for idx, s in enumerate(sizes, start=1):
-        take = s - 1 if idx == k else s
-        block = [int(i) for i in perm[pos : pos + take]]
-        pos += take
-        if idx == k:
-            block.append(j)
-        blocks.append(tuple(block))
-    return Template(tuple(blocks))
+    for s in sizes:
+        blocks.append(tuple(int(i) for i in perm[pos : pos + s]))
+        pos += s
+    if law.restriction is not None:  # j joins block k after the draw
+        j, k = law.restriction
+        blocks[k - 1] += (j,)
+    return tuple(blocks)

@@ -209,12 +209,10 @@ class SpcEstimate(NamedTuple):
 class Enumerate:
     """Exact expectation over the critical index's co-members.
 
-    `cap` bounds the subset count C(n - 1, n_k - 1) that explicit entries
-    enumerate, checked before any work; iid and known entries are exact
-    without enumerating subsets, so it does not apply to them.
+    Explicit entries enumerate C(n - 1, n_k - 1) co-member subsets, refused
+    above TEMPLATE_CAP before any work; iid and known entries are exact
+    without enumerating subsets, so the cap does not apply to them.
     """
-
-    cap: int = TEMPLATE_CAP
 
 
 @dataclass(frozen=True)
@@ -352,9 +350,9 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     success = query.success_probs(scenario.probs_matrix())
     if isinstance(mode, Enumerate):
         count = math.comb(law.n - 1, picks)
-        if count > mode.cap:
+        if count > TEMPLATE_CAP:
             raise CapacityError(
-                f"{magnitude(count)} co-member subsets exceed the cap of {mode.cap}; "
+                f"{magnitude(count)} co-member subsets exceed the cap of {TEMPLATE_CAP}; "
                 "use Monte-Carlo sampling")
         mean = _subset_mean(success, others.tolist(), picks, grid)
         return SpcEstimate(per_epsilon(epsilon, mean))

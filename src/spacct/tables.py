@@ -127,10 +127,10 @@ def compute_table(spec: TableSpec, with_dp: bool = True) -> list[TableCell]:
     return cells
 
 
-def check_table(cells: list[TableCell], strict_dp: bool = False) -> list[str]:
+def check_table(cells: list[TableCell]) -> list[str]:
     """Human-readable failure list; empty means the check passed.
 
-    #DP deviations are reported but only gate the check under strict_dp.
+    #DP deviations do not gate the check; the CLI reports them.
     """
     failures = []
     for c in cells:
@@ -143,10 +143,5 @@ def check_table(cells: list[TableCell], strict_dp: bool = False) -> list[str]:
             failures.append(
                 f"m={c.m} eps={c.epsilon}: delta {c.delta_sp:.6f} vs expected "
                 f"{c.expected_delta:.4f} (tol {DELTA_TOL})"
-            )
-        if strict_dp and not c.dp_ok:
-            failures.append(
-                f"m={c.m} eps={c.epsilon}: dp_queries {c.dp_queries} vs expected "
-                f"{c.expected_dp} (tol max(2, 50%))"
             )
     return failures

@@ -10,9 +10,11 @@ two indicator answer laws (against the batched subset divergences), the oracle's
 masked answer counts with tree nodes as row groups and its one rank column
 per template (bit for bit against its batched run simulator), adaptive
 composition's per-template tree walk, which uses the package's own laws
-and divergences so that only the order of summation differs, and the
+and divergences so that only the order of summation differs, the
 adaptive iid level loop (bit for bit against the prefix walk, with the
-package's binomial tails).
+package's binomial tails), and the partition law's two-branch template
+count, enumeration and sampling, which spelled out restricted laws
+separately (exactly against the one reduction that replaced them).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import combinations, product
 import numpy as np
 
 from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_achieves,
-                             _kov_dhat, _kov_total, gaussian_sigma_for)
+                             _kov_terms, _kov_total, gaussian_sigma_for)
 from spacct.curve import _binomial_above, as_grid, fsum_terms, shift_pair_rows
 from spacct.distkit import cdf, point, poisson_binomial, poisson_binomial_rows, shift
 from spacct.errors import CapacityError, DomainError
@@ -188,10 +190,19 @@ def adaptive_iid_prefix_sum(n: int, probs: tuple[float, ...], sizes: tuple[int, 
     return total
 
 
+def kov_dhat(epsilon0: float, k: int, i: int) -> float:
+    """Optimal-composition delta component at the curve point (k - 2i) * eps0.
+
+    sum_{l < i} C(k,l) (e^{(k-l) eps0} - e^{(k-2i+l) eps0}) / (1 + e^{eps0})^k,
+    evaluated in log space and summed exactly rounded.
+    """
+    return math.fsum(_kov_terms(epsilon0, k, i).tolist())
+
+
 def kov_total_delta(epsilon0: float, delta0: float, k: int, i: int) -> float:
     """KOV composed delta at the curve point (k - 2i) eps0, from the fsum of
     its terms."""
-    return _kov_total(_kov_dhat(epsilon0, k, i), delta0, k)
+    return _kov_total(kov_dhat(epsilon0, k, i), delta0, k)
 
 
 def kov_compose(epsilon0: float, delta0: float, k: int) -> list[tuple[float, float]]:
@@ -312,7 +323,7 @@ def per_template_exact_hist(probs: np.ndarray, critical_index: int, spec,
         entries[:, noncrit, :] = bits
         entries[:, j0, :] = (v >> np.arange(num_attrs)) & 1
         for template, w in templates:
-            order = [i - 1 for block in template.index_lists for i in block]
+            order = [i - 1 for block in template for i in block]
             ranks = np.full((n, 1), n)
             ranks[order, 0] = np.arange(len(order))
             np.add.at(hist[v], masked_count_answers(ranks, entries, spec), w * row_prob)
@@ -336,12 +347,12 @@ def per_template_adaptive_general(scenario, spec, epsilon) -> list[np.ndarray]:
 
         def walk(node, level: int, prob: float) -> None:
             if level == k:
-                co_members = [i - 1 for i in template.block(k) if i != j]
+                co_members = [i - 1 for i in template[k - 1] if i != j]
                 success = node.query.success_probs(probs[co_members])
                 divergence = shift_pair_rows(poisson_binomial_rows(success[None]), grid)[:, 0]
                 terms.append(prob * divergence)
                 return
-            members = [i - 1 for i in template.block(level)]
+            members = [i - 1 for i in template[level - 1]]
             law = poisson_binomial(node.query.success_probs(probs[members]))
             below = cdf(law, node.threshold - 1)
             above = 1.0 - below if node.threshold <= law.top else 0.0
@@ -388,3 +399,80 @@ def level_loop_adaptive_iid(scenario, spec, epsilon) -> list[np.ndarray]:
         deltas.append(fsum_terms([prob * spc_iid(scenario, size, grid, node.query)
                                   for node, prob in reach]))
     return deltas
+
+
+def two_branch_template_count(law: PartitionLaw) -> int:
+    """partition.template_count with its restricted law as a second branch."""
+    sizes = law.format.sizes
+    if law.restriction is None:
+        count, remaining = 1, law.n
+        for s in sizes:
+            count *= math.comb(remaining, s)
+            remaining -= s
+        return count
+    _, k = law.restriction
+    count, remaining = 1, law.n - 1
+    for idx, s in enumerate(sizes, start=1):
+        pick = s - 1 if idx == k else s
+        count *= math.comb(remaining, pick)
+        remaining -= pick
+    return count
+
+
+def two_branch_enumerate_templates(law: PartitionLaw) -> list[tuple[tuple, float]]:
+    """partition.enumerate_templates with the restricted block forced in a
+    branch of the recursion: (index tuples, weight) in enumeration order."""
+    sizes = law.format.sizes
+    count = two_branch_template_count(law)
+    weight = 1.0 / count
+    forced = {}
+    if law.restriction is not None:
+        j, k = law.restriction
+        forced[k - 1] = j
+    out = []
+
+    def build(block_idx: int, available: tuple[int, ...], chosen: tuple) -> None:
+        if block_idx == len(sizes):
+            out.append((chosen, weight))
+            return
+        size = sizes[block_idx]
+        force = forced.get(block_idx)
+        if force is None:
+            for combo in combinations(available, size):
+                rest = tuple(i for i in available if i not in combo)
+                build(block_idx + 1, rest, chosen + (combo,))
+        else:
+            for combo in combinations(available, size - 1):
+                block = tuple(sorted(combo + (force,)))
+                rest = tuple(i for i in available if i not in combo)
+                build(block_idx + 1, rest, chosen + (block,))
+
+    start = tuple(i for i in range(1, law.n + 1) if i not in forced.values())
+    build(0, start, ())
+    assert len(out) == count
+    return out
+
+
+def two_branch_sample_template(law: PartitionLaw, seed) -> tuple[tuple[int, ...], ...]:
+    """partition.sample_template with a separate shuffle for restricted laws."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    sizes = law.format.sizes
+    if law.restriction is None:
+        perm = rng.permutation(np.arange(1, law.n + 1))
+        blocks, pos = [], 0
+        for s in sizes:
+            blocks.append(tuple(int(i) for i in perm[pos : pos + s]))
+            pos += s
+        return tuple(blocks)
+    j, k = law.restriction
+    pool = np.array([i for i in range(1, law.n + 1) if i != j])
+    perm = rng.permutation(pool)
+    blocks, pos = [], 0
+    for idx, s in enumerate(sizes, start=1):
+        take = s - 1 if idx == k else s
+        block = [int(i) for i in perm[pos : pos + take]]
+        pos += take
+        if idx == k:
+            block.append(j)
+        blocks.append(tuple(block))
+    return tuple(blocks)

@@ -22,7 +22,6 @@ from spacct.baseline import (
     MAX_QUERIES,
     _DeltaGrid,
     _kov_achieves,
-    _kov_dhat,
     _kov_first_feasible,
     _kov_terms,
     _kov_total,
@@ -33,7 +32,7 @@ from spacct.baseline import (
 from spacct.distkit import _log_factorial
 from spacct.tables import TABLE1, TABLE2, compute_table
 
-from rational_ref import kov_compose, kov_total_delta, max_dp_queries_rowwise
+from rational_ref import kov_compose, kov_dhat, kov_total_delta, max_dp_queries_rowwise
 
 
 class TestMseIncrease:
@@ -258,7 +257,7 @@ def reference_achieves(epsilon0, delta0, k, target_epsilon, target_delta):
 
 
 def inline_gammaln_dhat(epsilon0, k, i, log_factorial=lambda x: gammaln(x + 1.0)):
-    """_kov_dhat as written before the log-factorial table, with log(x!) from
+    """kov_dhat as written before the log-factorial table, with log(x!) from
     `log_factorial` (scipy's gammaln by default)."""
     if i == 0:
         return 0.0
@@ -307,7 +306,7 @@ class TestKovTerms:
         tol = 16 * math.ulp(math.lgamma(k + 1.0)) + 1e-15
         for i in range(0, k // 2 + 1, max(1, k // 300)):
             old = inline_gammaln_dhat(epsilon0, k, i, _log_factorial)
-            new, reference = _kov_dhat(epsilon0, k, i), inline_gammaln_dhat(epsilon0, k, i)
+            new, reference = kov_dhat(epsilon0, k, i), inline_gammaln_dhat(epsilon0, k, i)
             if math.isnan(old):
                 assert 0.0 <= new <= 1.0 + 1e-9
             else:

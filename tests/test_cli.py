@@ -220,12 +220,12 @@ class TestTableCommands:
         cell = payload[0]
         assert {"m", "sigma", "eps", "delta_sp", "dp_queries"} <= set(cell)
 
-    def test_strict_dp_gates_the_check(self, capsys):
-        # the grid-optimized #DP search deviates from the recorded column,
-        # so gating on it must fail
-        code, _, err = run(capsys, "table2", "--check", "--strict-dp")
-        assert code == 1
-        assert "dp_queries" in err
+    def test_strict_dp_is_an_unknown_argument(self, capsys):
+        # #DP deviations never gate the check, so there is no flag to gate them
+        with pytest.raises(SystemExit) as info:
+            main(["table2", "--check", "--skip-dp", "--strict-dp"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --strict-dp" in capsys.readouterr().err
 
 
 class TestComposeCommand:
@@ -700,8 +700,7 @@ ARGVS = st.one_of(
            option("--known-positive", number(st.integers(0, 5000))),
            switch("--population-adjusted"), option("--format", st.sampled_from(("csv", "json")))),
     joined(st.sampled_from((["table1"], ["table2"])), st.just(["--skip-dp"]),
-           switch("--check"), option("--format", st.sampled_from(("csv", "json", "xml"))),
-           switch("--strict-dp")),
+           switch("--check"), option("--format", st.sampled_from(("csv", "json", "xml")))),
     joined(st.just(["compose", "--scenario"]),
            st.sampled_from((["tiny.json"], ["broken.json"], ["missing.json"], ["."])),
            switch("--verify")),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spacct.compose
+import spacct.spc
 from spacct import (
     AdaptiveSpec,
     CapacityError,
@@ -253,13 +254,14 @@ class TestKnownEntriesMixture:
         for term, delta in zip(report.per_block, want):
             assert term.delta.tolist() == delta.tolist()
 
-    def test_subset_cap_does_not_apply(self):
+    def test_subset_cap_does_not_apply(self, monkeypatch):
+        monkeypatch.setattr(spacct.spc, "TEMPLATE_CAP", 1)
         sc = Scenario(32768, KnownEntries(0.5, known=16000))
         spec = equal_spec(2048, 2)
-        report = nonadaptive_general(sc, spec, 0.1, Enumerate(cap=1))
+        report = nonadaptive_general(sc, spec, 0.1, Enumerate())
         assert 0.0 < report.total_delta < 1.0
 
-    def test_iid_block_terms_equal_spc_iid(self):
+    def test_iid_block_terms_equal_spc_iid(self, monkeypatch):
         sc = Scenario(40, IidEntries((0.3, 0.65)), critical_index=5)
         spec = NonadaptiveSpec(TemplateFormat((8, 8, 12)), (
             PropertyQuery(1), PropertyQuery(0, negate=True), PropertyQuery(1, negate=True)))
@@ -267,7 +269,8 @@ class TestKnownEntriesMixture:
         report = nonadaptive_iid(sc, spec, eps)
         for term, size, query in zip(report.per_block, spec.format.sizes, spec.queries):
             assert term.delta.tolist() == spc_iid(sc, size, eps, query).tolist()
-        general = nonadaptive_general(sc, spec, eps, Enumerate(cap=1))
+        monkeypatch.setattr(spacct.spc, "TEMPLATE_CAP", 1)
+        general = nonadaptive_general(sc, spec, eps, Enumerate())
         assert general.total_delta.tolist() == report.total_delta.tolist()
         assert general.mode == "nonadaptive-general" and report.mode == "nonadaptive-iid"
 

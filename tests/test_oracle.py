@@ -94,11 +94,12 @@ class TestExactMechanismLaw:
                 flat = a1 * 3 + a2
                 assert law.laws[v].mass(flat) == pytest.approx(p, abs=1e-12)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setattr(spacct.oracle, "ORACLE_CAP", 100)
         sc = Scenario(8, IidEntries((0.5,)))
         spec = NonadaptiveSpec(TemplateFormat((4, 4)), (PropertyQuery(), PropertyQuery()))
         with pytest.raises(CapacityError):
-            exact_mechanism_law(sc, spec, cap=100)
+            exact_mechanism_law(sc, spec)
 
     def test_capacity_message_prints_a_magnitude(self):
         # the budget 2^16383 * C(16384, 8192) * 8193^2 has over 9,000 digits

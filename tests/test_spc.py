@@ -376,7 +376,7 @@ def restricted_explicit_cases(draw):
 
 def _template_block_delta(scenario, template, law, query, eps):
     j, k = law.restriction
-    members = [i - 1 for i in template.block(k) if i != j]
+    members = [i - 1 for i in template[k - 1] if i != j]
     return d_hat(indicator_laws(query, scenario.probs_matrix()[members, :]), eps)
 
 
@@ -443,13 +443,15 @@ class TestSpcGeneralSubsets:
                 else:
                     assert got.half_width[i] == one.half_width
 
-    def test_cap_counts_co_member_subsets(self):
+    def test_cap_counts_co_member_subsets(self, monkeypatch):
         # C(9, 2) = 36 subsets for a block of 3 among 10 entries
         scenario = Scenario(10, ExplicitEntries(((0.5,),) * 10))
         law = PartitionLaw(10, TemplateFormat((3, 3, 3)), restriction=(1, 2))
+        monkeypatch.setattr(spacct.spc, "TEMPLATE_CAP", 10)
         with pytest.raises(CapacityError, match="36"):
-            spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate(cap=10))
-        assert spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate(cap=36)).value > 0.0
+            spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate())
+        monkeypatch.setattr(spacct.spc, "TEMPLATE_CAP", 36)
+        assert spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate()).value > 0.0
 
 
 def _per_trial_monte_carlo(scenario, law, query, grid, trials, seed):
