@@ -33,7 +33,7 @@ DELTA0_GRID_POINTS = 64
 
 # Number of KOV terms next to l = i - 1 that the batched probe sums for every
 # open grid row. Enough to reject almost every infeasible row; a row whose sum
-# has more terms and is not rejected goes to the scalar _kov_achieves.
+# has more terms and is not rejected is finished on its whole sum.
 KOV_WINDOW = 64
 
 # Relative distance from the target inside which the numpy twin of _kov_total
@@ -145,28 +145,12 @@ def _kov_total(dhat: float, delta0: float, k: int) -> float:
     return min(1.0, -math.expm1(log_keep + math.log1p(-dhat)))
 
 
-def _kov_achieves(epsilon0: float, delta0: float, k: int,
-                  target_epsilon: float, target_delta: float) -> bool:
-    """Whether some composition curve point has eps <= target and delta <= target.
-
-    delta_i grows with i while eps_i shrinks, so only the smallest i with
-    (k - 2i) eps0 <= target_epsilon needs checking.
-    """
-    if k * epsilon0 <= target_epsilon:
-        i = 0
-    else:
-        i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
-        if i > k // 2:
-            return False
-    if _kov_total(0.0, delta0, k) > target_delta:
-        return False  # the delta0 part alone misses; dhat >= 0 only adds to it
-    if i == 0:
-        return True
-    # The decision needs only a bracket around the fsum total: the i terms are
-    # nonnegative, so distkit.sum_bracket around their float sum holds fsum's
-    # correctly rounded sum. _kov_total is nondecreasing in dhat (math.log1p
-    # and math.expm1 are monotone), so the fsum total lies between the totals
-    # at the two ends; only a target in between needs fsum.
+def _kov_sum_meets(epsilon0: float, delta0: float, k: int, i: int,
+                   target_delta: float) -> bool:
+    """Whether the composed delta at curve index i >= 1 meets the target, for a
+    row _kov_verdicts left open. distkit.sum_bracket around the float sum of
+    its i nonnegative terms holds their fsum, and _kov_total is nondecreasing
+    in dhat, so only a target between the totals at the two ends needs fsum."""
     terms = _kov_terms(epsilon0, k, i)
     s = float(terms.sum())
     if math.isfinite(s):
@@ -225,13 +209,15 @@ def _kov_window(grid: _DeltaGrid, rows: np.ndarray, k: int, i: np.ndarray) -> np
 
 
 def _kov_verdicts(grid: _DeltaGrid, k: int, target_epsilon: float,
-                  target_delta: float) -> np.ndarray:
-    """_kov_achieves for every grid row at query count k, decided in one
-    batched pass: 1 where it holds, 0 where it fails, -1 where only the
-    scalar _kov_achieves can tell.
+                  target_delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid row's verdict at query count k, decided in one batched pass,
+    and its curve index i: 1 where some curve point has eps <= target and
+    delta <= target, 0 where none has, -1 where only _kov_sum_meets can tell.
 
-    The gates of _kov_achieves run on all rows at once. Then the KOV_WINDOW
-    terms nearest l = i - 1 of every open row are summed: they are
+    delta_i grows with i, so only the least i with (k - 2i) eps0 <= target
+    counts. The gates fail i > k // 2 and a delta0 part alone above the
+    target (dhat >= 0 only adds to it), then pass i = 0. Then the
+    KOV_WINDOW terms nearest l = i - 1 of every open row are summed: they are
     nonnegative, so the low end of sum_bracket around their float sum is at
     most fsum of all i terms, and a total above the target there rejects the
     row. When i <= KOV_WINDOW the window is the whole sum, and a total at or
@@ -247,30 +233,29 @@ def _kov_verdicts(grid: _DeltaGrid, k: int, target_epsilon: float,
     verdicts[rows[i[rows] == 0]] = 1
     rows = rows[i[rows] > 0]
     if not len(rows):
-        return verdicts
-    i = i[rows]
-    s = _kov_window(grid, rows, k, i).sum(axis=1)
+        return verdicts, i
+    s = _kov_window(grid, rows, k, i[rows]).sum(axis=1)
     finite = np.isfinite(s)
-    verdicts[rows[~finite]] = -1  # as in _kov_achieves, only fsum decides these
-    rows, i = rows[finite], i[finite]
-    lo, hi = sum_bracket(s[finite], np.minimum(i, KOV_WINDOW))
+    verdicts[rows[~finite]] = -1  # only fsum decides these
+    rows, s = rows[finite], s[finite]
+    lo, hi = sum_bracket(s, np.minimum(i[rows], KOV_WINDOW))
     open_ = ~_kov_exceeds(lo, grid, rows, k, target_delta)
-    whole = open_ & (i <= KOV_WINDOW)
+    whole = open_ & (i[rows] <= KOV_WINDOW)
     verdicts[rows[whole]] = np.where(
         _kov_exceeds(hi[whole], grid, rows[whole], k, target_delta), -1, 1)
     verdicts[rows[open_ & ~whole]] = -1
-    return verdicts
+    return verdicts, i
 
 
 def _kov_first_feasible(grid: _DeltaGrid, k: int, target_epsilon: float,
                         target_delta: float) -> int | None:
-    """Index of the first grid row for which _kov_achieves holds at k, or None.
-    Rows the batched pass leaves open take the scalar _kov_achieves, in grid
-    order, up to the first feasible row."""
-    verdicts = _kov_verdicts(grid, k, target_epsilon, target_delta)
+    """Index of the first grid row whose k-fold composition meets the target,
+    or None. Rows the batched pass leaves open are finished on their whole
+    sum (_kov_sum_meets), in grid order, up to the first feasible row."""
+    verdicts, i = _kov_verdicts(grid, k, target_epsilon, target_delta)
     for r in np.flatnonzero(verdicts).tolist():
-        if verdicts[r] == 1 or _kov_achieves(float(grid.epsilon0[r]), float(grid.delta0[r]),
-                                             k, target_epsilon, target_delta):
+        if verdicts[r] == 1 or _kov_sum_meets(float(grid.epsilon0[r]), float(grid.delta0[r]),
+                                              k, int(i[r]), target_delta):
             return r
     return None
 

@@ -41,7 +41,10 @@ def _diag(message: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -75,21 +78,14 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
 
 
 def cmd_curve(args) -> int:
-    if args.scenario:
-        config = load_scenario(args.scenario)
-        scenario = config.scenario
-        epsilons = _parse_eps_list(args.eps) if args.eps else config.epsilons
-        if not isinstance(scenario.entries, (IidEntries, KnownEntries)):
-            raise DomainError("curve needs an iid or known-entries scenario")
-    else:
-        if args.n is None or args.p is None:
-            raise DomainError("need --scenario or both --n and --p")
-        entries = (
-            KnownEntries(args.p, args.known, args.known_positive)
-            if args.known or args.known_positive else IidEntries((args.p,))
-        )
-        scenario = Scenario(args.n, entries)
-        epsilons = _parse_eps_list(args.eps) if args.eps else DEFAULT_EPS_GRID
+    if args.n is None or args.p is None:
+        raise DomainError("need both --n and --p")
+    entries = (
+        KnownEntries(args.p, args.known, args.known_positive)
+        if args.known or args.known_positive else IidEntries((args.p,))
+    )
+    scenario = Scenario(args.n, entries)
+    epsilons = _parse_eps_list(args.eps) if args.eps else DEFAULT_EPS_GRID
     size = args.sample_size if args.sample_size is not None else scenario.n
 
     if isinstance(scenario.entries, KnownEntries):
@@ -233,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curve", help="privacy curve of a subsampled property query")
-    p.add_argument("--scenario", help="scenario file (JSON)")
     p.add_argument("--n", type=int, help="database size")
     p.add_argument("--p", type=float, help="entry probability")
     p.add_argument("--sample-size", type=int, help="sample size s (default: n)")

@@ -124,9 +124,9 @@ def _windows(u: np.ndarray, p, q, a: np.ndarray):
     With a at or above the mean minus 2 the masses fall off like a Gaussian,
     or geometrically once a is z standard deviations out, so min(9, 40.5 / z)
     standard deviations plus 24 terms leave out less than 2^-55 of the tail.
-    The width is then rounded up to one of a few sizes, and rows of one size
-    are summed together, so each row's terms and sums depend on its own
-    (u, p, a) only, not on the other rows.
+    The width is then rounded up to one of a few sizes, and the rows of each
+    size are taken by index and summed together, so each row's terms and sums
+    depend on its own (u, p, a) only, not on the other rows.
     """
     if not u.size:
         return np.empty((0, 4)), np.empty((0, 4))
@@ -148,19 +148,13 @@ def _windows(u: np.ndarray, p, q, a: np.ndarray):
     # the ratio multiplies 0; the floor keeps it from being 0 * inf
     anchors, ratios = _dbinom(a, u, p, q), p / np.maximum(q, 1e-300)
     above, below = u - a, a + 1.0
-    # rows sorted by width, so that each width is one contiguous run
-    order = None if widest == widths.min() else np.argsort(widths, kind="stable")
-    if order is not None:
-        above, below, anchors, ratios, widths = (
-            x[order] for x in (above, below, anchors, ratios, widths))
     masses, tails = np.empty((u.size, 4)), np.empty((u.size, 4))
-    starts = [0, *(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), u.size]
-    for lo, hi in zip(starts, starts[1:]):
-        width = int(widths[lo])
+    for width in np.unique(widths).tolist():
         offsets = np.arange(width - 1, dtype=np.float64)
+        rows = np.flatnonzero(widths == width)
         share = max(1, _WINDOW_TERMS // width)
-        for part in (slice(at, min(at + share, hi)) for at in range(lo, hi, share)):
-            terms = np.empty((part.stop - part.start, width))
+        for part in (rows[at:at + share] for at in range(0, rows.size, share)):
+            terms = np.empty((part.size, width))
             terms[:, 0] = anchors[part]
             # b(j + 1) / b(j) for j = a, a + 1, ...; 0 at j = u and of either sign after
             step = terms[:, 1:]
@@ -174,10 +168,6 @@ def _windows(u: np.ndarray, p, q, a: np.ndarray):
             head = terms[:, 3::-1].copy()
             head[:, 0] = np.add.reduce(terms[:, 3:], axis=1) + 0.0
             tails[part] = np.cumsum(head, axis=1)[:, ::-1]
-    if order is not None:
-        back = np.empty_like(order)
-        back[order] = np.arange(order.size)
-        masses, tails = masses[back], tails[back]
     return masses, tails
 
 

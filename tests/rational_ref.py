@@ -5,7 +5,9 @@ possible, raw enumeration elsewhere, and no reuse of the package's
 convolution or log-space machinery. Former evaluation paths are kept at
 the end as references for the paths that replaced them: the KOV
 composition curve (against the DP search's certified decision), the
-row-by-row DP search (against the batched probe), a block's
+row-by-row DP search and its scalar probe `_kov_achieves`, which ran every
+gate and the whole sum per row (against the batched probe and its
+whole-sum finisher), a block's
 two indicator answer laws (against the batched subset divergences), the oracle's
 masked answer counts with tree nodes as row groups and its one rank column
 per template (bit for bit against its batched run simulator), adaptive
@@ -26,10 +28,11 @@ from itertools import combinations, product
 
 import numpy as np
 
-from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_achieves,
-                             _kov_terms, _kov_total, gaussian_sigma_for)
+from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_terms,
+                             _kov_total, gaussian_sigma_for)
 from spacct.curve import _binomial_above, as_grid, fsum_terms, shift_pair_rows
-from spacct.distkit import cdf, point, poisson_binomial, poisson_binomial_rows, shift
+from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows, shift,
+                            sum_bracket)
 from spacct.errors import CapacityError, DomainError
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
 from spacct.spc import spc_iid, success_prob
@@ -217,6 +220,39 @@ def kov_compose(epsilon0: float, delta0: float, k: int) -> list[tuple[float, flo
         raise DomainError("delta0 must lie in [0, 1)")
     return [((k - 2 * i) * epsilon0, kov_total_delta(epsilon0, delta0, k, i))
             for i in range(k // 2, -1, -1)]
+
+
+def _kov_achieves(epsilon0: float, delta0: float, k: int,
+                  target_epsilon: float, target_delta: float) -> bool:
+    """Whether some composition curve point has eps <= target and delta <= target.
+
+    delta_i grows with i while eps_i shrinks, so only the smallest i with
+    (k - 2i) eps0 <= target_epsilon needs checking.
+    """
+    if k * epsilon0 <= target_epsilon:
+        i = 0
+    else:
+        i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
+        if i > k // 2:
+            return False
+    if _kov_total(0.0, delta0, k) > target_delta:
+        return False  # the delta0 part alone misses; dhat >= 0 only adds to it
+    if i == 0:
+        return True
+    # The decision needs only a bracket around the fsum total: the i terms are
+    # nonnegative, so distkit.sum_bracket around their float sum holds fsum's
+    # correctly rounded sum. _kov_total is nondecreasing in dhat (math.log1p
+    # and math.expm1 are monotone), so the fsum total lies between the totals
+    # at the two ends; only a target in between needs fsum.
+    terms = _kov_terms(epsilon0, k, i)
+    s = float(terms.sum())
+    if math.isfinite(s):
+        lo, hi = sum_bracket(s, i)
+        if _kov_total(lo, delta0, k) > target_delta:
+            return False
+        if _kov_total(hi, delta0, k) <= target_delta:
+            return True
+    return _kov_total(math.fsum(terms.tolist()), delta0, k) <= target_delta
 
 
 def max_dp_queries_rowwise(target_epsilon: float, target_delta: float,

@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -21,8 +21,8 @@ from spacct.baseline import (
     KOV_WINDOW,
     MAX_QUERIES,
     _DeltaGrid,
-    _kov_achieves,
     _kov_first_feasible,
+    _kov_sum_meets,
     _kov_terms,
     _kov_total,
     _kov_verdicts,
@@ -32,7 +32,8 @@ from spacct.baseline import (
 from spacct.distkit import _log_factorial
 from spacct.tables import TABLE1, TABLE2, compute_table
 
-from rational_ref import kov_compose, kov_dhat, kov_total_delta, max_dp_queries_rowwise
+from rational_ref import (_kov_achieves, kov_compose, kov_dhat, kov_total_delta,
+                          max_dp_queries_rowwise)
 
 
 class TestMseIncrease:
@@ -341,16 +342,36 @@ class TestCertifiedDecision:
         assert _kov_achieves(epsilon0, delta0, k, target_epsilon, target_delta) \
             == reference_achieves(epsilon0, delta0, k, target_epsilon, target_delta)
 
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 30_000),
+           epsilon0=st.floats(1e-4, 0.05),
+           delta0=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)),
+           point=st.floats(0.0, 1.0),
+           rel=st.sampled_from([0.0, 1e-12, -1e-12]),
+           step=st.sampled_from([0, 1, -1]))
+    def test_finisher_equals_the_scalar_probe(self, k, epsilon0, delta0, point, rel, step):
+        # on a row that passes the gates, with the target at the fsum total, one
+        # ulp either side of it or 1e-12 relative from it
+        target_epsilon = (k - 2 * round(point * (k // 2))) * epsilon0
+        i = math.ceil((k - target_epsilon / epsilon0) / 2.0)
+        target_delta = kov_total_delta(epsilon0, delta0, k, min(max(i, 0), k // 2)) * (1 + rel)
+        if step:
+            target_delta = float(np.nextafter(target_delta, step * np.inf))
+        i = gated_index(epsilon0, delta0, k, target_epsilon, target_delta)
+        assume(i is not None)
+        assert _kov_sum_meets(epsilon0, delta0, k, i, target_delta) \
+            == _kov_achieves(epsilon0, delta0, k, target_epsilon, target_delta)
+
     def test_target_at_the_fsum_total_takes_the_fallback(self, monkeypatch):
-        epsilon0, delta0, k, target_epsilon = 0.05, 1e-6, 1000, 1.0
+        # the curve index of target epsilon 1.0 at this eps0 and k is 490
+        epsilon0, delta0, k = 0.05, 1e-6, 1000
         total = kov_total_delta(epsilon0, delta0, k, 490)
         assert 0.1 < total < 0.9
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
-        assert _kov_achieves(epsilon0, delta0, k, target_epsilon, total)
-        assert not _kov_achieves(epsilon0, delta0, k, target_epsilon,
-                                 float(np.nextafter(total, 0.0)))
+        assert _kov_sum_meets(epsilon0, delta0, k, 490, total)
+        assert not _kov_sum_meets(epsilon0, delta0, k, 490, float(np.nextafter(total, 0.0)))
         assert len(calls) == 2
 
 
@@ -443,8 +464,12 @@ class TestBatchedProbe:
             target = float(np.nextafter(target, step * np.inf))
         target = min(target, 0.999)
         want = scalar_verdicts(grid, k, target_epsilon, target)
-        got = _kov_verdicts(grid, k, target_epsilon, target)
+        got, index = _kov_verdicts(grid, k, target_epsilon, target)
         assert all(v == -1 or bool(v) == w for v, w in zip(got.tolist(), want))
+        for r in np.flatnonzero(got == -1).tolist():
+            # an open row carries the index the scalar probe would have summed to
+            assert index[r] == gated_index(float(grid.epsilon0[r]), float(grid.delta0[r]), k,
+                                           target_epsilon, target)
         first = _kov_first_feasible(grid, k, target_epsilon, target)
         assert first == (want.index(True) if any(want) else None)
 
@@ -466,12 +491,12 @@ class TestBatchedProbe:
 
     def test_every_decision_path_runs(self, monkeypatch):
         # over the table searches: rows the window rejects, rows a whole window
-        # accepts, and rows left to the scalar _kov_achieves
-        counts = {"gate": 0, "window rejects": 0, "window accepts": 0, "open": 0, "scalar": 0}
+        # accepts, and rows left open for the whole-sum finisher
+        counts = {"gate": 0, "window rejects": 0, "window accepts": 0, "open": 0, "finisher": 0}
 
         def verdicts_spy(grid, k, target_epsilon, target_delta):
             got = _kov_verdicts(grid, k, target_epsilon, target_delta)
-            for e0, d0, v in zip(grid.epsilon0.tolist(), grid.delta0.tolist(), got.tolist()):
+            for e0, d0, v in zip(grid.epsilon0.tolist(), grid.delta0.tolist(), got[0].tolist()):
                 i = gated_index(e0, d0, k, target_epsilon, target_delta)
                 if i is None:
                     counts["gate"] += 1
@@ -484,13 +509,13 @@ class TestBatchedProbe:
                     counts["open"] += 1
             return got
 
-        def scalar_spy(*args):
-            counts["scalar"] += 1
-            return _kov_achieves(*args)
+        def finisher_spy(*args):
+            counts["finisher"] += 1
+            return _kov_sum_meets(*args)
 
         monkeypatch.setattr(baseline, "_kov_verdicts", verdicts_spy)
-        monkeypatch.setattr(baseline, "_kov_achieves", scalar_spy)
+        monkeypatch.setattr(baseline, "_kov_sum_meets", finisher_spy)
         for args in TABLE_SEARCHES:
             max_dp_queries(*args)
         assert all(counts.values()), counts
-        assert counts["scalar"] <= counts["open"]
+        assert counts["finisher"] <= counts["open"]

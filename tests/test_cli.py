@@ -81,6 +81,13 @@ class TestCurveCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_scenario_is_an_unknown_argument(self, capsys):
+        # scenario files go to `compose --scenario`; curve reads --n and --p only
+        with pytest.raises(SystemExit) as info:
+            main(["curve", "--scenario", "f.json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --scenario f.json" in capsys.readouterr().err
+
     def test_known_entries_flag(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "8", "--p", "0.5",
                            "--sample-size", "4", "--known", "4", "--eps", "0.1")
@@ -533,6 +540,39 @@ class TestJsonEmitter:
         with pytest.raises(DomainError, match="non-finite"):
             _emit_json({"delta": value}, None)
         assert capsys.readouterr().out == ""
+
+
+class TestUnwritableOut:
+    """An --out path that cannot be written is invalid input: exit 2 with one
+    error line naming the path, never a traceback with exit 1."""
+
+    COMMANDS = {
+        "curve": ["curve", "--n", "10", "--p", "0.5"],
+        "table1": ["table1", "--skip-dp"],
+        "table2": ["table2", "--check", "--skip-dp"],
+        "compose": ["compose", "--scenario", "tiny.json"],
+        "verify": ["verify"],
+        "dp-compare": ["dp-compare", "--eps", "0.1", "--delta", "0.01", "--sigma", "0.1",
+                       "--n", "100"],
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_directory_exits_2(self, capsys, tmp_path, name):
+        (tmp_path / "tiny.json").write_text(json.dumps(TINY_SCENARIO))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in self.COMMANDS[name]]
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        # table2 first flags its malformed source cell on an error line of its own
+        lines = [line for line in err.splitlines() if "malformed source cell" not in line]
+        assert lines == [f"error: cannot write --out {tmp_path}: Is a directory"]
+
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "curve", "--n", "10", "--p", "0.5", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --out {target}: No such file or directory\n"
+        assert not target.parent.exists()
 
 
 class TestDpCompareCommand:

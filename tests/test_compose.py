@@ -422,6 +422,19 @@ class TestDispatcher:
         assert composition_delta(sc_iid, tree, 0.1).mode == "adaptive-iid"
         assert composition_delta(sc_exp, tree, 0.1).mode == "adaptive-general"
 
+    @pytest.mark.parametrize("entries", [IidEntries((0.3,)), KnownEntries(0.3, 0, 0)],
+                             ids=["iid", "none known"])
+    def test_nonadaptive_iid_is_exact_in_monte_carlo_mode(self, entries):
+        # the mode only reaches nonadaptive_general: iid entries take the closed
+        # form, with no sampling and no half-width
+        sc, spec = Scenario(8, entries), equal_spec(8, 2)
+        sampled = composition_delta(sc, spec, [0.0, 0.5], MonteCarlo(trials=50))
+        exact = composition_delta(sc, spec, [0.0, 0.5])
+        assert sampled.mode == "nonadaptive-iid"
+        assert sampled.total_half_width is None
+        assert all(term.half_width is None for term in sampled.per_block)
+        assert sampled.total_delta.tolist() == exact.total_delta.tolist()
+
     def test_adaptive_monte_carlo_rejected(self):
         sc = Scenario(4, IidEntries((0.5,)))
         tree = AdaptiveSpec(TemplateFormat((2, 2)), UNIFORM_2x2)

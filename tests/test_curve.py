@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -33,8 +34,9 @@ from spacct import (
     spc_known_entries,
     spc_known_entries_threshold_bound,
 )
+from spacct import CapacityError, curve
 from spacct.cli import main
-from spacct.curve import _EXP_CAP, _binomial_above, epsilon_grid, shift_pair_rows
+from spacct.curve import _EXP_CAP, _binomial_above, _windows, epsilon_grid, shift_pair_rows
 from spacct.distkit import poisson_binomial_rows
 
 from rational_ref import dhat_shift_pair, hockey_stick_dicts, total_variation
@@ -227,6 +229,39 @@ def _mp_above(u: int, p: float, k: int):
             term *= (u - j) * P / ((j + 1) * (1 - P)) if step > 0 else j * (1 - P) / ((u - j + 1) * P)
             j += step
         return total if upper else 1 - total
+
+
+def _window_width(monkeypatch, u, p, a):
+    """The width _windows gives the row (u, p, a), read off its capacity
+    refusal at a cap of 0 terms."""
+    with monkeypatch.context() as patch:
+        patch.setattr(curve, "_WINDOW_TERMS", 0)
+        with pytest.raises(CapacityError) as info:
+            _windows(np.array([u]), np.array([p]), np.array([1.0 - p]), np.array([a]))
+    return int(re.search(r"window of (\d+) terms", str(info.value)).group(1))
+
+
+class TestWindows:
+    # u = 6, 1000 and 10^6 in turn, so neighbouring rows differ in width, at
+    # p = 0.3 and 0.5 and a at or just above the mean: 12 rows, each four times
+    U = np.tile([6.0, 1000.0, 1e6], 16)
+    P = np.tile(np.repeat([0.3, 0.5], 3), 8)
+    A = np.floor(U * P) + np.repeat([0.0, 2.0], 24)
+
+    @pytest.mark.parametrize("cap", [curve._WINDOW_TERMS, 1 << 13],
+                             ids=["one part per width", "several parts per width"])
+    def test_interleaved_widths_equal_per_row_calls(self, monkeypatch, cap):
+        widths = [_window_width(monkeypatch, *row) for row in zip(self.U, self.P, self.A)]
+        assert len(set(widths)) >= 3
+        assert all(w != v for w, v in zip(widths, widths[1:]))
+        assert 2 * max(widths) > 1 << 13  # so at a cap of 2^13 the widest class takes parts
+        monkeypatch.setattr(curve, "_WINDOW_TERMS", cap)
+        masses, tails = _windows(self.U, self.P, 1.0 - self.P, self.A)
+        for r in range(self.U.size):
+            one = [x[r:r + 1] for x in (self.U, self.P, 1.0 - self.P, self.A)]
+            mass, tail = _windows(*one)
+            assert masses[r].tobytes() == mass[0].tobytes(), r
+            assert tails[r].tobytes() == tail[0].tobytes(), r
 
 
 class TestBinomialTails:
