@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distkit import _log_factorial, sum_bracket
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, is_int
 
 # Hard ceiling for the query-count search: max_dp_queries raises
 # CapacityError when this many queries meet the target. A power of two, so
@@ -121,19 +121,21 @@ def _kov_lanes(k: int, i: int | np.ndarray, l: np.ndarray, log_comb: np.ndarray,
     """The KOV term of index l at curve index i, from log C(k, l) and
     log_denom = k log(1 + e^eps0); i, epsilon0 and log_denom broadcast
     against l."""
-    log_low = log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom
-    gap = (2.0 * i - 2.0 * l) * epsilon0
-    # e^x rounds to 0.0 below x = -745.2; numpy's exp is slow on such lanes, so
-    # they are left at 0.0 instead of computed.
-    base = np.zeros(log_low.shape)
-    np.exp(log_low, out=base, where=log_low > -750.0)
+    # an eps0 near the float limit overflows the exponents; such lanes are not
+    # finite, and the callers send their rows to the fsum finisher
     with np.errstate(over="ignore", invalid="ignore"):
+        log_low = log_comb + (k - 2.0 * i + l) * epsilon0 - log_denom
+        gap = (2.0 * i - 2.0 * l) * epsilon0
+        # e^x rounds to 0.0 below x = -745.2; numpy's exp is slow on such lanes, so
+        # they are left at 0.0 instead of computed.
+        base = np.zeros(log_low.shape)
+        np.exp(log_low, out=base, where=log_low > -750.0)
         terms = base * np.expm1(gap)
-    bad = ~np.isfinite(terms)
-    if bad.any():
-        # Beyond gap ~ 709 expm1 overflows while e^{log_low} underflows to 0, and
-        # 0 * inf is NaN. Factor out the larger exponent log_low + gap <= 0 instead.
-        terms[bad] = np.exp(log_low[bad] + gap[bad]) * -np.expm1(-gap[bad])
+        bad = ~np.isfinite(terms)
+        if bad.any():
+            # Beyond gap ~ 709 expm1 overflows while e^{log_low} underflows to 0, and
+            # 0 * inf is NaN. Factor out the larger exponent log_low + gap <= 0 instead.
+            terms[bad] = np.exp(log_low[bad] + gap[bad]) * -np.expm1(-gap[bad])
     return terms
 
 
@@ -202,8 +204,10 @@ def _kov_window(grid: _DeltaGrid, rows: np.ndarray, k: int, i: np.ndarray) -> np
     l = i[:, None] - KOV_WINDOW + np.arange(KOV_WINDOW)
     inside = l >= 0
     l = np.maximum(l, 0)
+    with np.errstate(over="ignore"):  # an infinite log_denom leaves the row non-finite
+        log_denom = k * grid.log_norm[rows]
     terms = _kov_lanes(k, i[:, None], l.astype(np.float64), lf[k] - lf[l] - lf[k - l],
-                       grid.epsilon0[rows][:, None], (k * grid.log_norm[rows])[:, None])
+                       grid.epsilon0[rows][:, None], log_denom[:, None])
     terms[~inside] = 0.0
     return terms
 
@@ -225,7 +229,8 @@ def _kov_verdicts(grid: _DeltaGrid, k: int, target_epsilon: float,
     in dhat, so each verdict equals the fsum decision.
     """
     verdicts = np.zeros(len(grid.delta0), dtype=np.int8)
-    wide = k * grid.epsilon0 > target_epsilon
+    with np.errstate(over="ignore"):  # k eps0 = inf is above any target
+        wide = k * grid.epsilon0 > target_epsilon
     i = np.zeros(len(verdicts), dtype=np.int64)
     i[wide] = np.ceil((k - target_epsilon / grid.epsilon0[wide]) / 2.0)
     rows = np.flatnonzero(i <= k // 2)
@@ -272,8 +277,8 @@ def max_dp_queries(target_epsilon: float, target_delta: float,
         raise DomainError("targets must be finite")
     if sigma_target <= 0.0:
         raise DomainError("sigma_target must be positive")
-    if n < 1:
-        raise DomainError("n must be positive")
+    if not is_int(n) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     if target_epsilon < 0.0 or not 0.0 < target_delta < 1.0:
         raise DomainError("targets out of range")
     if target_delta < sys.float_info.min:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -25,9 +25,8 @@ from .spc import (
     MonteCarlo,
     PropertyQuery,
     Scenario,
-    _subset_mean,
+    _block_divergence,
     spc_general,
-    spc_iid,
     success_prob,
 )
 
@@ -194,19 +193,18 @@ def _nonadaptive(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
     _require_fits(scenario, spec.format)
     j = scenario.critical_index
     grid = as_grid(epsilon)
-    enumerated: dict = {}
+    sampled = isinstance(mode, MonteCarlo)
+    evaluated: dict = {}
     terms = []
     for k, (size, query) in enumerate(zip(spec.format.sizes, spec.queries), start=1):
-        if isinstance(mode, MonteCarlo):
-            # independent per-block streams derived from the one configured seed
+        # Monte-Carlo blocks take independent streams derived from the one configured
+        # seed; exact blocks that share a size and a query are evaluated once
+        key = k if sampled else (size, query)
+        if key not in evaluated:
             law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
-            block_mode = MonteCarlo(mode.trials, seed=(mode.seed, k))
-            est = spc_general(scenario, law, query, grid, block_mode)
-        else:
-            if (size, query) not in enumerated:
-                law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
-                enumerated[size, query] = spc_general(scenario, law, query, grid, mode)
-            est = enumerated[size, query]
+            block_mode = MonteCarlo(mode.trials, (mode.seed, k)) if sampled else mode
+            evaluated[key] = spc_general(scenario, law, query, grid, block_mode)
+        est = evaluated[key]
         terms.append(BlockTerm(block=k, weight=size / scenario.n,
                                delta=est.value, half_width=est.half_width))
     return _report(epsilon, terms, label)
@@ -233,7 +231,7 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
     """One walk over prefixes (disjoint blocks 1..k-1 of the non-critical
     indices) serves every block k: a prefix adds P(reach a depth-k node)
     times the node query's divergence on block k, given the pool of indices
-    left. The entry model supplies prefixes, branch tails and divergences.
+    left (spc._block_divergence). The entry model supplies prefixes and tails.
     """
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
@@ -252,9 +250,6 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             p = success_prob(scenario, query)
             return (float(_binomial_above(u, 1.0 - p, u - threshold)),
                     float(_binomial_above(u, p, threshold - 1)))
-
-        def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:
-            return spc_iid(scenario, size, grid, query)
     else:
         probs = scenario.probs_matrix()
         j = scenario.critical_index
@@ -275,10 +270,7 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             below = cdf(law, threshold - 1)
             return below, (1.0 - below if threshold <= law.top else 0.0)
 
-        def divergence(pool: tuple[int, ...], size: int, query: PropertyQuery) -> np.ndarray:
-            return _subset_mean(query.success_probs(probs), pool, size - 1, grid)
-
-    tails, divergence = cache(tails), cache(divergence)
+    tails, divergence = cache(tails), cache(partial(_block_divergence, scenario, grid=grid))
     terms = [[] for _ in sizes]
 
     def walk(level: int, pool, reach: list, weight: float) -> None:

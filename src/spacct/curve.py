@@ -27,11 +27,14 @@ _WINDOW_TERMS = 1 << 20
 
 def as_grid(epsilon) -> np.ndarray:
     """An epsilon or a 1-D grid of them as a 1-D array; a scalar is a grid of one.
-    A NaN or negative epsilon raises DomainError, so it never reads as a delta."""
+    A NaN or negative epsilon, or an empty grid, raises DomainError, so it never
+    reads as a delta."""
     eps = np.asarray(epsilon, dtype=np.float64)
     if eps.ndim > 1:
         raise DomainError("epsilon must be a number or a 1-D grid")
     eps = eps.reshape(-1)
+    if not eps.size:
+        raise DomainError("epsilon grid must be nonempty")
     if not (eps >= 0.0).all():
         raise DomainError("epsilon must be nonnegative")
     return eps
@@ -221,8 +224,8 @@ def shift_pair_delta(u, p: float, epsilon):
     """
     u = np.asarray(u, dtype=np.float64)
     grid = as_grid(epsilon)
-    if not 0.0 <= p <= 1.0 or (u < 0.0).any():
-        raise DomainError(f"need u >= 0 and p in [0, 1], got p={p!r}")
+    if not 0.0 <= p <= 1.0 or not (u >= 0.0).all() or (u != np.floor(u)).any():
+        raise DomainError(f"need integer counts u >= 0 and p in [0, 1], got p={p!r}")
     shape = grid.shape + u.shape
     if p in (0.0, 1.0):
         delta = np.ones(shape)  # B and B + 1 are point masses one apart

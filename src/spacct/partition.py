@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, magnitude
+from .errors import CapacityError, DomainError, is_int, magnitude
 
 # Exhaustive enumeration refuses to materialize more templates than this.
 TEMPLATE_CAP = 10**6
@@ -27,6 +27,8 @@ class TemplateFormat:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(is_int(s) for s in self.sizes):
+            raise DomainError(f"block sizes must be integers, got {self.sizes!r}")
         sizes = tuple(int(s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if not sizes:
@@ -56,14 +58,16 @@ class PartitionLaw:
     restriction: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("n must be positive")
+        if not is_int(self.n) or self.n < 1:
+            raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if self.format.total > self.n:
             raise DomainError(
                 f"format uses {self.format.total} indices but n={self.n}"
             )
         if self.restriction is not None:
             j, k = self.restriction
+            if not (is_int(j) and is_int(k)):
+                raise DomainError(f"a restriction is two integers, got {self.restriction!r}")
             if not 1 <= j <= self.n:
                 raise DomainError(f"critical index {j} outside [1, {self.n}]")
             if not 1 <= k <= self.format.num_blocks:

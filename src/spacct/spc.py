@@ -108,6 +108,8 @@ class KnownEntries:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
+        if not (is_int(self.known) and is_int(self.known_positive)):
+            raise DomainError("counts must be integers")
         if self.known < 0 or self.known_positive < 0:
             raise DomainError("counts must be nonnegative")
         if self.known_positive > self.known:
@@ -117,11 +119,14 @@ class KnownEntries:
     def num_attributes(self) -> int:
         return 1
 
+    def slots(self, n: int, critical_index: int = 1) -> np.ndarray:
+        """0-based indices of the known entries: the first `known` non-critical places."""
+        return np.flatnonzero(np.arange(n) != critical_index - 1)[: self.known]
+
     def matrix(self, n: int, critical_index: int = 1) -> np.ndarray:
-        # known entries occupy the first non-critical positions, positives first
         out = np.full((n, 1), self.p)
-        slots = np.flatnonzero(np.arange(n) != critical_index - 1)[: self.known]
-        out[slots, 0] = np.arange(slots.size) < self.known_positive
+        slots = self.slots(n, critical_index)
+        out[slots, 0] = np.arange(slots.size) < self.known_positive  # positives first
         return out
 
 
@@ -137,10 +142,10 @@ class Scenario:
     critical_index: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("n must be positive")
-        if not 1 <= self.critical_index <= self.n:
-            raise DomainError(f"critical index {self.critical_index} outside [1, {self.n}]")
+        if not is_int(self.n) or self.n < 1:
+            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        if not is_int(self.critical_index) or not 1 <= self.critical_index <= self.n:
+            raise DomainError(f"critical index {self.critical_index!r} outside [1, {self.n}]")
         if isinstance(self.entries, ExplicitEntries) and len(self.entries.probs) != self.n:
             raise DomainError("explicit entry list length must equal n")
         if isinstance(self.entries, KnownEntries) and self.entries.known > self.n - 1:
@@ -217,7 +222,7 @@ class Enumerate:
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Sampled expectation; reports a 95% normal-approximation half-width.
+    """Sampled expectation for explicit entries, with a 95% normal-approximation half-width.
 
     The seed may be an int or a tuple of ints (entropy for a SeedSequence).
     """
@@ -226,8 +231,8 @@ class MonteCarlo:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise DomainError("trials must be positive")
+        if not is_int(self.trials) or self.trials < 1:
+            raise DomainError(f"trials must be a positive integer, got {self.trials!r}")
         if self.trials > MC_TRIALS_CAP:
             raise CapacityError(
                 f"{magnitude(self.trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
@@ -252,9 +257,14 @@ def spc_iid(scenario: Scenario, sample_size: int, epsilon,
     """
     if not scenario.is_iid:
         raise DomainError("spc_iid requires iid entries; known entries take spc_known_entries")
-    if not 1 <= sample_size <= scenario.n:
-        raise DomainError(f"sample size must lie in [1, {scenario.n}]")
+    _require_sample_size(scenario, sample_size)
     return shift_pair_delta(sample_size - 1, success_prob(scenario, query), epsilon)
+
+
+def _require_sample_size(scenario: Scenario, sample_size) -> None:
+    if not is_int(sample_size) or not 1 <= sample_size <= scenario.n:
+        raise DomainError(f"sample size must be an integer in [1, {scenario.n}], "
+                          f"got {sample_size!r}")
 
 
 def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -> Pmf:
@@ -283,8 +293,7 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
     """
     if not isinstance(scenario.entries, KnownEntries):
         raise DomainError("spc_known_entries requires a known-entries model")
-    if not 1 <= sample_size <= scenario.n:
-        raise DomainError(f"sample size must lie in [1, {scenario.n}]")
+    _require_sample_size(scenario, sample_size)
     v, p = scenario.entries.known, success_prob(scenario, query)
     weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
     # float counts: a sample of 10^20 entries overflows int64
@@ -304,7 +313,8 @@ def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsi
     """
     if not isinstance(scenario.entries, KnownEntries):
         raise DomainError("threshold bound requires a known-entries model")
-    if not 0 <= phi < sample_size - 1:
+    _require_sample_size(scenario, sample_size)
+    if not is_int(phi) or not 0 <= phi < sample_size - 1:
         raise DomainError(f"phi must lie in [0, {sample_size - 2}]")
     weights = _known_weights(scenario.n, scenario.entries.known, sample_size,
                              population_excludes_critical)
@@ -321,14 +331,10 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     index's n_k - 1 co-members (shifted by the critical value), and under
     the restricted law those co-members are a uniform subset of the other
     n - 1 indices; the other blocks never enter. Enumerate mode takes that
-    average exactly: in closed form for iid entries (spc_iid), as the
-    hypergeometric mixture over the n - 1 non-critical entries for known
-    entries (spc_known_entries), and over every co-member subset for
-    explicit entries. MonteCarlo averages over subsets drawn by the same
-    seeded shuffle as partition.sample_template, whatever the entry model.
-    Both modes take subsets MC_CHUNK at a time: one batched recurrence
-    builds their answer laws and one batched divergence
-    (curve.shift_pair_rows) evaluates them over the whole epsilon grid.
+    average exactly (_block_divergence). MonteCarlo samples it for explicit
+    entries only, over subsets drawn by the same seeded shuffle as
+    partition.sample_template, MC_CHUNK at a time (_subset_values); iid and
+    known entries are exact in either mode.
     """
     if law.restriction is None:
         raise DomainError("spc_general requires a law restricted to (critical index, block)")
@@ -339,33 +345,37 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
         raise DomainError("law and scenario disagree on n")
     query.require_attribute(scenario.num_attributes)
     size = law.format.sizes[k - 1]
-    if isinstance(mode, Enumerate) and isinstance(scenario.entries, IidEntries):
-        return SpcEstimate(spc_iid(scenario, size, epsilon, query))
-    if isinstance(mode, Enumerate) and isinstance(scenario.entries, KnownEntries):
-        return SpcEstimate(spc_known_entries(scenario, size, epsilon, query,
-                                             population_excludes_critical=True))
     others = np.delete(np.arange(law.n), j - 1)
-    picks = size - 1
     grid = as_grid(epsilon)
+    if isinstance(mode, Enumerate) or not isinstance(scenario.entries, ExplicitEntries):
+        return SpcEstimate(per_epsilon(epsilon, _block_divergence(
+            scenario, others, size, query, grid)))
     success = query.success_probs(scenario.probs_matrix())
-    if isinstance(mode, Enumerate):
-        count = math.comb(law.n - 1, picks)
-        if count > TEMPLATE_CAP:
-            raise CapacityError(
-                f"{magnitude(count)} co-member subsets exceed the cap of {TEMPLATE_CAP}; "
-                "use Monte-Carlo sampling")
-        mean = _subset_mean(success, others.tolist(), picks, grid)
-        return SpcEstimate(per_epsilon(epsilon, mean))
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(law.format.sizes[: k - 1])
-    draws = (rng.permutation(others)[start : start + picks] for _ in range(mode.trials))
+    draws = (rng.permutation(others)[start : start + size - 1] for _ in range(mode.trials))
     values = _subset_values(success, draws, mode.trials, grid)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
     means = np.array([row.mean() for row in values])
     spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])
     return SpcEstimate(per_epsilon(epsilon, means),
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
+
+
+def _block_divergence(scenario: Scenario, pool, size: int, query: PropertyQuery,
+                      grid: np.ndarray) -> np.ndarray:
+    """Exact divergence of a block of `size` holding the critical index, per grid
+    point, over co-members drawn uniformly from `pool` (0-based non-critical
+    indices): one branch per entry model, known entries at the pool's counts."""
+    entries = scenario.entries
+    if scenario.is_iid:
+        return spc_iid(scenario, size, grid, query)
+    if isinstance(entries, KnownEntries):
+        known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
+        return spc_known_entries(Scenario(len(pool) + 1, KnownEntries(entries.p, known)), size,
+                                 grid, query, population_excludes_critical=True)
+    return _subset_mean(query.success_probs(scenario.probs_matrix()), pool, size - 1, grid)
 
 
 def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -> np.ndarray:
@@ -382,7 +392,11 @@ def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -
 
 def _subset_mean(success: np.ndarray, pool, picks: int, grid: np.ndarray) -> np.ndarray:
     """Mean over every `picks`-subset of `pool` (indices into `success`) of
-    the divergence of {B, B + 1}, per grid point and capped at 1."""
+    the divergence of {B, B + 1}, per grid point and capped at 1; more than
+    TEMPLATE_CAP subsets are refused before any work."""
     count = math.comb(len(pool), picks)
+    if count > TEMPLATE_CAP:
+        raise CapacityError(f"{magnitude(count)} co-member subsets exceed the cap of "
+                            f"{TEMPLATE_CAP}; use Monte-Carlo sampling")
     values = _subset_values(success, combinations(pool, picks), count, grid)
     return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))

@@ -442,6 +442,13 @@ class TestBatchedProbe:
         else:
             assert max_dp_queries(*args) == want
 
+    def test_overflowing_arguments_warn_nowhere(self):
+        # k * eps0 and the KOV exponents overflow at eps0 ~ 2.5e307; those rows
+        # go to the fsum finisher, and the suite turns any RuntimeWarning into an error
+        args = (1e308, 0.5, 1e-307, 1)
+        assert max_dp_queries(*args) == max_dp_queries_rowwise(*args)
+        assert max_dp_queries(*args).k_max == 10
+
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 30_000),
            target_delta=st.floats(1e-9, 0.5),

@@ -597,6 +597,13 @@ class TestDpCompareCommand:
         assert out == ""
         assert "queries" in err
 
+    def test_overflowing_arguments_exit_0_without_warnings(self, capsys):
+        code, out, err = run(capsys, "dp-compare", "--eps", "1e308", "--delta", "0.5",
+                             "--sigma", "1e-307", "--n", "1", "--format", "json")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["k_max"] == 10
+
     def test_nan_epsilon_exits_2_without_delta(self, capsys):
         code, out, err = run(capsys, "dp-compare", "--eps", "nan", "--delta", "0.0163",
                              "--sigma", "0.0153", "--n", "32768")

@@ -422,15 +422,16 @@ class TestDispatcher:
         assert composition_delta(sc_iid, tree, 0.1).mode == "adaptive-iid"
         assert composition_delta(sc_exp, tree, 0.1).mode == "adaptive-general"
 
-    @pytest.mark.parametrize("entries", [IidEntries((0.3,)), KnownEntries(0.3, 0, 0)],
-                             ids=["iid", "none known"])
-    def test_nonadaptive_iid_is_exact_in_monte_carlo_mode(self, entries):
-        # the mode only reaches nonadaptive_general: iid entries take the closed
-        # form, with no sampling and no half-width
+    @pytest.mark.parametrize("entries,mode", [
+        (IidEntries((0.3,)), "nonadaptive-iid"), (KnownEntries(0.3, 0, 0), "nonadaptive-iid"),
+        (KnownEntries(0.3, 3, 1), "nonadaptive-general")], ids=["iid", "none known", "known"])
+    def test_nonadaptive_iid_is_exact_in_monte_carlo_mode(self, entries, mode):
+        # the mode only samples explicit entries: iid entries take the closed
+        # form and known ones the mixture, with no sampling and no half-width
         sc, spec = Scenario(8, entries), equal_spec(8, 2)
         sampled = composition_delta(sc, spec, [0.0, 0.5], MonteCarlo(trials=50))
         exact = composition_delta(sc, spec, [0.0, 0.5])
-        assert sampled.mode == "nonadaptive-iid"
+        assert sampled.mode == mode
         assert sampled.total_half_width is None
         assert all(term.half_width is None for term in sampled.per_block)
         assert sampled.total_delta.tolist() == exact.total_delta.tolist()
@@ -566,6 +567,37 @@ class TestPrefixWalkAgainstTemplateLoop:
         report = adaptive_general(sc, spec, eps)
         for term, block in zip(report.per_block, want, strict=True):
             assert np.max(np.abs(term.delta - block)) <= 1e-15
+
+
+class TestOneBlockEvaluator:
+    """Both composition paths take block divergences from spc._block_divergence;
+    only explicit entries average over co-member subsets."""
+
+    @pytest.mark.parametrize("entries,subset_means", [
+        (KnownEntries(0.3, 3, 1), False),
+        (ExplicitEntries(tuple((0.1 * i,) for i in range(1, 8))), True)],
+        ids=["known", "explicit"])
+    def test_adaptive_walk_averages_subsets_for_explicit_entries_only(
+            self, monkeypatch, entries, subset_means):
+        calls, subset_mean = [], spacct.spc._subset_mean
+
+        def counting(*args):
+            calls.append(args)
+            return subset_mean(*args)
+
+        monkeypatch.setattr(spacct.spc, "_subset_mean", counting)
+        sc = Scenario(7, entries, critical_index=3)
+        report = adaptive_general(sc, AdaptiveSpec(TemplateFormat((2, 3)), README_TREE), [0.0, 0.4])
+        assert bool(calls) == subset_means
+        assert report.mode == "adaptive-general"
+
+    def test_known_walk_blocks_are_the_mixture_at_the_pool_counts(self):
+        # a one-level tree has one block, whose pool is every non-critical index
+        sc = Scenario(14, KnownEntries(0.35, 6, 2), critical_index=6)
+        spec = AdaptiveSpec(TemplateFormat((5,)), ThresholdTree(PropertyQuery(negate=True)))
+        want = spc_known_entries(sc, 5, (0.0, 0.2), PropertyQuery(negate=True),
+                                 population_excludes_critical=True)
+        assert adaptive_general(sc, spec, (0.0, 0.2)).per_block[0].delta.tolist() == want.tolist()
 
 
 class TestAdaptiveSpecTree:

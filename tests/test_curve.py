@@ -196,7 +196,8 @@ class TestShiftPairDelta:
             assert shift_pair_delta(us[:6].reshape(2, 3), p, grid).shape == (len(grid), 2, 3)
 
     def test_rejects_bad_arguments(self):
-        for args in ((4, 1.5, 0.1), (4, float("nan"), 0.1), (-1, 0.5, 0.1), (4, 0.5, -0.1)):
+        for args in ((4, 1.5, 0.1), (4, float("nan"), 0.1), (-1, 0.5, 0.1), (4, 0.5, -0.1),
+                     (2.5, 0.5, 0.1), (float("nan"), 0.5, 0.1)):
             with pytest.raises(DomainError):
                 shift_pair_delta(*args)
 
@@ -496,3 +497,10 @@ class TestEpsilonGate:
         call(0.1)  # the same call with a valid epsilon goes through
         with pytest.raises(DomainError, match="epsilon must be nonnegative"):
             call(bad)
+
+    @pytest.mark.parametrize("name", [name for name, (_, grid_ok) in EPSILON_ENTRY_POINTS.items()
+                                      if grid_ok])
+    def test_empty_grid_raises(self, name):
+        # a grid of no points used to end in an IndexError or an empty result
+        with pytest.raises(DomainError, match="epsilon grid must be nonempty"):
+            EPSILON_ENTRY_POINTS[name][0]([])

@@ -29,6 +29,7 @@ from spacct import (
     spc_known_entries_threshold_bound,
 )
 
+from spacct.baseline import max_dp_queries
 from spacct.curve import fsum_terms
 from spacct.spc import MC_CHUNK, MC_TRIALS_CAP
 
@@ -85,6 +86,28 @@ class TestScenario:
         for pos, slot in enumerate(slots[:known]):
             want[slot, 0] = 1.0 if pos < entries.known_positive else 0.0
         assert entries.matrix(n, critical).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("call", [
+        lambda: TemplateFormat((2.7,)),
+        lambda: spc_iid(Scenario(8, IidEntries((0.3,))), 2.5, 0.1),
+        lambda: Scenario(8.5, IidEntries((0.3,))),
+        lambda: KnownEntries(0.3, 2.5),
+        lambda: MonteCarlo(1000.5),
+        lambda: max_dp_queries(0.1, 0.01, 0.1, 10.5),
+        lambda: PartitionLaw(8.5, TemplateFormat((2,))),
+        lambda: PartitionLaw(8, TemplateFormat((2,)), restriction=(2.7, 1)),
+    ], ids=["format", "sample size", "n", "known", "trials", "dp n", "law n", "restriction"])
+    def test_non_integer_counts_are_refused(self, call):
+        # each of these used to be truncated or taken as it stood, giving a delta
+        with pytest.raises(DomainError, match="integer"):
+            call()
+
+    def test_numpy_integer_counts_are_taken(self):
+        assert TemplateFormat((np.int64(3),)).sizes == (3,)
+        sc = Scenario(np.int64(8), KnownEntries(0.3, np.int64(2)), np.int64(2))
+        assert spc_known_entries(sc, np.int64(3), 0.1) == spc_known_entries(
+            Scenario(8, KnownEntries(0.3, 2), 2), 3, 0.1)
+        assert MonteCarlo(np.int64(10)).trials == 10
 
 
 class TestExplicitEntries:
@@ -348,6 +371,18 @@ class TestSpcGeneral:
         vals = [spc_general(sc, law, PropertyQuery(), e).value for e in (0.0, 0.5, 2.0)]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert vals == sorted(vals, reverse=True)
+
+    @pytest.mark.parametrize("entries", [IidEntries((0.3,)), KnownEntries(0.3, 3, 1)],
+                             ids=["iid", "known"])
+    def test_monte_carlo_mode_is_exact_for_iid_and_known_entries(self, entries):
+        # only explicit entries are sampled; the others take the exact evaluator
+        sc = Scenario(9, entries, critical_index=4)
+        law = PartitionLaw(9, TemplateFormat((3, 4)), restriction=(4, 2))
+        eps = [0.0, 0.3]
+        sampled = spc_general(sc, law, PropertyQuery(negate=True), eps, MonteCarlo(50, seed=2))
+        exact = spc_general(sc, law, PropertyQuery(negate=True), eps, Enumerate())
+        assert sampled.half_width is None and exact.half_width is None
+        assert sampled.value.tolist() == exact.value.tolist()
 
 
 # exact 0 and 1, and probabilities whose products fall below SUPPORT_FLOOR, so
