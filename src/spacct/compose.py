@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +25,7 @@ from .spc import (
     MonteCarlo,
     PropertyQuery,
     Scenario,
-    _block_divergence,
+    _block_divergences,
     spc_general,
     success_prob,
 )
@@ -270,7 +270,7 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             below = cdf(law, threshold - 1)
             return below, (1.0 - below if threshold <= law.top else 0.0)
 
-    tails, divergence = cache(tails), cache(partial(_block_divergence, scenario, grid=grid))
+    tails, divergence = cache(tails), _block_divergences(scenario, grid)
     terms = [[] for _ in sizes]
 
     def walk(level: int, pool, reach: list, weight: float) -> None:

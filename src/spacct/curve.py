@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .distkit import FLOAT_INT_LIMIT, Pmf, _dbinom, binomial, checked_rows, shift
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, is_int
 
 # e^eps saturates here; beyond it any mass above the support floor already
 # annihilates its counterpart, so results are unchanged and exp cannot overflow
@@ -251,8 +251,8 @@ def property_query_answer_law(size: int, p: float, critical_value: int) -> Pmf:
     The critical entry contributes its fixed value; the remaining size - 1
     entries are iid Bernoulli(p).
     """
-    if size < 1:
-        raise DomainError("size must be at least 1")
+    if not is_int(size) or size < 1:
+        raise DomainError(f"size must be an integer of at least 1, got {size!r}")
     if critical_value not in (0, 1):
         raise DomainError("critical_value must be 0 or 1")
     return shift(binomial(size - 1, p), critical_value)

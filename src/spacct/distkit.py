@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 # End masses below this floor are trimmed; chosen so trimming never moves a
 # normalized sum by more than ~1e-300 * support size.
@@ -209,8 +209,8 @@ def binomial(trials: int, p: float) -> Pmf:
     For p = 1/2 the upper half of the support is mirrored from the lower
     half, so mass(k) == mass(trials - k) holds bit-identically.
     """
-    if trials < 0:
-        raise DomainError("trials must be nonnegative")
+    if not is_int(trials) or trials < 0:
+        raise DomainError(f"trials must be a nonnegative integer, got {trials!r}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p!r} outside [0, 1]")
     if trials == 0 or p == 0.0:
@@ -235,6 +235,9 @@ def hypergeometric(population: int, successes: int, draws: int) -> Pmf:
     accurate relative to its own size at any population up to 2^53; larger
     ones raise DomainError unless the support is a single point.
     """
+    for name, count in (("population", population), ("successes", successes), ("draws", draws)):
+        if not is_int(count):
+            raise DomainError(f"{name} must be an integer, got {count!r}")
     if population < 0 or successes < 0 or draws < 0:
         raise DomainError("parameters must be nonnegative")
     if successes > population:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, combinations, islice
 from typing import NamedTuple
 
@@ -373,9 +374,33 @@ def _block_divergence(scenario: Scenario, pool, size: int, query: PropertyQuery,
         return spc_iid(scenario, size, grid, query)
     if isinstance(entries, KnownEntries):
         known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
-        return spc_known_entries(Scenario(len(pool) + 1, KnownEntries(entries.p, known)), size,
-                                 grid, query, population_excludes_critical=True)
+        return _known_block_divergence(entries.p, len(pool), known, size, query, grid)
     return _subset_mean(query.success_probs(scenario.probs_matrix()), pool, size - 1, grid)
+
+
+def _known_block_divergence(p: float, population: int, known: int, size: int,
+                            query: PropertyQuery, grid: np.ndarray) -> np.ndarray:
+    """_block_divergence of known entries of probability p, over a pool of
+    `population` co-member candidates of which `known` are known: all that
+    divergence reads of the pool."""
+    return spc_known_entries(Scenario(population + 1, KnownEntries(p, known)), size, grid, query,
+                             population_excludes_critical=True)
+
+
+def _block_divergences(scenario: Scenario, grid: np.ndarray):
+    """_block_divergence on this scenario and grid as a cached function of
+    (pool, size, query). Known-entries divergences are cached by the pool's
+    counts instead, so pools that share them share one evaluation."""
+    entries = scenario.entries
+    if scenario.is_iid or not isinstance(entries, KnownEntries):
+        return cache(partial(_block_divergence, scenario, grid=grid))
+    slots = set(entries.slots(scenario.n, scenario.critical_index).tolist())
+    by_counts = cache(partial(_known_block_divergence, entries.p, grid=grid))
+
+    def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:
+        return by_counts(len(pool), len(slots.intersection(pool)), size, query)
+
+    return divergence
 
 
 def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -> np.ndarray:

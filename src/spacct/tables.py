@@ -9,9 +9,9 @@ the same (epsilon, delta). Expected values carry 4-decimal precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .baseline import max_dp_queries, mse_increase
+from .baseline import _max_dp_queries_of, mse_increase
 from .compose import NonadaptiveSpec, nonadaptive_iid
 from .errors import DomainError
 from .partition import TemplateFormat
@@ -104,7 +104,8 @@ class TableCell:
 
 
 def compute_table(spec: TableSpec, with_dp: bool = True) -> list[TableCell]:
-    """Recompute every cell of a table (delta and sigma always, #DP optionally)."""
+    """Recompute every cell of a table (delta and sigma always, #DP optionally,
+    from one batched search over the table's cells)."""
     cells = []
     for row in spec.rows:
         if spec.n % row.m != 0:
@@ -118,13 +119,15 @@ def compute_table(spec: TableSpec, with_dp: bool = True) -> list[TableCell]:
         )
         deltas = nonadaptive_iid(scenario, comp_spec, spec.epsilons).total_delta.tolist()
         for eps, delta, exp_delta, exp_dp in zip(spec.epsilons, deltas, row.deltas, row.dp_queries):
-            dp = max_dp_queries(eps, delta, sigma, spec.n).k_max if with_dp else None
             cells.append(TableCell(
-                m=row.m, sigma=sigma, epsilon=eps, delta_sp=delta, dp_queries=dp,
+                m=row.m, sigma=sigma, epsilon=eps, delta_sp=delta, dp_queries=None,
                 expected_sigma=row.sigma, expected_delta=exp_delta, expected_dp=exp_dp,
                 note=spec.note_for(row.m, eps),
             ))
-    return cells
+    if not with_dp:
+        return cells
+    dp = _max_dp_queries_of([(c.epsilon, c.delta_sp, c.sigma, spec.n) for c in cells])
+    return [replace(c, dp_queries=cal.k_max) for c, cal in zip(cells, dp)]
 
 
 def check_table(cells: list[TableCell]) -> list[str]:

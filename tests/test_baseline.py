@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import warnings
@@ -18,7 +19,7 @@ from spacct import (
 )
 from spacct import baseline
 from spacct.baseline import (
-    KOV_WINDOW,
+    KOV_WINDOWS,
     MAX_QUERIES,
     _DeltaGrid,
     _kov_first_feasible,
@@ -226,7 +227,7 @@ class TestMaxDpQueries:
         probed = []
 
         def spy(grid, k, *targets):
-            probed.append(k)
+            probed.extend(k.tolist())
             return _kov_first_feasible(grid, k, *targets)
 
         monkeypatch.setattr(baseline, "_kov_first_feasible", spy)
@@ -416,6 +417,12 @@ def scalar_verdicts(grid, k, target_epsilon, target_delta):
             for e0, d0 in zip(grid.epsilon0.tolist(), grid.delta0.tolist())]
 
 
+def per_row(k, target_epsilon, target_delta, rows=baseline.DELTA0_GRID_POINTS):
+    """One search's query count and targets, repeated for every row of its grid."""
+    return (np.full(rows, k), np.full(rows, float(target_epsilon)),
+            np.full(rows, float(target_delta)))
+
+
 def gated_index(epsilon0, delta0, k, target_epsilon, target_delta):
     """The curve index i that _kov_achieves sums to, or None when one of its
     gates decides the row before any term is summed."""
@@ -471,47 +478,65 @@ class TestBatchedProbe:
             target = float(np.nextafter(target, step * np.inf))
         target = min(target, 0.999)
         want = scalar_verdicts(grid, k, target_epsilon, target)
-        got, index = _kov_verdicts(grid, k, target_epsilon, target)
+        got, index = _kov_verdicts(grid, *per_row(k, target_epsilon, target))
         assert all(v == -1 or bool(v) == w for v, w in zip(got.tolist(), want))
         for r in np.flatnonzero(got == -1).tolist():
             # an open row carries the index the scalar probe would have summed to
             assert index[r] == gated_index(float(grid.epsilon0[r]), float(grid.delta0[r]), k,
                                            target_epsilon, target)
-        first = _kov_first_feasible(grid, k, target_epsilon, target)
+        [first] = _kov_first_feasible(grid, np.array([k]), np.array([target_epsilon]),
+                                      np.array([target]))
         assert first == (want.index(True) if any(want) else None)
 
-    @pytest.mark.parametrize("epsilon0, k", [
-        (0.3, 1), (0.2, 8), (0.05, 130), (0.01, 400), (0.001, 3000), (2.0, 500), (0.5, 3000),
+    @pytest.mark.parametrize("epsilon0, k, skip, width", [
+        pytest.param(epsilon0, k, skip, width, id=f"{epsilon0!r}-{k}{window}")
+        for window, skip, width in [("", 0, KOV_WINDOWS[0]), ("-wide", 0, KOV_WINDOWS[1]),
+                                    ("-second", *KOV_WINDOWS)]
+        for epsilon0, k in [(0.3, 1), (0.2, 8), (0.05, 130), (0.01, 400), (0.001, 3000),
+                            (2.0, 500), (0.5, 3000)]
     ])
-    def test_window_terms_are_the_scalar_terms(self, epsilon0, k):
+    def test_window_terms_are_the_scalar_terms(self, epsilon0, k, skip, width):
         # every count i from 1 to k // 2, in rows of one grid whose epsilons
-        # differ, including the lanes past gap ~ 709 (eps0 = 2 and 0.5)
+        # differ, including the lanes past gap ~ 709 (eps0 = 2 and 0.5); the
+        # second stage's window holds the terms from i - width up to i - skip
         i = np.arange(1, k // 2 + 1)
         scale = epsilon0 * (1.0 + np.arange(len(i)) / len(i))
         grid = _DeltaGrid.of([1e-6] * len(i), scale.tolist())
-        window = _kov_window(grid, np.arange(len(i)), k, i)
-        assert window.shape == (len(i), KOV_WINDOW)
+        window = _kov_window(grid, np.arange(len(i)), np.full(len(i), k), i, skip, width)
+        span = width - skip
+        assert window.shape == (len(i), span)
         for row, (e0, ii) in enumerate(zip(scale.tolist(), i.tolist())):
-            terms = _kov_terms(e0, k, ii)[-KOV_WINDOW:]
-            assert window[row, :KOV_WINDOW - len(terms)].tolist() == [0.0] * (KOV_WINDOW - len(terms))
-            assert window[row, KOV_WINDOW - len(terms):].tobytes() == terms.tobytes()
+            terms = _kov_terms(e0, k, ii)[max(ii - width, 0):max(ii - skip, 0)]
+            assert window[row, :span - len(terms)].tolist() == [0.0] * (span - len(terms))
+            assert window[row, span - len(terms):].tobytes() == terms.tobytes()
 
     def test_every_decision_path_runs(self, monkeypatch):
-        # over the table searches: rows the window rejects, rows a whole window
-        # accepts, and rows left open for the whole-sum finisher
-        counts = {"gate": 0, "window rejects": 0, "window accepts": 0, "open": 0, "finisher": 0}
+        # over the table searches: rows each window rejects, rows each window
+        # accepts as their whole sum, and rows left open for the whole-sum finisher
+        counts = {"gate": 0, "first rejects": 0, "first accepts": 0, "second rejects": 0,
+                  "second accepts": 0, "open": 0, "finisher": 0}
+        second = set()
+
+        def window_spy(grid, rows, k, i, skip, width):
+            if skip:
+                second.update(rows.tolist())
+            return _kov_window(grid, rows, k, i, skip, width)
 
         def verdicts_spy(grid, k, target_epsilon, target_delta):
+            second.clear()
             got = _kov_verdicts(grid, k, target_epsilon, target_delta)
-            for e0, d0, v in zip(grid.epsilon0.tolist(), grid.delta0.tolist(), got[0].tolist()):
-                i = gated_index(e0, d0, k, target_epsilon, target_delta)
+            rows = zip(grid.epsilon0.tolist(), grid.delta0.tolist(), k.tolist(),
+                       target_epsilon.tolist(), target_delta.tolist(), got[0].tolist())
+            for r, (e0, d0, kk, te, td, v) in enumerate(rows):
+                i = gated_index(e0, d0, kk, te, td)
+                stage = "second" if r in second else "first"
                 if i is None:
                     counts["gate"] += 1
                 elif v == 0:
-                    counts["window rejects"] += 1
+                    counts[f"{stage} rejects"] += 1
                 elif v == 1:
-                    assert i <= KOV_WINDOW
-                    counts["window accepts"] += 1
+                    assert i <= KOV_WINDOWS[stage == "second"]
+                    counts[f"{stage} accepts"] += 1
                 else:
                     counts["open"] += 1
             return got
@@ -520,9 +545,63 @@ class TestBatchedProbe:
             counts["finisher"] += 1
             return _kov_sum_meets(*args)
 
+        monkeypatch.setattr(baseline, "_kov_window", window_spy)
         monkeypatch.setattr(baseline, "_kov_verdicts", verdicts_spy)
         monkeypatch.setattr(baseline, "_kov_sum_meets", finisher_spy)
-        for args in TABLE_SEARCHES:
-            max_dp_queries(*args)
+        baseline._max_dp_queries_of(TABLE_SEARCHES)
         assert all(counts.values()), counts
         assert counts["finisher"] <= counts["open"]
+
+
+OVERFLOW_SEARCH = (1e308, 0.5, 1e-307, 1)
+# every search above that finds its count; the third dp-compare point hits the ceiling
+BATCH_SEARCHES = [args for args in TABLE_SEARCHES + DP_COMPARE_SEARCHES
+                  if args != (1e7, 0.999, 1.0, 10)] + [OVERFLOW_SEARCH]
+
+
+def batch(cells):
+    """The lockstep search over `cells`, as compute_table runs it."""
+    return baseline._max_dp_queries_of(cells)
+
+
+class TestBatchedSearch:
+    """One lockstep search for many cells, each cell's calibration equal to
+    its own max_dp_queries call."""
+
+    def test_batch_equals_the_rowwise_loop(self):
+        got = batch(BATCH_SEARCHES)
+        assert len(got) == len(BATCH_SEARCHES) == 28
+        assert batch([]) == []
+        for args, cal in zip(BATCH_SEARCHES, got):
+            assert cal == max_dp_queries_rowwise(*args), args
+
+    def test_a_cell_at_the_query_ceiling_stops_the_batch(self):
+        with pytest.raises(CapacityError, match=str(MAX_QUERIES)):
+            batch(TABLE_SEARCHES[:3] + [(1e7, 0.999, 1.0, 10)] + TABLE_SEARCHES[3:5])
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(st.sampled_from(
+        TABLE_SEARCHES + [DP_COMPARE_SEARCHES[1], DP_COMPARE_SEARCHES[3], OVERFLOW_SEARCH]),
+        min_size=1, max_size=8))
+    def test_a_cell_is_the_same_alone_and_in_any_batch(self, cells):
+        # any order, duplicates allowed, with the tight target, the smallest
+        # normal target delta and the overflow point among the table cells
+        assert batch(cells) == [alone(*args) for args in cells]
+
+    @pytest.mark.parametrize("bad, message", [
+        ((math.nan, 0.01, 0.01, 100), "finite"),
+        ((0.01, 0.01, 0.0, 100), "sigma_target"),
+        ((0.01, 0.01, 0.01, 10.5), "positive integer"),
+        ((0.01, 1.0, 0.01, 100), "out of range"),
+        ((0.0, 5e-324, 1.0, 1), "subnormal"),
+    ])
+    def test_each_cell_is_checked_as_alone(self, bad, message):
+        with pytest.raises(DomainError, match=message):
+            max_dp_queries(*bad)
+        with pytest.raises(DomainError, match=message):
+            batch(TABLE_SEARCHES[:2] + [bad])
+
+
+@functools.cache
+def alone(*args):
+    return max_dp_queries(*args)

@@ -1,4 +1,5 @@
 import math
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -598,6 +599,29 @@ class TestOneBlockEvaluator:
         want = spc_known_entries(sc, 5, (0.0, 0.2), PropertyQuery(negate=True),
                                  population_excludes_critical=True)
         assert adaptive_general(sc, spec, (0.0, 0.2)).per_block[0].delta.tolist() == want.tolist()
+
+    def test_known_walk_evaluates_each_pool_count_once(self, monkeypatch):
+        # a known-entries divergence reads only the pool size and the known entries
+        # in it: 9 distinct keys here, against 1,188 pools; the totals are those of
+        # the walk that evaluates every pool
+        sc = Scenario(18, KnownEntries(0.3, 8, 3), critical_index=5)
+        spec = AdaptiveSpec(TemplateFormat((3, 5)), README_TREE)
+        calls, known_entries = [], spacct.spc.spc_known_entries
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return known_entries(*args, **kwargs)
+
+        monkeypatch.setattr(spacct.spc, "spc_known_entries", counting)
+        got = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
+        assert len(calls) == 9
+        monkeypatch.setattr(spacct.compose, "_block_divergences", lambda scenario, grid: cache(
+            partial(spacct.spc._block_divergence, scenario, grid=grid)))
+        want = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
+        assert len(calls) == 9 + 1188
+        assert [t.delta.tobytes() for t in got.per_block] == \
+            [t.delta.tobytes() for t in want.per_block]
+        assert got.total_delta.tobytes() == want.total_delta.tobytes()
 
 
 class TestAdaptiveSpecTree:

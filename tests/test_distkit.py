@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spacct import DomainError, binomial, cdf, hypergeometric, point, poisson_binomial, shift
+from spacct import (DomainError, binomial, cdf, hypergeometric, point, poisson_binomial,
+                    property_query_answer_law, shift)
 from spacct.distkit import (
     NORMALIZATION_TOL,
     SUPPORT_FLOOR,
@@ -144,6 +145,33 @@ class TestHypergeometric:
             hypergeometric(4, 5, 2)
         with pytest.raises(DomainError):
             hypergeometric(4, 2, 5)
+
+
+class TestCountsAreIntegers:
+    """A count that is not an integer is refused where it enters, by name,
+    not later by the normalization check (or a slice, on the p = 1/2 mirror)."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: binomial(2.5, 0.3), "trials"),
+        (lambda: binomial(3.0000001, 0.5), "trials"),
+        (lambda: binomial(4.0, 0.5), "trials"),
+        (lambda: hypergeometric(10.5, 3, 2), "population"),
+        (lambda: hypergeometric(10, 3.5, 2), "successes"),
+        (lambda: hypergeometric(10, 3, 2.5), "draws"),
+        (lambda: property_query_answer_law(2.5, 0.3, 1), "size"),
+    ], ids=["binomial", "binomial mirror", "binomial integral float", "population",
+            "successes", "draws", "answer law"])
+    def test_non_integer_count_is_refused_by_name(self, call, name):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            call()
+
+    def test_numpy_integers_are_counts(self):
+        n = np.int64
+        assert binomial(n(7), 0.5).masses.tobytes() == binomial(7, 0.5).masses.tobytes()
+        assert hypergeometric(n(10), n(3), n(4)).masses.tobytes() == \
+            hypergeometric(10, 3, 4).masses.tobytes()
+        assert property_query_answer_law(n(5), 0.3, 1).masses.tobytes() == \
+            property_query_answer_law(5, 0.3, 1).masses.tobytes()
 
 
 class TestCdf:
