@@ -290,11 +290,12 @@ def poisson_binomial_rows(probs) -> np.ndarray:
     q_cols, p_cols = np.ascontiguousarray(probs.T), np.ascontiguousarray(1.0 - probs.T)
     acc = np.empty((probs.shape[1] + 1, probs.shape[0]))
     acc[0] = 1.0
+    up = np.empty_like(acc)  # one buffer for every step's acc[:i] * q
     for i, (q, p) in enumerate(zip(q_cols, p_cols)):
-        up = acc[:i] * q
-        acc[i + 1] = acc[i] * q
+        np.multiply(acc[:i], q, out=up[:i])
+        np.multiply(acc[i], q, out=acc[i + 1])
         acc[: i + 1] *= p
-        acc[1 : i + 1] += up
+        acc[1 : i + 1] += up[:i]
     return acc.T
 
 

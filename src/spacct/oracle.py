@@ -11,6 +11,8 @@ divergence from sampled runs of the mechanism.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +32,10 @@ ORACLE_CAP = 10**7
 # exact_mechanism_law evaluates whole templates at a time, about this many
 # runs (template x assignment pairs) per batch, so memory stays bounded.
 LAW_CHUNK_RUNS = 1 << 16
+
+# mc_distinguish draws each critical value's sort keys, then its entries,
+# this many trials at a time, so that its temporaries stay small.
+MC_DRAW_TRIALS = 1 << 14
 
 # Epsilon grid of the built-in verification matrix.
 MATRIX_EPSILONS = (0.0, 0.1, 1.0)
@@ -169,10 +175,23 @@ class _McRuns:
     @classmethod
     def sample(cls, rng: np.random.Generator, scenario: Scenario, value: int,
                trials: int) -> _McRuns:
-        """`trials` sampled runs: shuffle keys first, then the entries."""
-        num_attrs = scenario.num_attributes
-        ranks = _shuffle_ranks(rng.random((trials, scenario.n)))
-        entries = rng.random((trials, scenario.n, num_attrs)) < scenario.probs_matrix()[None]
+        """`trials` sampled runs: shuffle keys first, then the entries.
+
+        Both are drawn MC_DRAW_TRIALS trials at a time. A generator fills an
+        array in C order from one stream, so the chunks hold the very numbers
+        of one draw of all the trials.
+        """
+        n, num_attrs = scenario.n, scenario.num_attributes
+        chunks = [slice(first, min(first + MC_DRAW_TRIALS, trials))
+                  for first in range(0, trials, MC_DRAW_TRIALS)]
+        ranks = np.empty((n, trials), dtype=np.min_scalar_type(n))
+        for chunk in chunks:
+            ranks[:, chunk] = _shuffle_ranks(rng.random((chunk.stop - chunk.start, n)))
+        probs = scenario.probs_matrix()[None]
+        entries = np.empty((trials, n, num_attrs), dtype=bool)
+        for chunk in chunks:
+            np.less(rng.random((chunk.stop - chunk.start, n, num_attrs)), probs,
+                    out=entries[chunk])
         entries[:, scenario.critical_index - 1, :] = (value >> np.arange(num_attrs)) & 1
         return cls(ranks, entries)
 
@@ -254,6 +273,14 @@ class _McRuns:
         return children, renumber[child]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int,
                    seed: int) -> list[dict[int, np.ndarray]]:
     """Empirical answer-tuple laws of `trials` sampled runs, per spec and critical value.
@@ -262,16 +289,46 @@ def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int
     each trial's randomness occupies a fixed slice of that stream, so
     results do not depend on evaluation order and reruns are bit-identical.
     The runs of one critical value are sampled once and histogrammed for
-    every spec before the next value is sampled.
+    every spec.
+
+    The streams run on min(critical values, usable CPUs) threads, the
+    calling thread among them, each taking every so-many-th value; numpy
+    releases the GIL inside its array work. A stream writes only its own
+    slot, so the histograms are those of a serial loop whatever the thread
+    count, and the dicts are built in critical-value order. Every thread is
+    joined before this returns or raises, and the error of the first failed
+    critical value is raised (each thread stops at its first error, so every
+    value before it has run).
     """
     children = np.random.SeedSequence(seed).spawn(scenario.num_values)
-    hists: list[dict[int, np.ndarray]] = [{} for _ in specs]
-    for v in range(scenario.num_values):
-        runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
-        for hist, spec in zip(hists, specs):
-            bins = math.prod(s + 1 for s in spec.format.sizes)
-            hist[v] = np.bincount(runs.flat_answers(spec), minlength=bins) / trials
-    return hists
+    bins = [math.prod(s + 1 for s in spec.format.sizes) for spec in specs]
+    results: list = [None] * scenario.num_values  # per value: its histograms or its error
+
+    def run(first: int, step: int) -> None:
+        for v in range(first, scenario.num_values, step):
+            try:
+                runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
+                results[v] = [np.bincount(runs.flat_answers(spec), minlength=size) / trials
+                              for spec, size in zip(specs, bins)]
+            except BaseException as exc:  # raised below, in the calling thread
+                results[v] = exc
+                return
+
+    workers = min(scenario.num_values, _usable_cpus())
+    started = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=run, args=(first, workers), daemon=True)
+            thread.start()
+            started.append(thread)
+        run(0, workers)
+    finally:
+        for thread in started:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return [{v: result[i] for v, result in enumerate(results)} for i in range(len(specs))]
 
 
 def _mc_estimate(hist: dict[int, np.ndarray], scale: float,

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .baseline import _max_dp_queries_of, mse_increase
-from .compose import NonadaptiveSpec, nonadaptive_iid
 from .errors import DomainError
-from .partition import TemplateFormat
-from .spc import IidEntries, PropertyQuery, Scenario
+from .spc import IidEntries, Scenario, spc_iid
 
 DELTA_TOL = 5e-4
 SIGMA_TOL = 1e-4
@@ -112,12 +112,10 @@ def compute_table(spec: TableSpec, with_dp: bool = True) -> list[TableCell]:
             raise DomainError(f"n={spec.n} is not divisible by m={row.m}")
         size = spec.n // row.m
         sigma = mse_increase(spec.n, size, spec.p).sigma_increase
-        scenario = Scenario(spec.n, IidEntries((spec.p,)))
-        comp_spec = NonadaptiveSpec(
-            TemplateFormat((size,) * row.m),
-            tuple(PropertyQuery() for _ in range(row.m)),
-        )
-        deltas = nonadaptive_iid(scenario, comp_spec, spec.epsilons).total_delta.tolist()
+        # nonadaptive_iid on m equal blocks of one query: its total is the
+        # fsum of m equal terms fl(fl(size / n) * delta), which is fl(m * term)
+        block = spc_iid(Scenario(spec.n, IidEntries((spec.p,))), size, spec.epsilons)
+        deltas = np.minimum(1.0, np.maximum(0.0, row.m * (size / spec.n * block))).tolist()
         for eps, delta, exp_delta, exp_dp in zip(spec.epsilons, deltas, row.deltas, row.dp_queries):
             cells.append(TableCell(
                 m=row.m, sigma=sigma, epsilon=eps, delta_sp=delta, dp_queries=None,

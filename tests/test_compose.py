@@ -325,6 +325,19 @@ class TestTables:
             report = nonadaptive_iid(sc, equal_spec(table.n, cell.m), cell.epsilon)
             assert cell.delta_sp == report.total_delta
 
+    def test_one_block_per_row_equals_nonadaptive_iid_bit_for_bit(self):
+        # compute_table evaluates a row's one distinct block once; the m-block
+        # composition over the row's grid must give the same 24 cells
+        got, want = [], []
+        for table in (TABLE1, TABLE2):
+            sc = Scenario(table.n, IidEntries((table.p,)))
+            got += [c.delta_sp for c in compute_table(table, with_dp=False)]
+            for row in table.rows:
+                want += nonadaptive_iid(sc, equal_spec(table.n, row.m),
+                                        table.epsilons).total_delta.tolist()
+        assert len(got) == 24
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
 
 class TestAdaptiveIid:
     def test_degenerate_tree_equals_nonadaptive(self):

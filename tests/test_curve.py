@@ -36,7 +36,8 @@ from spacct import (
 )
 from spacct import CapacityError, curve
 from spacct.cli import main
-from spacct.curve import _EXP_CAP, _binomial_above, _windows, epsilon_grid, shift_pair_rows
+from spacct.curve import (_EXP_CAP, _binomial_above, _positive_sums, _windows, epsilon_grid,
+                          shift_pair_rows)
 from spacct.distkit import poisson_binomial_rows
 
 from rational_ref import dhat_shift_pair, hockey_stick_dicts, total_variation
@@ -428,6 +429,124 @@ class TestShiftPairRows:
         # the first row that fails raises, as a Pmf per row in order would
         with pytest.raises(DomainError, match="sum to"):
             shift_pair_rows(np.array([[0.5, 0.4, 0.0], [1.1, -0.1, 0.0]]), 0.1)
+
+
+def _fsum_positive(row) -> float:
+    """The former per-row sum: min(1, math.fsum of the positive entries)."""
+    return min(1.0, math.fsum([x for x in row if x > 0.0]))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).ravel().tolist()
+
+
+@st.composite
+def _midpoint_row(draw):
+    """A double x and pieces adding to half its ulp above, a rounding
+    midpoint, or to just above or just below it."""
+    x = draw(st.floats(2.0**-60, 4.0))
+    half = math.ulp(x) / 2
+    split = 2 ** draw(st.integers(0, 3))
+    pieces = [half / split] * split
+    # a term far below the others' rounding errors is lost from a float sum
+    # of them; taken from a piece, it is at most 2^-50 of it, so it is exact
+    nudge = draw(st.sampled_from((0, 1, -1))) * half * 2.0**-draw(st.integers(4, 120))
+    if nudge < 0:
+        return [x, pieces[0] + max(nudge, -pieces[0] * 2.0**-50), *pieces[1:]]
+    return [x, *pieces, nudge]
+
+
+_adversarial_terms = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(0.0, 2.0**-1022),  # subnormal and tiny normal terms
+    st.sampled_from((0.0, -0.0, math.nan, 0.5, 1.0, 3.0, 2.0**-53, 2.0**-54, 2.0**-1074)),
+)
+
+
+@st.composite
+def adversarial_rows(draw):
+    """A (rows x width) batch of random rows and midpoint rows, padded with
+    nonpositive or NaN entries and shuffled within each row."""
+    rows = [draw(st.lists(_adversarial_terms, min_size=1, max_size=24) | _midpoint_row())
+            for _ in range(draw(st.integers(1, 6)))]
+    width = max(len(row) for row in rows)
+    fill = st.sampled_from((0.0, -0.0, -0.5, math.nan))
+    return np.array([draw(st.permutations(row + [draw(fill) for _ in range(width - len(row))]))
+                     for row in rows])
+
+
+class TestPositiveSums:
+    """The certified row sums against math.fsum of the positive entries, bit
+    for bit; batches of any size are certified unless a test says otherwise."""
+
+    @given(adversarial_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_fsum_per_row(self, diff):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve, "_CERTIFIED_ROWS", 1)
+            got = _positive_sums(diff)
+        assert _bits(got) == _bits([_fsum_positive(row) for row in diff.tolist()])
+
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2**12 + 1, 6000),
+           kind=st.sampled_from(("masses", "mixed", "midpoint")))
+    @settings(max_examples=12, deadline=None)
+    def test_long_rows(self, seed, width, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "masses":  # a law minus a scaled one, as hockey_stick sums it
+            law = rng.dirichlet(np.ones(width), 2)
+            diff = law[:1] - np.exp(rng.random()) * law[1:]
+        elif kind == "mixed":
+            diff = (rng.random((2, width)) - 0.3) * 10.0 ** rng.integers(-330, 1, (2, width))
+        else:  # 1 + 2^-53 exactly, a midpoint, spread over the row
+            diff = np.full((1, width), 2.0**-53 / (width - 1))
+            diff[0, rng.integers(width)] = 1.0 - 2.0**-53 / (width - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curve, "_CERTIFIED_ROWS", 1)
+            got = _positive_sums(diff)
+        assert _bits(got) == _bits([_fsum_positive(row) for row in diff.tolist()])
+
+    def test_shapes_and_edges(self, monkeypatch):
+        monkeypatch.setattr(curve, "_CERTIFIED_ROWS", 1)
+        assert _bits(_positive_sums(np.array([[-0.0], [0.25], [np.nan], [2.0]]))) == \
+            _bits([0.0, 0.25, 0.0, 1.0])
+        assert _positive_sums(np.zeros((2, 3, 0))).shape == (2, 3)
+        diff = np.random.default_rng(3).random((2, 3, 7)) - 0.5
+        want = [_fsum_positive(row) for row in diff.reshape(6, 7).tolist()]
+        assert _bits(_positive_sums(diff)) == _bits(want)
+        assert _positive_sums(diff).shape == (2, 3)
+
+    def test_midpoint_row_takes_fsum(self, monkeypatch):
+        # 0.5 + 2^-54 lies halfway between 0.5 and the next double; no
+        # bracket can tell which way it rounds, so only this row calls fsum
+        monkeypatch.setattr(curve, "_CERTIFIED_ROWS", 1)
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(curve.math, "fsum", lambda terms: calls.append(terms) or real(terms))
+        diff = np.array([[0.5, 2.0**-54, -1.0], [0.25, 0.125, 0.0], [0.5, 0.0, 0.0]])
+        assert _bits(_positive_sums(diff)) == _bits([0.5, 0.375, 0.5])
+        assert calls == [[0.5, 2.0**-54]]
+
+    def test_certified_rows_take_no_fsum(self, monkeypatch):
+        # a Monte-Carlo chunk's shape at the default threshold: 400 rows of 201
+        masses = poisson_binomial_rows(np.random.default_rng(4).random((100, 200)))
+        want = shift_pair_rows(masses, (0.0, 0.1))
+        monkeypatch.setattr(curve.math, "fsum", None)
+        assert _bits(shift_pair_rows(masses, (0.0, 0.1))) == _bits(want)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65])
+    def test_small_batches_take_fsum(self, monkeypatch, rows):
+        law = np.random.default_rng(rows).dirichlet(np.ones(9), (2, rows))
+        diff = law[0] - 1.2 * law[1]
+        calls = []
+        real = math.fsum
+        monkeypatch.setattr(curve.math, "fsum", lambda terms: calls.append(terms) or real(terms))
+        got = _positive_sums(diff)
+        # a certified batch leaves fsum only the rows at or near a tie
+        if rows < curve._CERTIFIED_ROWS:
+            assert len(calls) == rows
+        else:
+            assert len(calls) < rows // 2
+        assert _bits(got) == _bits([_fsum_positive(row) for row in diff.tolist()])
 
 
 class TestEvalCurve:

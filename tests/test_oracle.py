@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import groupby
 
 import numpy as np
@@ -393,6 +395,109 @@ class TestBatchedRunsAgainstFormerLoops:
             ref = Pmf(0, hist)
             assert got.laws[v].offset == ref.offset
             assert np.array_equal(got.laws[v].masses, ref.masses)
+
+
+def _serial_histograms(scenario, specs, trials, seed):
+    """_mc_histograms as one loop over the critical values in this thread."""
+    children = np.random.SeedSequence(seed).spawn(scenario.num_values)
+    hists = [{} for _ in specs]
+    for v in range(scenario.num_values):
+        runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
+        for hist, spec in zip(hists, specs):
+            bins = math.prod(s + 1 for s in spec.format.sizes)
+            hist[v] = np.bincount(runs.flat_answers(spec), minlength=bins) / trials
+    return hists
+
+
+class TestConcurrentStreams:
+    """The critical values' streams on threads: the serial loop's histograms,
+    no more threads than CPUs or values, and none left running."""
+
+    two_values = Scenario(5, IidEntries((0.3,)), critical_index=2)
+    four_values = Scenario(5, ExplicitEntries(((0.2, 0.7), (0.5, 0.5), (0.9, 0.1),
+                                               (0.3, 0.6), (0.6, 0.4))), critical_index=3)
+
+    def specs(self, scenario):
+        fmt = TemplateFormat((2, 2))
+        tree = ThresholdTree(PropertyQuery(0), 1, low=ThresholdTree(PropertyQuery(0, True)),
+                             high=ThresholdTree(PropertyQuery(scenario.num_attributes - 1)))
+        return [NonadaptiveSpec(fmt, (PropertyQuery(), PropertyQuery(negate=True))),
+                AdaptiveSpec(fmt, tree)]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["two_values", "four_values"])
+    def test_equal_to_the_serial_loop(self, monkeypatch, name, cpus):
+        scenario = getattr(self, name)
+        specs = self.specs(scenario)
+        want = _serial_histograms(scenario, specs, 3001, 17)
+        sample = _McRuns.sample
+        before = threading.active_count()
+        seen = []
+
+        def counting(cls, *args):
+            seen.append(threading.active_count() - before)
+            return sample(*args)
+
+        monkeypatch.setattr(spacct.oracle, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_McRuns, "sample", classmethod(counting))
+        got = _mc_histograms(scenario, specs, 3001, 17)
+        assert threading.active_count() == before
+        # the calling thread runs one stream share, so it starts one thread fewer
+        assert len(seen) == scenario.num_values
+        assert max(seen) <= min(cpus, scenario.num_values) - 1
+        for got_hist, want_hist in zip(got, want, strict=True):
+            assert list(got_hist) == list(range(scenario.num_values))
+            for v in want_hist:
+                assert np.array_equal(got_hist[v], want_hist[v])
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # eight values on eight threads, switching every microsecond: a stream
+        # writing into another's slot or a lost write would change a histogram
+        scenario = Scenario(4, ExplicitEntries(((0.2, 0.7, 0.4), (0.5, 0.5, 0.1),
+                                                (0.9, 0.1, 0.6), (0.3, 0.6, 0.8))),
+                            critical_index=2)
+        specs = [NonadaptiveSpec(TemplateFormat((2, 1)), (PropertyQuery(2), PropertyQuery(1)))]
+        want = _serial_histograms(scenario, specs, 2000, 3)
+        monkeypatch.setattr(spacct.oracle, "_usable_cpus", lambda: 8)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                (got,) = _mc_histograms(scenario, specs, 2000, 3)
+                assert list(got) == list(range(8))
+                assert all(np.array_equal(got[v], want[0][v]) for v in range(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing,raised", [((1,), 1), ((3, 2), 2), ((0, 3), 0)])
+    def test_first_error_in_value_order_reaches_the_caller(self, monkeypatch, failing, raised):
+        sample = _McRuns.sample
+
+        def refuse(cls, rng, scenario, value, trials):
+            if value in failing:
+                raise DomainError(f"stream {value} refused")
+            return sample(rng, scenario, value, trials)
+
+        monkeypatch.setattr(spacct.oracle, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_McRuns, "sample", classmethod(refuse))
+        before = threading.active_count()
+        with pytest.raises(DomainError, match=f"stream {raised} refused"):
+            mc_distinguish(self.four_values, self.specs(self.four_values), 0.1, trials=1000,
+                           seed=5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("trials", [1000, 2**14, 2**14 + 1, 40000])
+    def test_chunked_draws_equal_one_draw(self, trials):
+        scenario = self.four_values
+        rng = np.random.default_rng(9)
+        ranks = _shuffle_ranks(rng.random((trials, scenario.n)))
+        entries = rng.random((trials, scenario.n, 2)) < scenario.probs_matrix()[None]
+        entries[:, scenario.critical_index - 1, :] = (1, 0)
+        runs = _McRuns.sample(np.random.default_rng(9), scenario, 1, trials)
+        assert runs.ranks.dtype == np.uint8
+        assert np.array_equal(runs.ranks, ranks)
+        assert np.array_equal(runs.entries, entries)
 
 
 class TestVerificationMatrix:
