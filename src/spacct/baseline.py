@@ -65,6 +65,8 @@ class DpCalibration:
 def mse_increase(n: int, s: int, p: float) -> AccuracyFigure:
     """MSE increase p(1-p)/s - p(1-p)/n of the fraction estimate from a
     size-s sample of a size-n database of Bernoulli(p) entries."""
+    if not (is_int(n) and is_int(s)):
+        raise DomainError(f"sizes must be integers, got n={n!r} and s={s!r}")
     if not 1 <= s <= n:
         raise DomainError(f"sample size must lie in [1, {n}]")
     if not 0.0 <= p <= 1.0:
@@ -107,18 +109,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return _log_factorial_table
 
 
-def _kov_terms(epsilon0: float, k: int, i: int) -> np.ndarray:
-    """The i summands of the optimal-composition delta component at the
-    curve point (k - 2i) * eps0, each one nonnegative:
-    C(k,l) e^{(k-2i+l) eps0} (e^{(2i-2l) eps0} - 1) / (1 + e^{eps0})^k for l < i.
-    """
-    lf = _log_factorials(k + 1)
-    log_comb = lf[k] - lf[:i] - lf[k - i + 1:k + 1][::-1]
-    reach = np.arange(i, 0, -1)  # i - l
-    return _kov_lanes(log_comb, k - i - reach, 2.0 * reach, epsilon0,
-                      k * float(np.logaddexp(0.0, epsilon0)))
-
-
 def _kov_lanes(log_comb: np.ndarray, tilt: np.ndarray, spread: np.ndarray,
                epsilon0: float | np.ndarray, log_denom: float | np.ndarray) -> np.ndarray:
     """The KOV term of index l at curve index i, from log C(k, l), the integers
@@ -147,23 +137,6 @@ def _kov_total(dhat: float, delta0: float, k: int) -> float:
         return 1.0
     log_keep = k * math.log1p(-delta0) if delta0 > 0.0 else 0.0
     return min(1.0, -math.expm1(log_keep + math.log1p(-dhat)))
-
-
-def _kov_sum_meets(epsilon0: float, delta0: float, k: int, i: int,
-                   target_delta: float) -> bool:
-    """Whether the composed delta at curve index i >= 1 meets the target, for a
-    row _kov_verdicts left open. distkit.sum_bracket around the float sum of
-    its i nonnegative terms holds their fsum, and _kov_total is nondecreasing
-    in dhat, so only a target between the totals at the two ends needs fsum."""
-    terms = _kov_terms(epsilon0, k, i)
-    s = float(terms.sum())
-    if math.isfinite(s):
-        lo, hi = sum_bracket(s, i)
-        if _kov_total(lo, delta0, k) > target_delta:
-            return False
-        if _kov_total(hi, delta0, k) <= target_delta:
-            return True
-    return _kov_total(math.fsum(terms.tolist()), delta0, k) <= target_delta
 
 
 class _DeltaGrid(NamedTuple):
@@ -205,8 +178,9 @@ def _kov_window(grid: _DeltaGrid, rows: np.ndarray, k: np.ndarray, i: np.ndarray
                 skip: int, width: int) -> np.ndarray:
     """The terms l in [i - width, i - skip) of each row, one row per entry of
     `rows` with its own k and i >= 1 (given per entry of `rows`); a slot with
-    l < 0 holds 0.0. Each term is bit for bit the same-index entry of
-    _kov_terms(epsilon0, k, i)."""
+    l < 0 holds 0.0. Each term is bit for bit the same-index entry of the
+    scalar term builder tests/rational_ref.py keeps, _kov_terms(epsilon0, k, i):
+    C(k,l) e^{(k-2i+l) eps0} (e^{(2i-2l) eps0} - 1) / (1 + e^{eps0})^k."""
     lf = _log_factorials(int(k.max(initial=0)) + 1)
     reach = np.arange(width, skip, -1)  # i - l
     l = np.maximum(i[:, None] - reach, 0)
@@ -221,6 +195,24 @@ def _kov_window(grid: _DeltaGrid, rows: np.ndarray, k: np.ndarray, i: np.ndarray
     if len(short):
         terms[short] = np.where(reach <= i[short, None], terms[short], 0.0)
     return terms
+
+
+def _kov_sum_meets(grid: _DeltaGrid, row: int, k: int, i: int, target_delta: float) -> bool:
+    """Whether the composed delta of grid row `row` at curve index i >= 1 meets
+    the target, for a row _kov_verdicts left open; its i terms are the one
+    _kov_window of width i. distkit.sum_bracket around their float sum holds
+    their fsum, and _kov_total is nondecreasing in dhat, so only a target
+    between the totals at the two ends needs fsum."""
+    terms = _kov_window(grid, np.array([row]), np.array([k]), np.array([i]), 0, i)[0]
+    delta0 = float(grid.delta0[row])
+    s = float(terms.sum())
+    if math.isfinite(s):
+        lo, hi = sum_bracket(s, i)
+        if _kov_total(lo, delta0, k) > target_delta:
+            return False
+        if _kov_total(hi, delta0, k) <= target_delta:
+            return True
+    return _kov_total(math.fsum(terms.tolist()), delta0, k) <= target_delta
 
 
 def _kov_verdicts(grid: _DeltaGrid, k: np.ndarray, target_epsilon: np.ndarray,
@@ -286,8 +278,8 @@ def _kov_first_feasible(grid: _DeltaGrid, k: np.ndarray, target_epsilon: np.ndar
         first = None
         for r in np.flatnonzero(cell).tolist():
             row = c * DELTA0_GRID_POINTS + r
-            if cell[r] == 1 or _kov_sum_meets(float(grid.epsilon0[row]), float(grid.delta0[row]),
-                                              int(k[c]), int(i[row]), float(target_delta[c])):
+            if cell[r] == 1 or _kov_sum_meets(grid, row, int(k[c]), int(i[row]),
+                                              float(target_delta[c])):
                 first = r
                 break
         firsts.append(first)

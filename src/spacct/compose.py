@@ -181,16 +181,11 @@ def _report(epsilon, terms: list[BlockTerm], mode: str) -> CompositionReport:
     return report if np.ndim(epsilon) else report.split()[0]
 
 
-def _require_fits(scenario: Scenario, fmt: TemplateFormat) -> None:
-    if fmt.total > scenario.n:
-        raise DomainError(f"format uses {fmt.total} indices but n={scenario.n}")
-
-
 def _nonadaptive(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
                  mode: Enumerate | MonteCarlo, label: str) -> CompositionReport:
     if not isinstance(spec, NonadaptiveSpec):
         raise DomainError("spec must be nonadaptive")
-    _require_fits(scenario, spec.format)
+    spec.format.require_fits(scenario.n)
     j = scenario.critical_index
     grid = as_grid(epsilon)
     sampled = isinstance(mode, MonteCarlo)
@@ -231,11 +226,11 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
     """One walk over prefixes (disjoint blocks 1..k-1 of the non-critical
     indices) serves every block k: a prefix adds P(reach a depth-k node)
     times the node query's divergence on block k, given the pool of indices
-    left (spc._block_divergence). The entry model supplies prefixes and tails.
+    left (spc._block_divergences). The entry model supplies prefixes and tails.
     """
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
-    _require_fits(scenario, spec.format)
+    spec.format.require_fits(scenario.n)
     sizes = spec.format.sizes
     grid = as_grid(epsilon)
     if scenario.is_iid:

@@ -19,12 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree, _require_fits
+from .compose import AdaptiveSpec, CompositionSpec, NonadaptiveSpec, ThresholdTree
 from .curve import _scales, d_hat, per_epsilon
 from .distkit import Pmf
-from .errors import CapacityError, DomainError, magnitude
+from .errors import CapacityError, DomainError, is_int, magnitude
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
-from .spc import MC_TRIALS_CAP, IidEntries, PropertyQuery, Scenario
+from .spc import IidEntries, MonteCarlo, PropertyQuery, Scenario
 
 # Ceiling on |W|^(n-1) * template count * answer-tuple count.
 ORACLE_CAP = 10**7
@@ -372,13 +372,11 @@ def mc_distinguish(scenario: Scenario, spec: CompositionSpec | Sequence[Composit
     """
     single = isinstance(spec, CompositionSpec)
     specs = [spec] if single else list(spec)
-    if trials < 10**3:
+    if is_int(trials) and trials < 10**3:
         raise DomainError("need at least 1000 trials")
-    if trials > MC_TRIALS_CAP:
-        raise CapacityError(
-            f"{magnitude(trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
+    MonteCarlo(trials, seed)  # refuses any other invalid trial count or seed
     for one in specs:
-        _require_fits(scenario, one.format)
+        one.format.require_fits(scenario.n)
     scales = _scales(epsilon).tolist()
     estimates = []
     for hist in _mc_histograms(scenario, specs, trials, seed):

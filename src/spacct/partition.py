@@ -44,6 +44,11 @@ class TemplateFormat:
     def total(self) -> int:
         return sum(self.sizes)
 
+    def require_fits(self, n: int) -> None:
+        """Refuse a database of n indices too small for the blocks."""
+        if self.total > n:
+            raise DomainError(f"format uses {self.total} indices but n={n}")
+
 
 @dataclass(frozen=True)
 class PartitionLaw:
@@ -60,10 +65,7 @@ class PartitionLaw:
     def __post_init__(self) -> None:
         if not is_int(self.n) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if self.format.total > self.n:
-            raise DomainError(
-                f"format uses {self.format.total} indices but n={self.n}"
-            )
+        self.format.require_fits(self.n)
         if self.restriction is not None:
             j, k = self.restriction
             if not (is_int(j) and is_int(k)):

@@ -144,8 +144,10 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(doc["format"], list) or not doc["format"]:
         _fail("format must be a nonempty list of block sizes")
     fmt = TemplateFormat(tuple(_int(s, "block size") for s in doc["format"]))
-    if fmt.total > n:
-        _fail(f"format uses {fmt.total} indices but n={n}")
+    try:
+        fmt.require_fits(n)
+    except DomainError as exc:
+        _fail(str(exc))
 
     queries = doc["queries"]
     if not isinstance(queries, dict):

@@ -225,11 +225,12 @@ class Enumerate:
 class MonteCarlo:
     """Sampled expectation for explicit entries, with a 95% normal-approximation half-width.
 
-    The seed may be an int or a tuple of ints (entropy for a SeedSequence).
+    The seed is the entropy of a SeedSequence: an int >= 0 that is not a
+    bool, or a tuple of such seeds, nested tuples included.
     """
 
     trials: int
-    seed: int | tuple[int, ...] = 0
+    seed: int | tuple = 0
 
     def __post_init__(self) -> None:
         if not is_int(self.trials) or self.trials < 1:
@@ -237,6 +238,13 @@ class MonteCarlo:
         if self.trials > MC_TRIALS_CAP:
             raise CapacityError(
                 f"{magnitude(self.trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
+        if not _is_seed(self.seed):
+            raise DomainError(f"a seed is a nonnegative integer or a tuple of seeds, "
+                              f"got {self.seed!r}")
+
+
+def _is_seed(seed) -> bool:
+    return all(map(_is_seed, seed)) if isinstance(seed, tuple) else is_int(seed) and seed >= 0
 
 
 def success_prob(scenario: Scenario, query: PropertyQuery) -> float:
@@ -332,7 +340,7 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     index's n_k - 1 co-members (shifted by the critical value), and under
     the restricted law those co-members are a uniform subset of the other
     n - 1 indices; the other blocks never enter. Enumerate mode takes that
-    average exactly (_block_divergence). MonteCarlo samples it for explicit
+    average exactly (_block_divergences). MonteCarlo samples it for explicit
     entries only, over subsets drawn by the same seeded shuffle as
     partition.sample_template, MC_CHUNK at a time (_subset_values); iid and
     known entries are exact in either mode.
@@ -349,8 +357,9 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     others = np.delete(np.arange(law.n), j - 1)
     grid = as_grid(epsilon)
     if isinstance(mode, Enumerate) or not isinstance(scenario.entries, ExplicitEntries):
-        return SpcEstimate(per_epsilon(epsilon, _block_divergence(
-            scenario, others, size, query, grid)))
+        pool = None if scenario.is_iid else tuple(others.tolist())
+        return SpcEstimate(per_epsilon(epsilon, _block_divergences(scenario, grid)(
+            pool, size, query)))
     success = query.success_probs(scenario.probs_matrix())
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
@@ -364,23 +373,9 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
 
 
-def _block_divergence(scenario: Scenario, pool, size: int, query: PropertyQuery,
-                      grid: np.ndarray) -> np.ndarray:
-    """Exact divergence of a block of `size` holding the critical index, per grid
-    point, over co-members drawn uniformly from `pool` (0-based non-critical
-    indices): one branch per entry model, known entries at the pool's counts."""
-    entries = scenario.entries
-    if scenario.is_iid:
-        return spc_iid(scenario, size, grid, query)
-    if isinstance(entries, KnownEntries):
-        known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
-        return _known_block_divergence(entries.p, len(pool), known, size, query, grid)
-    return _subset_mean(query.success_probs(scenario.probs_matrix()), pool, size - 1, grid)
-
-
 def _known_block_divergence(p: float, population: int, known: int, size: int,
                             query: PropertyQuery, grid: np.ndarray) -> np.ndarray:
-    """_block_divergence of known entries of probability p, over a pool of
+    """The block divergence of known entries of probability p, over a pool of
     `population` co-member candidates of which `known` are known: all that
     divergence reads of the pool."""
     return spc_known_entries(Scenario(population + 1, KnownEntries(p, known)), size, grid, query,
@@ -388,19 +383,22 @@ def _known_block_divergence(p: float, population: int, known: int, size: int,
 
 
 def _block_divergences(scenario: Scenario, grid: np.ndarray):
-    """_block_divergence on this scenario and grid as a cached function of
-    (pool, size, query). Known-entries divergences are cached by the pool's
-    counts instead, so pools that share them share one evaluation."""
+    """The exact divergence of a block of `size` holding the critical index,
+    per grid point, over co-members drawn uniformly from `pool` (a tuple of
+    0-based non-critical indices; iid entries read none and take None), as a
+    cached function of (pool, size, query): one branch per entry model.
+    Known entries are cached by the pool's size and the known entries in it,
+    so pools that share those counts share one evaluation."""
     entries = scenario.entries
-    if scenario.is_iid or not isinstance(entries, KnownEntries):
-        return cache(partial(_block_divergence, scenario, grid=grid))
-    slots = set(entries.slots(scenario.n, scenario.critical_index).tolist())
-    by_counts = cache(partial(_known_block_divergence, entries.p, grid=grid))
-
-    def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:
-        return by_counts(len(pool), len(slots.intersection(pool)), size, query)
-
-    return divergence
+    if scenario.is_iid:
+        return cache(lambda pool, size, query: spc_iid(scenario, size, grid, query))
+    if isinstance(entries, KnownEntries):
+        slots = set(entries.slots(scenario.n, scenario.critical_index).tolist())
+        by_counts = cache(partial(_known_block_divergence, entries.p, grid=grid))
+        return lambda pool, size, query: by_counts(len(pool), len(slots.intersection(pool)),
+                                                   size, query)
+    return cache(lambda pool, size, query: _subset_mean(
+        query.success_probs(scenario.probs_matrix()), pool, size - 1, grid))
 
 
 def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -> np.ndarray:

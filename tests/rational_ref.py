@@ -7,16 +7,19 @@ the end as references for the paths that replaced them: the KOV
 composition curve (against the DP search's certified decision), the
 row-by-row DP search and its scalar probe `_kov_achieves`, which ran every
 gate and the whole sum per row (against the batched probe and its
-whole-sum finisher), a block's
-two indicator answer laws (against the batched subset divergences), the oracle's
-masked answer counts with tree nodes as row groups and its one rank column
-per template (bit for bit against its batched run simulator), adaptive
-composition's per-template tree walk, which uses the package's own laws
-and divergences so that only the order of summation differs, the
-adaptive iid level loop (bit for bit against the prefix walk, with the
-package's binomial tails), and the partition law's two-branch template
-count, enumeration and sampling, which spelled out restricted laws
-separately (exactly against the one reduction that replaced them).
+whole-sum finisher), the scalar KOV term builder `_kov_terms` (bit for bit
+against the batched term windows), a block's two indicator answer laws
+(against the batched subset divergences), the oracle's masked answer
+counts with tree nodes as row groups and its one rank column per template
+(bit for bit against its batched run simulator), adaptive composition's
+per-template tree walk, which uses the package's own laws and divergences
+so that only the order of summation differs, the adaptive iid level loop
+(bit for bit against the prefix walk, with the package's binomial tails),
+the partition law's two-branch template count, enumeration and sampling,
+which spelled out restricted laws separately (exactly against the one
+reduction that replaced them), and `_block_divergence`, the block
+evaluator that evaluates every co-member pool on its own (bit for bit
+against the cached, count-keyed one).
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_terms,
-                             _kov_total, gaussian_sigma_for)
+from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_lanes,
+                             _kov_total, _log_factorials, gaussian_sigma_for)
 from spacct.curve import _binomial_above, as_grid, fsum_terms, shift_pair_rows
 from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows, shift,
                             sum_bracket)
 from spacct.errors import CapacityError, DomainError
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
-from spacct.spc import spc_iid, success_prob
+from spacct.spc import (KnownEntries, _known_block_divergence, _subset_mean, spc_iid,
+                        success_prob)
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -191,6 +195,18 @@ def adaptive_iid_prefix_sum(n: int, probs: tuple[float, ...], sizes: tuple[int, 
 
         total += (size / n) * walk((), Fraction(1))
     return total
+
+
+def _kov_terms(epsilon0: float, k: int, i: int) -> np.ndarray:
+    """The i summands of the optimal-composition delta component at the
+    curve point (k - 2i) * eps0, each one nonnegative:
+    C(k,l) e^{(k-2i+l) eps0} (e^{(2i-2l) eps0} - 1) / (1 + e^{eps0})^k for l < i.
+    """
+    lf = _log_factorials(k + 1)
+    log_comb = lf[k] - lf[:i] - lf[k - i + 1:k + 1][::-1]
+    reach = np.arange(i, 0, -1)  # i - l
+    return _kov_lanes(log_comb, k - i - reach, 2.0 * reach, epsilon0,
+                      k * float(np.logaddexp(0.0, epsilon0)))
 
 
 def kov_dhat(epsilon0: float, k: int, i: int) -> float:
@@ -512,3 +528,17 @@ def two_branch_sample_template(law: PartitionLaw, seed) -> tuple[tuple[int, ...]
             block.append(j)
         blocks.append(tuple(block))
     return tuple(blocks)
+
+
+def _block_divergence(scenario, pool, size: int, query, grid: np.ndarray) -> np.ndarray:
+    """Exact divergence of a block of `size` holding the critical index, per grid
+    point, over co-members drawn uniformly from `pool` (0-based non-critical
+    indices): one branch per entry model, known entries at the pool's counts.
+    Every pool is evaluated on its own, its known entries counted with np.isin."""
+    entries = scenario.entries
+    if scenario.is_iid:
+        return spc_iid(scenario, size, grid, query)
+    if isinstance(entries, KnownEntries):
+        known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
+        return _known_block_divergence(entries.p, len(pool), known, size, query, grid)
+    return _subset_mean(query.success_probs(scenario.probs_matrix()), pool, size - 1, grid)

@@ -24,7 +24,6 @@ from spacct.baseline import (
     _DeltaGrid,
     _kov_first_feasible,
     _kov_sum_meets,
-    _kov_terms,
     _kov_total,
     _kov_verdicts,
     _kov_window,
@@ -33,7 +32,7 @@ from spacct.baseline import (
 from spacct.distkit import _log_factorial
 from spacct.tables import TABLE1, TABLE2, compute_table
 
-from rational_ref import (_kov_achieves, kov_compose, kov_dhat, kov_total_delta,
+from rational_ref import (_kov_achieves, _kov_terms, kov_compose, kov_dhat, kov_total_delta,
                           max_dp_queries_rowwise)
 
 
@@ -55,6 +54,16 @@ class TestMseIncrease:
     def test_rejects_oversized_sample(self):
         with pytest.raises(DomainError):
             mse_increase(10, 11, 0.5)
+
+    @pytest.mark.parametrize("n, s", [(10, 2.5), (True, True), (math.inf, 3), (10.0, 2),
+                                      (10, np.float64(4.0))],
+                             ids=["fractional s", "bools", "infinite n", "float n", "numpy float s"])
+    def test_sizes_must_be_counts(self, n, s):
+        with pytest.raises(DomainError, match="integers"):
+            mse_increase(n, s, 0.3)
+
+    def test_numpy_integer_sizes_are_taken(self):
+        assert mse_increase(np.int64(1024), np.int64(32), 0.5) == mse_increase(1024, 32, 0.5)
 
 
 class TestGaussianSigma:
@@ -360,7 +369,7 @@ class TestCertifiedDecision:
             target_delta = float(np.nextafter(target_delta, step * np.inf))
         i = gated_index(epsilon0, delta0, k, target_epsilon, target_delta)
         assume(i is not None)
-        assert _kov_sum_meets(epsilon0, delta0, k, i, target_delta) \
+        assert _kov_sum_meets(_DeltaGrid.of([delta0], [epsilon0]), 0, k, i, target_delta) \
             == _kov_achieves(epsilon0, delta0, k, target_epsilon, target_delta)
 
     def test_target_at_the_fsum_total_takes_the_fallback(self, monkeypatch):
@@ -371,8 +380,9 @@ class TestCertifiedDecision:
         calls = []
         fsum = math.fsum
         monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
-        assert _kov_sum_meets(epsilon0, delta0, k, 490, total)
-        assert not _kov_sum_meets(epsilon0, delta0, k, 490, float(np.nextafter(total, 0.0)))
+        grid = _DeltaGrid.of([delta0], [epsilon0])
+        assert _kov_sum_meets(grid, 0, k, 490, total)
+        assert not _kov_sum_meets(grid, 0, k, 490, float(np.nextafter(total, 0.0)))
         assert len(calls) == 2
 
 

@@ -37,6 +37,7 @@ from spacct import (
 from spacct.tables import TABLE1, TABLE2, compute_table
 
 from rational_ref import (
+    _block_divergence,
     adaptive_iid_prefix_sum,
     adaptive_theorem_sum,
     dhat_shift_pair,
@@ -584,7 +585,7 @@ class TestPrefixWalkAgainstTemplateLoop:
 
 
 class TestOneBlockEvaluator:
-    """Both composition paths take block divergences from spc._block_divergence;
+    """Both composition paths take block divergences from spc._block_divergences;
     only explicit entries average over co-member subsets."""
 
     @pytest.mark.parametrize("entries,subset_means", [
@@ -629,7 +630,7 @@ class TestOneBlockEvaluator:
         got = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
         assert len(calls) == 9
         monkeypatch.setattr(spacct.compose, "_block_divergences", lambda scenario, grid: cache(
-            partial(spacct.spc._block_divergence, scenario, grid=grid)))
+            partial(_block_divergence, scenario, grid=grid)))
         want = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
         assert len(calls) == 9 + 1188
         assert [t.delta.tobytes() for t in got.per_block] == \

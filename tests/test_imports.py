@@ -1,6 +1,8 @@
 """spacct runs on numpy and the standard library alone: no CLI launch loads
-scipy, which used to be most of every launch's import time."""
+scipy, which used to be most of every launch's import time. And every name
+a module imports is used there, so deleted code leaves no import behind."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +31,24 @@ def test_sources_do_not_mention_scipy():
     offenders = [str(path) for path in sorted(SRC.rglob("*.py"))
                  if "scipy" in path.read_text(encoding="utf-8")]
     assert offenders == []
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports only to re-export; `from __future__ import annotations`
+    # binds no name the module reads
+    unused = []
+    for path in sorted((SRC / "spacct").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.partition(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []

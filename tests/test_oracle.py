@@ -172,6 +172,21 @@ class TestMcDistinguish:
             with pytest.raises(DomainError, match="nonnegative"):
                 mc_distinguish(instance.scenario, instance.spec, epsilon, trials=1000, seed=0)
 
+    @pytest.mark.parametrize("trials, seed", [(1000.5, 0), (2000.0, 0), (True, 0), (1000, -1),
+                                              (1000, 1.5), (1000, True), (1000, (1, -2))],
+                             ids=["fractional trials", "float trials", "bool trials",
+                                  "negative seed", "float seed", "bool seed",
+                                  "negative seed in tuple"])
+    def test_invalid_trials_and_seeds_are_refused_before_sampling(self, monkeypatch, trials,
+                                                                    seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no trial may be sampled")
+
+        monkeypatch.setattr(spacct.oracle, "_mc_histograms", refuse)
+        sc = Scenario(2, IidEntries((0.5,)))
+        with pytest.raises(DomainError):
+            mc_distinguish(sc, single_query(2, 1), 0.1, trials=trials, seed=seed)
+
     def test_trials_above_the_cap_are_refused_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("no trial may be sampled")

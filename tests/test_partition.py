@@ -8,14 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacct import (
+    AdaptiveSpec,
     CapacityError,
     DomainError,
+    IidEntries,
+    NonadaptiveSpec,
     PartitionLaw,
+    PropertyQuery,
+    Scenario,
     TemplateFormat,
+    ThresholdTree,
+    composition_delta,
     enumerate_templates,
+    exact_mechanism_law,
+    mc_distinguish,
     sample_template,
     template_count,
 )
+from spacct.scenario_io import parse_scenario
 
 from rational_ref import (two_branch_enumerate_templates, two_branch_sample_template,
                           two_branch_template_count)
@@ -23,6 +33,44 @@ from rational_ref import (two_branch_enumerate_templates, two_branch_sample_temp
 
 def law(n, sizes, restriction=None):
     return PartitionLaw(n, TemplateFormat(tuple(sizes)), restriction=restriction)
+
+
+class TestFormatFits:
+    """One rule, TemplateFormat.require_fits, behind every entry point that
+    places a format on a database."""
+
+    FMT = TemplateFormat((3, 2))
+    SCENARIO = Scenario(4, IidEntries((0.5,)))
+    NONADAPTIVE = NonadaptiveSpec(FMT, (PropertyQuery(), PropertyQuery()))
+    ADAPTIVE = AdaptiveSpec(FMT, ThresholdTree(PropertyQuery(), 1,
+                                               low=ThresholdTree(PropertyQuery()),
+                                               high=ThresholdTree(PropertyQuery())))
+
+    def test_a_format_that_fits_is_taken(self):
+        self.FMT.require_fits(5)
+        assert PartitionLaw(5, self.FMT).n == 5
+
+    @pytest.mark.parametrize("call", [
+        lambda: TestFormatFits.FMT.require_fits(4),
+        lambda: PartitionLaw(4, TestFormatFits.FMT),
+        lambda: composition_delta(TestFormatFits.SCENARIO, TestFormatFits.NONADAPTIVE, 0.1),
+        lambda: composition_delta(TestFormatFits.SCENARIO, TestFormatFits.ADAPTIVE, 0.1),
+        lambda: mc_distinguish(TestFormatFits.SCENARIO, TestFormatFits.NONADAPTIVE, 0.1,
+                               trials=1000, seed=0),
+        lambda: exact_mechanism_law(TestFormatFits.SCENARIO, TestFormatFits.NONADAPTIVE),
+    ], ids=["format", "law", "nonadaptive", "adaptive", "monte carlo", "exact oracle"])
+    def test_every_entry_point_gives_one_message(self, call):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == "format uses 5 indices but n=4"
+
+    def test_scenario_files_prefix_the_message(self):
+        doc = {"schema_version": 1, "n": 4, "entry_model": {"kind": "iid", "p": 0.5},
+               "format": [3, 2], "epsilons": [0.1],
+               "queries": {"mode": "nonadaptive", "list": [{"attribute": 0}] * 2}}
+        with pytest.raises(DomainError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == "scenario file: format uses 5 indices but n=4"
 
 
 class TestTypes:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacct.spc
@@ -16,12 +16,14 @@ from spacct import (
     IidEntries,
     KnownEntries,
     MonteCarlo,
+    NonadaptiveSpec,
     PartitionLaw,
     PropertyQuery,
     Scenario,
     TemplateFormat,
     d_hat,
     enumerate_templates,
+    nonadaptive_general,
     sample_template,
     spc_general,
     spc_iid,
@@ -31,9 +33,10 @@ from spacct import (
 
 from spacct.baseline import max_dp_queries
 from spacct.curve import fsum_terms
-from spacct.spc import MC_CHUNK, MC_TRIALS_CAP
+from spacct.spc import MC_CHUNK, MC_TRIALS_CAP, _block_divergences
 
 from rational_ref import (
+    _block_divergence,
     block_answer_law,
     dhat_shift_pair,
     hockey_stick_dicts,
@@ -225,6 +228,28 @@ class TestMonteCarloTrialsCap:
         with pytest.raises(CapacityError) as info:
             MonteCarlo(trials=10**5000)
         assert len(str(info.value)) < 200
+
+
+class TestMonteCarloSeed:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", [1, 2], (0, -1), ((0, 1), 2.5),
+                                      (False,)],
+                             ids=["negative", "float", "bool", "string", "list",
+                                  "negative in tuple", "float nested", "bool in tuple"])
+    def test_invalid_seeds_are_refused_at_construction(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            MonteCarlo(10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 10**30, (1, 2), ((0, 1), 2), ()],
+                             ids=["zero", "int", "numpy int", "huge", "tuple", "nested", "empty"])
+    def test_valid_seeds_are_taken(self, seed):
+        assert MonteCarlo(10, seed=seed).seed == seed
+
+    def test_nonadaptive_block_seeds_nest_the_given_seed(self):
+        # compose derives block k's stream from (seed, k); a tuple seed nests
+        sc = Scenario(6, ExplicitEntries(tuple((0.1 * i,) for i in range(1, 7))))
+        spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(),) * 2)
+        report = nonadaptive_general(sc, spec, 0.1, MonteCarlo(50, seed=(4, 5)))
+        assert report.total_half_width is not None
 
 
 class TestSpcKnownEntries:
@@ -587,6 +612,55 @@ class TestEnumerateBatches:
         assert got.value.tolist() == [1.0, 1.0, 1.0]
         assert got.value.tolist() == _per_subset_enumerate(scenario, law, PropertyQuery(),
                                                            self.grid).tolist()
+
+
+@st.composite
+def block_pool_cases(draw):
+    """A scenario (n <= 9) of any entry model, a pool of co-member candidates
+    (a random subset of the non-critical indices, so S < n is covered), a
+    block size that fits it, and a query that may be negated."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(("iid", "known", "explicit")))
+    if kind == "iid":
+        entries = IidEntries(tuple(draw(st.lists(EDGE_PROBS, min_size=1, max_size=2))))
+    elif kind == "known":
+        known = draw(st.integers(0, n - 1))
+        entries = KnownEntries(draw(EDGE_PROBS), known, draw(st.integers(0, known)))
+    else:
+        width = draw(st.integers(1, 2))
+        entries = ExplicitEntries(tuple(tuple(draw(st.lists(EDGE_PROBS, min_size=width,
+                                                            max_size=width)))
+                                        for _ in range(n)))
+    scenario = Scenario(n, entries, critical_index=draw(st.integers(1, n)))
+    others = [i for i in range(n) if i != scenario.critical_index - 1]
+    order = draw(st.permutations(others))
+    pool = tuple(sorted(order[:draw(st.integers(0, len(others)))]))
+    query = PropertyQuery(draw(st.integers(0, scenario.num_attributes - 1)),
+                          negate=draw(st.booleans()))
+    return scenario, pool, draw(st.integers(1, len(pool) + 1)), query
+
+
+class TestOneBlockEvaluator:
+    """The cached block evaluator against the reference that evaluates every
+    pool on its own and counts known entries with np.isin."""
+
+    grid = np.array([0.0, 0.3, 1.0])
+
+    @given(case=block_pool_cases())
+    @example(case=(Scenario(9, KnownEntries(0.3, 5, 2), critical_index=2), (2, 3, 6, 7, 8), 3,
+                   PropertyQuery(negate=True)))
+    @example(case=(Scenario(6, ExplicitEntries(((0.1, 0.9), (0.5, 0.2), (0.7, 0.0), (1.0, 0.4),
+                                                (0.3, 0.6), (0.2, 0.8))), critical_index=4),
+                   (0, 2, 4, 5), 3, PropertyQuery(1, negate=True)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_every_pool_reference(self, case):
+        scenario, pool, size, query = case
+        divergence = _block_divergences(scenario, self.grid)
+        got = divergence(pool, size, query)
+        want = _block_divergence(scenario, pool, size, query, self.grid)
+        assert got.tobytes() == want.tobytes()
+        # a second call is served from the cache, with the same bits
+        assert divergence(pool, size, query).tobytes() == want.tobytes()
 
 
 def _pair_delta(member_p: float, eps: float, shifted_first: bool) -> float:
