@@ -26,7 +26,7 @@ from .curve import epsilon_grid
 from .errors import CapacityError, DomainError
 from .oracle import MATRIX_EPSILONS, exact_mechanism_law, mc_distinguish, verification_matrix
 from .scenario_io import load_scenario
-from .spc import IidEntries, KnownEntries, Scenario, spc_iid, spc_known_entries
+from .spc import IidEntries, KnownEntries, Scenario, require_seed, spc_iid, spc_known_entries
 from .tables import TABLES, check_table, compute_table
 
 DEFAULT_EPS_GRID = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
@@ -164,8 +164,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+    require_seed(args.seed, "--seed")  # also with --trials 0, which samples nothing
     failed = False
     lines = []
     records = []

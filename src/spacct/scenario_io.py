@@ -24,6 +24,7 @@ from .spc import (
     MonteCarlo,
     PropertyQuery,
     Scenario,
+    require_seed,
 )
 
 SCHEMA_VERSION = 1
@@ -174,8 +175,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     mode_doc = doc.get("mode", "enumerate")
     seed = _int(doc.get("seed", 0), "seed")
-    if seed < 0:
-        _fail(f"seed must be nonnegative, got {seed}")
+    require_seed(seed, "scenario file: seed")
     if mode_doc == "enumerate":
         mode: Enumerate | MonteCarlo = Enumerate()
     elif isinstance(mode_doc, dict):

@@ -25,6 +25,18 @@ from .partition import TEMPLATE_CAP, PartitionLaw
 # Known-entry mixtures refuse hypergeometric supports with more points than this.
 KNOWN_SUPPORT_CAP = 10**6
 
+# A known-entry mixture first evaluates the central run of weights of at least
+# this; the lighter rows are evaluated only at the epsilons where they could
+# move the correctly rounded sum.
+_WEIGHT_FLOOR = 2.0**-80
+
+# Rows are skipped only while no tail window of the support can reach
+# curve._WINDOW_TERMS (2^20): a window holds at most 9 standard deviations
+# plus 25 terms, rounded up by at most 1/8 (curve._windows), under 2^20
+# while u p (1 - p) <= 2^33. The other refusal of _windows, u above 2^53,
+# cannot occur, as hypergeometric refuses such populations.
+_SKIP_VARIANCE_CAP = 2.0**33
+
 # Monte-Carlo sampling refuses more trials than this, before allocating.
 MC_TRIALS_CAP = 10**6
 
@@ -238,13 +250,20 @@ class MonteCarlo:
         if self.trials > MC_TRIALS_CAP:
             raise CapacityError(
                 f"{magnitude(self.trials)} Monte-Carlo trials exceed the cap of {MC_TRIALS_CAP}")
-        if not _is_seed(self.seed):
-            raise DomainError(f"a seed is a nonnegative integer or a tuple of seeds, "
-                              f"got {self.seed!r}")
+        require_seed(self.seed)
 
 
 def _is_seed(seed) -> bool:
     return all(map(_is_seed, seed)) if isinstance(seed, tuple) else is_int(seed) and seed >= 0
+
+
+def require_seed(seed, what: str = "seed") -> None:
+    """The one seed rule, behind MonteCarlo, `verify --seed` and scenario
+    files: refuse anything but an int >= 0 that is not a bool, or a tuple of
+    such seeds. `what` names the seed in the message."""
+    if not _is_seed(seed):
+        raise DomainError(f"{what} must be a nonnegative integer or a tuple of such seeds, "
+                          f"got {seed!r}")
 
 
 def success_prob(scenario: Scenario, query: PropertyQuery) -> float:
@@ -305,10 +324,37 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
     _require_sample_size(scenario, sample_size)
     v, p = scenario.entries.known, success_prob(scenario, query)
     weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
+    grid, masses = as_grid(epsilon), weights.masses
     # float counts: a sample of 10^20 entries overflows int64
     unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
-    terms = weights.masses * shift_pair_delta(unknown, p, as_grid(epsilon))
-    return per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms.T)))
+    lo, hi = _heavy_run(masses, unknown[0] * p * (1.0 - p))
+    rows = (masses[lo:hi] * shift_pair_delta(unknown[lo:hi], p, grid)).tolist()
+    sums = [math.fsum(row) for row in rows]
+    rest = np.r_[:lo, hi:masses.size]
+    if rest.size:
+        # every term is w * delta, delta in [0, 1], so the skipped ones add up
+        # to at most `bound`; where the sum rounds alike with and without it
+        # (or reaches the cap of 1), fsum over every row is the kept rows' sum
+        bound = math.nextafter(math.fsum(masses[rest].tolist()), math.inf)
+        open_ = [i for i, (row, low) in enumerate(zip(rows, sums))
+                 if low < 1.0 and math.fsum([*row, bound]) != low]
+        if open_:
+            extra = masses[rest] * shift_pair_delta(unknown[rest], p, grid[open_])
+            for i, tail in zip(open_, extra.tolist()):
+                sums[i] = math.fsum(rows[i] + tail)
+    return per_epsilon(epsilon, np.minimum(1.0, sums))
+
+
+def _heavy_run(masses: np.ndarray, widest_variance: float) -> tuple[int, int]:
+    """The slice of mixture rows spc_known_entries evaluates first: the run
+    from the first to the last weight of at least _WEIGHT_FLOOR, or every row
+    where a skipped row's tail window could be refused (the variance of the
+    support's largest binomial above _SKIP_VARIANCE_CAP), so that a refusal
+    names the same u as the sum over every row."""
+    if widest_variance > _SKIP_VARIANCE_CAP:
+        return 0, masses.size
+    heavy = np.flatnonzero(masses >= _WEIGHT_FLOOR)  # never empty: the masses sum to 1
+    return int(heavy[0]), int(heavy[-1]) + 1
 
 
 def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsilon, phi: int,

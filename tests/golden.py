@@ -3,17 +3,18 @@
     python3 tests/golden.py OUTDIR
     python3 tests/golden.py --compare A B
 
-Runs 36 commands through `spacct.cli.main`, in this process. 32 are
+Runs 40 commands through `spacct.cli.main`, in this process. 32 are
 perfbench's workloads: `table1` and `table2 --check --format json`, the 12
 `curve` commands, and at seeds 1, 2 and 3 the five `compose` scenario files
 and `verify --trials 100000 --json`. perfbench/workloads.py builds their
-inputs and is only imported. The other 4 are `dp-compare` searches outside
-the tables (DP_COMPARE). Each command's output file lands under
-OUTDIR/<workload>-<seed>/ or OUTDIR/dp-compare/, and OUTDIR/status.json
-records every exit code and stderr. spacct is imported from the src/ of
-the checkout holding this file, so to show that a change alters no
-output, run the script in a checkout of the parent and in the change and
-compare with `diff -r`.
+inputs and is only imported. 4 are `dp-compare` searches outside the
+tables (DP_COMPARE), and 4 are known-entry `curve` commands outside the
+workload (KNOWN_CURVES). Each command's output file lands under
+OUTDIR/<workload>-<seed>/, OUTDIR/dp-compare/ or OUTDIR/known-curves/,
+and OUTDIR/status.json records every exit code and stderr. spacct is
+imported from the src/ of the checkout holding this file, so to show that
+a change alters no output, run the script in a checkout of the parent and
+in the change and compare with `diff -r`.
 A change that moves digits on purpose is compared with `--compare A B`:
 it prints every exit-code or stderr difference, every difference of
 non-numeric text, and per file the largest absolute and relative
@@ -53,6 +54,24 @@ DP_COMPARE = (
                         "--n", "1"]),
 )
 
+# Known-entry mixtures beyond the workload's two points: both points at
+# epsilons whose deltas are tiny, so the light rows of the mixture are
+# evaluated too; a mixture whose every tail window is over the cap (exit 3);
+# and a sample of the whole population.
+KNOWN_CURVES = (
+    ("known-4000-p0.5-tiny", ["--n", "32768", "--p", "0.5", "--known", "4000",
+                              "--known-positive", "2000", "--sample-size", "1024",
+                              "--eps", "5,700"]),
+    ("known-1000-p0.3-adjusted-tiny", ["--n", "32768", "--p", "0.3", "--known", "1000",
+                                       "--known-positive", "300", "--sample-size", "1000",
+                                       "--population-adjusted", "--eps", "5,700"]),
+    ("window-cap", ["--n", "100000000000", "--p", "0.5", "--known", "1000",
+                    "--sample-size", "60000000000", "--eps", "0.000001"]),
+    ("whole-population", ["--n", "32768", "--p", "0.3", "--known", "1000",
+                          "--known-positive", "300", "--sample-size", "32768",
+                          "--eps", "0,0.01,5,700"]),
+)
+
 
 def _run(status: dict, key: str, argv: list[str]) -> None:
     err = io.StringIO()
@@ -76,6 +95,11 @@ def main(outdir: str) -> int:
     for label, args in DP_COMPARE:
         _run(status, f"{workdir}/{label}",
              ["dp-compare", *args, "--format", "json", "--out", str(workdir / f"{label}.json")])
+    workdir = Path("known-curves")
+    workdir.mkdir(exist_ok=True)
+    for label, args in KNOWN_CURVES:
+        _run(status, f"{workdir}/{label}",
+             ["curve", *args, "--format", "json", "--out", str(workdir / f"{label}.json")])
     Path("status.json").write_text(json.dumps(status, indent=1) + "\n")
     return 0
 

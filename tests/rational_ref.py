@@ -17,9 +17,11 @@ so that only the order of summation differs, the adaptive iid level loop
 (bit for bit against the prefix walk, with the package's binomial tails),
 the partition law's two-branch template count, enumeration and sampling,
 which spelled out restricted laws separately (exactly against the one
-reduction that replaced them), and `_block_divergence`, the block
+reduction that replaced them), `_block_divergence`, the block
 evaluator that evaluates every co-member pool on its own (bit for bit
-against the cached, count-keyed one).
+against the cached, count-keyed one), and the known-entry mixture over
+every row of its support (bit for bit against `spc_known_entries`, which
+evaluates the light rows only where they can move the rounded sum).
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ import numpy as np
 
 from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_lanes,
                              _kov_total, _log_factorials, gaussian_sigma_for)
-from spacct.curve import _binomial_above, as_grid, fsum_terms, shift_pair_rows
+from spacct.curve import (_binomial_above, as_grid, fsum_terms, per_epsilon, shift_pair_delta,
+                          shift_pair_rows)
 from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows, shift,
                             sum_bracket)
 from spacct.errors import CapacityError, DomainError
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
-from spacct.spc import (KnownEntries, _known_block_divergence, _subset_mean, spc_iid,
-                        success_prob)
+from spacct.spc import (KnownEntries, _known_block_divergence, _known_weights, _subset_mean,
+                        _require_sample_size, spc_iid, success_prob)
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -542,3 +545,18 @@ def _block_divergence(scenario, pool, size: int, query, grid: np.ndarray) -> np.
         known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
         return _known_block_divergence(entries.p, len(pool), known, size, query, grid)
     return _subset_mean(query.success_probs(scenario.probs_matrix()), pool, size - 1, grid)
+
+
+def spc_known_entries_every_row(scenario, sample_size: int, epsilon, query, *,
+                                population_excludes_critical: bool = False):
+    """spc_known_entries as a sum over every row of the hypergeometric
+    support: one shift_pair_delta call and one fsum per epsilon."""
+    if not isinstance(scenario.entries, KnownEntries):
+        raise DomainError("spc_known_entries requires a known-entries model")
+    _require_sample_size(scenario, sample_size)
+    v, p = scenario.entries.known, success_prob(scenario, query)
+    weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
+    # float counts: a sample of 10^20 entries overflows int64
+    unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
+    terms = weights.masses * shift_pair_delta(unknown, p, as_grid(epsilon))
+    return per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms.T)))

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 import spacct.cli
 import spacct.oracle
 from spacct import (
+    CapacityError,
     DomainError,
     IidEntries,
     KnownEntries,
+    PropertyQuery,
     Scenario,
     composition_delta,
     d_hat,
@@ -30,6 +32,8 @@ from spacct import (
 )
 from spacct.cli import _emit_json, main
 from spacct.scenario_io import load_scenario
+
+from rational_ref import spc_known_entries_every_row
 
 
 def _mp_tails(u: int, lo: int, hi: int) -> list:
@@ -109,6 +113,21 @@ class TestCurveCommand:
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+    def test_known_entry_window_refusal_names_the_largest_u(self, capsys):
+        # every row of this mixture needs a tail window over the cap; the
+        # refusal names the largest u of the whole support, as the every-row
+        # sum does, although the light rows are otherwise evaluated last
+        code, out, err = run(capsys, "curve", "--n", "100000000000", "--p", "0.5",
+                             "--known", "1000", "--sample-size", "60000000000",
+                             "--eps", "0.000001")
+        assert (code, out) == (3, "")
+        assert err == ("error: a binomial tail window of 1179648 terms exceeds the cap of "
+                       "1048576 (u up to 59999999946)\n")
+        sc = Scenario(10**11, KnownEntries(0.5, 1000))
+        with pytest.raises(CapacityError) as info:
+            spc_known_entries_every_row(sc, 6 * 10**10, (1e-6,), PropertyQuery())
+        assert err == f"error: {info.value}\n"
 
     @pytest.mark.parametrize("extra", [[], ["--population-adjusted"]])
     def test_known_entries_curve_equals_scalar_api_calls(self, capsys, extra):
@@ -499,6 +518,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "seed" in err
+
+    def test_negative_seed_without_trials_takes_the_one_seed_rule(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "0", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == ("error: --seed must be a nonnegative integer or a tuple of such seeds, "
+                       "got -1\n")
 
     def test_trials_over_cap_exit_3(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

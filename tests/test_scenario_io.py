@@ -74,6 +74,14 @@ class TestParsing:
 
 
 class TestValidation:
+    def test_negative_seed_takes_the_one_seed_rule(self):
+        doc = base_doc()
+        doc["seed"] = -1
+        with pytest.raises(DomainError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == ("scenario file: seed must be a nonnegative integer or a "
+                                   "tuple of such seeds, got -1")
+
     def test_unknown_top_level_field(self):
         doc = base_doc()
         doc["unexpected"] = 1

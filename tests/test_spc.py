@@ -33,6 +33,7 @@ from spacct import (
 
 from spacct.baseline import max_dp_queries
 from spacct.curve import fsum_terms
+from spacct.distkit import hypergeometric
 from spacct.spc import MC_CHUNK, MC_TRIALS_CAP, _block_divergences
 
 from rational_ref import (
@@ -42,6 +43,7 @@ from rational_ref import (
     hockey_stick_dicts,
     hyper_pmf_exact,
     indicator_laws,
+    spc_known_entries_every_row,
 )
 
 
@@ -244,6 +246,12 @@ class TestMonteCarloSeed:
     def test_valid_seeds_are_taken(self, seed):
         assert MonteCarlo(10, seed=seed).seed == seed
 
+    def test_message_is_the_one_seed_rule(self):
+        with pytest.raises(DomainError) as info:
+            MonteCarlo(10, seed=-1)
+        assert str(info.value) == ("seed must be a nonnegative integer or a tuple of such "
+                                   "seeds, got -1")
+
     def test_nonadaptive_block_seeds_nest_the_given_seed(self):
         # compose derives block k's stream from (seed, k); a tuple seed nests
         sc = Scenario(6, ExplicitEntries(tuple((0.1 * i,) for i in range(1, 7))))
@@ -304,6 +312,80 @@ class TestSpcKnownEntries:
         default = spc_known_entries(sc, s, grid)
         adjusted = spc_known_entries(sc, s, grid, population_excludes_critical=True)
         assert (adjusted >= default - 1e-12).all()
+
+
+@st.composite
+def known_entry_cases(draw):
+    """(n, v, s, p, population adjusted, epsilon grid) of a known-entry mixture."""
+    n = draw(st.integers(2, 3000))
+    v, s = draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+    p = draw(st.sampled_from([0.5, 0.3]) | st.floats(0.0, 1.0))
+    grid = draw(st.sets(st.sampled_from([0.0, 0.01, 0.3, 1.0, 5.0, 40.0, 700.0]), min_size=1))
+    return n, v, s, p, draw(st.booleans()), sorted(grid)
+
+
+# The two known-entry points of the benchmark's curves workload: n = 32768,
+# (p, known, known_positive, sample size, population adjusted).
+CURVES_KNOWN_POINTS = ((0.5, 4000, 2000, 1024, False), (0.3, 1000, 300, 1000, True))
+
+
+class TestKnownEntriesSkippedRows:
+    """spc_known_entries evaluates the light weights only at the epsilons
+    where they can move the rounded sum; every value must be the every-row
+    sum's, bit for bit."""
+
+    @given(known_entry_cases())
+    @settings(max_examples=120, deadline=None)
+    @example((32768, 4000, 1024, 0.5, False, [0.0, 0.01, 5.0, 700.0]))  # the fallback runs
+    @example((32768, 1000, 1000, 0.3, True, [0.02, 5.0]))
+    @example((5, 2, 3, 0.3, True, [0.0, 1.0]))  # nothing to skip
+    def test_equals_the_every_row_sum(self, case):
+        n, v, s, p, adjusted, grid = case
+        sc = Scenario(n, KnownEntries(p, v))
+        got = spc_known_entries(sc, s, grid, population_excludes_critical=adjusted)
+        want = spc_known_entries_every_row(sc, s, grid, PropertyQuery(),
+                                           population_excludes_critical=adjusted)
+        assert got.tobytes() == want.tobytes()
+        assert spc_known_entries(sc, s, grid[-1], population_excludes_critical=adjusted) == \
+            want[-1]
+
+    @pytest.mark.parametrize("p, known, positive, size, adjusted", CURVES_KNOWN_POINTS)
+    def test_curves_points_evaluate_only_the_heavy_rows(self, monkeypatch, p, known, positive,
+                                                        size, adjusted):
+        weights = hypergeometric(32767 if adjusted else 32768, known, size - 1).masses
+        heavy = np.flatnonzero(weights >= 2.0**-80)
+        received = []
+        evaluate = spacct.spc.shift_pair_delta
+
+        def counting(u, p, epsilon):
+            received.append(np.size(u))
+            return evaluate(u, p, epsilon)
+
+        monkeypatch.setattr(spacct.spc, "shift_pair_delta", counting)
+        sc = Scenario(32768, KnownEntries(p, known, positive))
+        spc_known_entries(sc, size, (0.01, 0.02), population_excludes_critical=adjusted)
+        assert sum(received) <= heavy[-1] - heavy[0] + 1 < weights.size
+
+    @pytest.mark.parametrize("p, known, positive, size, adjusted", CURVES_KNOWN_POINTS)
+    def test_tiny_deltas_take_the_skipped_rows_once(self, monkeypatch, p, known, positive,
+                                                   size, adjusted):
+        # at epsilon 5 and 700 the kept sum is far below the skipped weights'
+        # bound, so the skipped rows are evaluated, in one more call
+        calls = []
+        evaluate = spacct.spc.shift_pair_delta
+
+        def counting(u, p, epsilon):
+            calls.append(np.size(epsilon))
+            return evaluate(u, p, epsilon)
+
+        monkeypatch.setattr(spacct.spc, "shift_pair_delta", counting)
+        sc = Scenario(32768, KnownEntries(p, known, positive))
+        grid = [0.01, 5.0, 700.0]
+        got = spc_known_entries(sc, size, grid, population_excludes_critical=adjusted)
+        assert calls[0] == 3 and len(calls) == 2 and calls[1] >= 1
+        want = spc_known_entries_every_row(sc, size, grid, PropertyQuery(),
+                                           population_excludes_critical=adjusted)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestThresholdBound:
