@@ -105,18 +105,21 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
         order = [i - 1 for block in template for i in block]
         places[order, t] = np.arange(len(order))
     per_chunk = max(1, LAW_CHUNK_RUNS // num_rows)
+    pairs = _block_ends([spec], num_attrs)
     hist = {v: np.zeros(n_answers) for v in range(num_values)}
     noncrit = [i for i in range(n) if i != j0]
     for v in range(num_values):
-        entries = np.empty((num_rows, n, num_attrs), dtype=bool)
-        entries[:, noncrit, :] = bits
-        entries[:, j0, :] = (v >> np.arange(num_attrs)) & 1
-        # template-major runs, accumulated in template order as one template at a time would be
+        planes = np.empty((num_attrs, n, num_rows), dtype=bool)
+        planes[:, noncrit, :] = bits.T
+        planes[:, j0, :] = ((v >> np.arange(num_attrs)) & 1)[:, None]
+        # template-major runs, accumulated in template order as one template at a
+        # time would be; the weights are floats, so every run keeps its own np.add.at
         for first in range(0, len(templates), per_chunk):
             chunk = templates[first : first + per_chunk]
-            runs = _McRuns(np.repeat(places[:, first : first + len(chunk)], num_rows, axis=1),
-                           np.tile(entries, (len(chunk), 1, 1)))
-            np.add.at(hist[v], runs.flat_answers(spec),
+            below = _counts_below(np.repeat(places[:, first : first + len(chunk)], num_rows,
+                                            axis=1),
+                                  np.tile(planes, len(chunk)), pairs)
+            np.add.at(hist[v], _Runs(pairs, below, n, num_attrs).flat_answers(spec),
                       np.concatenate([w * row_prob for _, w in chunk]))
     laws = {v: Pmf(0, h) for v, h in hist.items()}
     return ExactMechanismLaw(laws=laws, radix=radix)
@@ -153,70 +156,107 @@ def _shuffle_ranks(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-class _McRuns:
-    """Runs of the mechanism for one critical value: shuffle ranks and entries.
+def _block_ends(specs: Sequence[CompositionSpec], num_attrs: int) -> list[tuple[int, int]]:
+    """The (attribute, block end) pairs whose counts the specs' answers read,
+    sorted: every query of a nonadaptive spec and every node of a tree, at the
+    ends of its block (cumulative format sizes above 0). Attributes beyond the
+    entries' are left out; a run that reaches such a query refuses it."""
+    pairs = set()
+    for spec in specs:
+        ends = np.cumsum((0,) + spec.format.sizes).tolist()
+        if isinstance(spec, NonadaptiveSpec):
+            levels = [[query] for query in spec.queries]
+        else:
+            levels, nodes = [], [spec.tree]
+            while nodes:
+                levels.append([node.query for node in nodes])
+                nodes = [child for node in nodes for child in (node.low, node.high)
+                         if child is not None]
+        for k, queries in enumerate(levels):
+            pairs.update((query.attribute, end) for query in queries
+                         if query.attribute < num_attrs for end in ends[k : k + 2] if end)
+    return sorted(pairs)
 
-    `ranks` holds each entry's place in each run's shuffle as an (n x runs)
-    array (entries ranked at or after the format's total are left out of the
-    sample); `entries` holds the runs' attribute values, shaped
-    (runs, n, attributes). A block's answer to a query is a count over
-    entries, made once per (query, block) for every spec and tree node that
-    asks.
+
+def _counts_below(ranks: np.ndarray, planes: np.ndarray,
+                  pairs: list[tuple[int, int]]) -> np.ndarray:
+    """P(a, t) of every run for each pair (a, t): the entries with attribute a
+    set whose shuffle rank is below t, as a (pairs x runs) array.
+
+    `ranks` is (n x runs) and `planes` holds the runs' attribute values as
+    (attributes, n, runs); a rank of n or more leaves an entry out of every
+    block. At t = n no rank is compared.
+    """
+    n = planes.shape[1]
+    below = np.empty((len(pairs), planes.shape[2]), dtype=np.min_scalar_type(n + 1))
+    masks: dict[int, np.ndarray] = {}
+    for i, (a, t) in enumerate(pairs):
+        hits = planes[a]
+        if t < n:
+            if t not in masks:
+                masks[t] = ranks < t
+            hits = hits & masks[t]
+        below[i] = _count(hits, below.dtype)
+    return below
+
+
+class _Runs:
+    """Runs of the mechanism, as the counts their answers read.
+
+    Exactly hi - lo entries have a shuffle rank in [lo, hi), so a block's
+    answer to a query on attribute a is P(a, hi) - P(a, lo), with P(a, 0) = 0
+    (_counts_below), and a negated query's answer is (hi - lo) minus that.
+    `below` holds one row of counts per pair of `pairs`, one column per run;
+    a column stands for `weights` runs, or for one when that is None.
     """
 
-    def __init__(self, ranks: np.ndarray, entries: np.ndarray) -> None:
-        self.ranks = ranks
-        self.entries = entries
+    def __init__(self, pairs: list[tuple[int, int]], below: np.ndarray, n: int,
+                 num_attrs: int, weights: np.ndarray | None = None) -> None:
+        self.below = dict(zip(pairs, below))
+        self.size = below.shape[1]
+        self.n = n
+        self.num_attrs = num_attrs
+        self.weights = weights
         # answers lie in [0, n] and thresholds are clipped to [0, n + 1]
-        self.count_type = np.min_scalar_type(entries.shape[1] + 1)
-        self.planes: dict[tuple[int, bool], np.ndarray] = {}
-        self.counts: dict[tuple[int, bool, int, int], np.ndarray] = {}
+        self.count_type = below.dtype
 
     @classmethod
-    def sample(cls, rng: np.random.Generator, scenario: Scenario, value: int,
-               trials: int) -> _McRuns:
-        """`trials` sampled runs: shuffle keys first, then the entries.
+    def distinct(cls, pairs: list[tuple[int, int]], below: np.ndarray, n: int,
+                 num_attrs: int) -> _Runs:
+        """The distinct columns of `below`, each weighted by its count.
 
-        Both are drawn MC_DRAW_TRIALS trials at a time. A generator fills an
-        array in C order from one stream, so the chunks hold the very numbers
-        of one draw of all the trials.
+        The columns are keyed by mixed radix with bases t + 1 and counted by
+        one np.bincount over the key space. A key space larger than the run
+        count would save nothing, so then every run keeps its own column.
         """
-        n, num_attrs = scenario.n, scenario.num_attributes
-        chunks = [slice(first, min(first + MC_DRAW_TRIALS, trials))
-                  for first in range(0, trials, MC_DRAW_TRIALS)]
-        ranks = np.empty((n, trials), dtype=np.min_scalar_type(n))
-        for chunk in chunks:
-            ranks[:, chunk] = _shuffle_ranks(rng.random((chunk.stop - chunk.start, n)))
-        probs = scenario.probs_matrix()[None]
-        entries = np.empty((trials, n, num_attrs), dtype=bool)
-        for chunk in chunks:
-            np.less(rng.random((chunk.stop - chunk.start, n, num_attrs)), probs,
-                    out=entries[chunk])
-        entries[:, scenario.critical_index - 1, :] = (value >> np.arange(num_attrs)) & 1
-        return cls(ranks, entries)
-
-    def plane(self, query: PropertyQuery) -> np.ndarray:
-        """(n x runs) indicators of the entries the query counts."""
-        key = (query.attribute, query.negate)
-        if key not in self.planes:
-            query.require_attribute(self.entries.shape[2])
-            plane = np.ascontiguousarray(self.entries[:, :, query.attribute].T)
-            self.planes[key] = ~plane if query.negate else plane
-        return self.planes[key]
+        bases = [t + 1 for _, t in pairs]
+        space = math.prod(bases)
+        if space > below.shape[1]:
+            return cls(pairs, below, n, num_attrs)
+        # the smallest integer type that holds the space also holds every base
+        key = np.zeros(below.shape[1], dtype=np.min_scalar_type(space))
+        for column, base in zip(below, bases):
+            key *= base
+            key += column
+        counts = np.bincount(key)
+        key = np.flatnonzero(counts)
+        weights = counts[key]
+        distinct = np.empty((len(pairs), key.size), dtype=below.dtype)
+        for i in reversed(range(len(pairs))):
+            key, distinct[i] = np.divmod(key, bases[i])
+        return cls(pairs, distinct, n, num_attrs, weights)
 
     def answers(self, query: PropertyQuery, lo: int, hi: int) -> np.ndarray:
-        """Per-run answer of `query` on the block at shuffle places lo..hi-1."""
-        key = (query.attribute, query.negate, lo, hi)
-        if key not in self.counts:
-            hits = self.plane(query)
-            if lo > 0 or hi < self.entries.shape[1]:
-                hits = hits & (self.ranks >= lo) & (self.ranks < hi)
-            self.counts[key] = _count(hits, self.count_type)
-        return self.counts[key]
+        """Each column's answer of `query` on the block at shuffle places lo..hi-1."""
+        query.require_attribute(self.num_attrs)
+        a = self.below[query.attribute, hi]
+        if lo:
+            a = a - self.below[query.attribute, lo]
+        return (hi - lo) - a if query.negate else a
 
     def _tree_answers(self, nodes: list[ThresholdTree], node: np.ndarray,
                       lo: int, hi: int) -> np.ndarray:
-        """Per-run answer of the query at each run's node (an index into `nodes`)."""
+        """Each column's answer of the query at its node (an index into `nodes`)."""
         queries = list(dict.fromkeys(tree.query for tree in nodes))
         first = self.answers(queries[0], lo, hi)
         if len(queries) == 1:
@@ -229,18 +269,18 @@ class _McRuns:
         return a
 
     def flat_answers(self, spec: CompositionSpec) -> np.ndarray:
-        """Every run's answer tuple, flattened by mixed radix with bases n_k + 1
+        """Each column's answer tuple, flattened by mixed radix with bases n_k + 1
         (the C-order np.ravel_multi_index).
 
-        Adaptive specs carry each run's tree node as an index into the nodes
-        that some run reaches at that depth, so the ids stay compact however
-        deep the tree is: the high child of node i is 2i + 1 and the low one
-        2i before they are renumbered.
+        Adaptive specs carry each column's tree node as an index into the
+        nodes that some column reaches at that depth, so the ids stay compact
+        however deep the tree is: the high child of node i is 2i + 1 and the
+        low one 2i before they are renumbered.
         """
         sizes = spec.format.sizes
         # entries placed after the last block are left out of the sample
         starts = np.cumsum((0,) + sizes).tolist()
-        code = np.zeros(self.entries.shape[0], dtype=np.intp)
+        code = np.zeros(self.size, dtype=np.intp)
         if isinstance(spec, NonadaptiveSpec):
             for k, (size, query) in enumerate(zip(sizes, spec.queries)):
                 code *= size + 1
@@ -257,10 +297,9 @@ class _McRuns:
 
     def _descend(self, nodes: list[ThresholdTree], node: np.ndarray,
                  a: np.ndarray) -> tuple[list[ThresholdTree], np.ndarray]:
-        """Each run's child node, numbered among the children some run reaches."""
-        n = self.entries.shape[1]
+        """Each column's child node, numbered among the children some column reaches."""
         # answers lie in [0, n], so clipping the thresholds keeps every comparison
-        thresholds = np.array([min(max(tree.threshold, 0), n + 1) for tree in nodes],
+        thresholds = np.array([min(max(tree.threshold, 0), self.n + 1) for tree in nodes],
                               dtype=self.count_type)
         child = 2 * node + (a >= (thresholds if len(nodes) == 1 else thresholds[node]))
         counts = np.bincount(child, minlength=2 * len(nodes))
@@ -271,6 +310,44 @@ class _McRuns:
         renumber = np.zeros(counts.size, dtype=np.intp)
         renumber[reached] = np.arange(reached.size)
         return children, renumber[child]
+
+
+def _mc_stream(rng: np.random.Generator, scenario: Scenario, value: int, trials: int,
+               specs: list[CompositionSpec]) -> list[np.ndarray]:
+    """One critical value's empirical answer-tuple law per spec, from `trials`
+    sampled runs: shuffle keys first, then the entries.
+
+    Both are drawn MC_DRAW_TRIALS trials at a time. A generator fills an
+    array in C order from one stream, so the chunks hold the very numbers of
+    one draw of all the trials. Each run is reduced to its counts below the
+    block ends as its entries are drawn, and every spec is answered once per
+    distinct tuple of counts (_Runs.distinct), weighted by its runs.
+    """
+    n, num_attrs = scenario.n, scenario.num_attributes
+    most = min(MC_DRAW_TRIALS, trials)
+    chunks = [slice(first, min(first + most, trials)) for first in range(0, trials, most)]
+    # every chunk is drawn into the same buffers
+    keys = np.empty((most, n))
+    ranks = np.empty((n, trials), dtype=np.min_scalar_type(n))
+    for chunk in chunks:
+        ranks[:, chunk] = _shuffle_ranks(rng.random(out=keys[: chunk.stop - chunk.start]))
+    draws = np.empty((most, n, num_attrs))
+    planes = np.empty((num_attrs, n, most), dtype=bool)
+    probs = scenario.probs_matrix().T[:, :, None]
+    critical = ((value >> np.arange(num_attrs)) & 1)[:, None]
+    pairs = _block_ends(specs, num_attrs)
+    below = np.empty((len(pairs), trials), dtype=np.min_scalar_type(n + 1))
+    for chunk in chunks:
+        size = chunk.stop - chunk.start
+        # the (runs, n, attributes) draw, compared into (attributes, n, runs) planes
+        np.less(rng.random(out=draws[:size]).transpose(2, 1, 0), probs,
+                out=planes[:, :, :size])
+        planes[:, scenario.critical_index - 1, :size] = critical
+        below[:, chunk] = _counts_below(ranks[:, chunk], planes[:, :, :size], pairs)
+    runs = _Runs.distinct(pairs, below, n, num_attrs)
+    return [np.bincount(runs.flat_answers(spec), weights=runs.weights,
+                        minlength=math.prod(s + 1 for s in spec.format.sizes)) / trials
+            for spec in specs]
 
 
 def _usable_cpus() -> int:
@@ -289,7 +366,7 @@ def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int
     each trial's randomness occupies a fixed slice of that stream, so
     results do not depend on evaluation order and reruns are bit-identical.
     The runs of one critical value are sampled once and histogrammed for
-    every spec.
+    every spec (_mc_stream); with no spec nothing is sampled.
 
     The streams run on min(critical values, usable CPUs) threads, the
     calling thread among them, each taking every so-many-th value; numpy
@@ -300,16 +377,16 @@ def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int
     critical value is raised (each thread stops at its first error, so every
     value before it has run).
     """
+    if not specs:
+        return []
     children = np.random.SeedSequence(seed).spawn(scenario.num_values)
-    bins = [math.prod(s + 1 for s in spec.format.sizes) for spec in specs]
     results: list = [None] * scenario.num_values  # per value: its histograms or its error
 
     def run(first: int, step: int) -> None:
         for v in range(first, scenario.num_values, step):
             try:
-                runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
-                results[v] = [np.bincount(runs.flat_answers(spec), minlength=size) / trials
-                              for spec, size in zip(specs, bins)]
+                results[v] = _mc_stream(np.random.default_rng(children[v]), scenario, v, trials,
+                                        specs)
             except BaseException as exc:  # raised below, in the calling thread
                 results[v] = exc
                 return

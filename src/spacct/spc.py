@@ -45,6 +45,11 @@ MC_TRIALS_CAP = 10**6
 # floats however many subsets there are.
 MC_CHUNK = 256
 
+# An explicit-entry evaluator (_block_divergences) keeps the divergence rows
+# of at most this many co-member subsets, about 20 MB at a few epsilons; a
+# subset past them is evaluated again in each pool that holds it.
+STORED_ROWS = 2**16
+
 
 def _row(value) -> tuple:
     """One entry's Bernoulli parameters as a tuple. A number, a numpy scalar
@@ -434,7 +439,9 @@ def _block_divergences(scenario: Scenario, grid: np.ndarray):
     0-based non-critical indices; iid entries read none and take None), as a
     cached function of (pool, size, query): one branch per entry model.
     Known entries are cached by the pool's size and the known entries in it,
-    so pools that share those counts share one evaluation."""
+    so pools that share those counts share one evaluation. Explicit entries
+    keep the divergence rows of up to STORED_ROWS (query, subset) pairs, so
+    a stored subset that many pools hold is evaluated once (_subset_mean)."""
     entries = scenario.entries
     if scenario.is_iid:
         return cache(lambda pool, size, query: spc_iid(scenario, size, grid, query))
@@ -443,8 +450,14 @@ def _block_divergences(scenario: Scenario, grid: np.ndarray):
         by_counts = cache(partial(_known_block_divergence, entries.p, grid=grid))
         return lambda pool, size, query: by_counts(len(pool), len(slots.intersection(pool)),
                                                    size, query)
-    return cache(lambda pool, size, query: _subset_mean(
-        query.success_probs(scenario.probs_matrix()), pool, size - 1, grid))
+    probs = scenario.probs_matrix()
+    rows: dict[tuple[PropertyQuery, int], dict] = {}
+
+    def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:
+        room = STORED_ROWS - sum(map(len, rows.values()))
+        return _subset_mean(query.success_probs(probs), pool, size - 1, grid,
+                            rows.setdefault((query, size), {}), room)
+    return cache(divergence)
 
 
 def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -> np.ndarray:
@@ -459,13 +472,37 @@ def _subset_values(success: np.ndarray, subsets, count: int, grid: np.ndarray) -
     return values
 
 
-def _subset_mean(success: np.ndarray, pool, picks: int, grid: np.ndarray) -> np.ndarray:
+def _subset_mean(success: np.ndarray, pool, picks: int, grid: np.ndarray,
+                 rows: dict, room: int) -> np.ndarray:
     """Mean over every `picks`-subset of `pool` (indices into `success`) of
     the divergence of {B, B + 1}, per grid point and capped at 1; more than
-    TEMPLATE_CAP subsets are refused before any work."""
+    TEMPLATE_CAP subsets are refused before any work.
+
+    `rows` maps the subsets evaluated so far to their divergence rows. The
+    subsets are read MC_CHUNK at a time; a chunk's others are evaluated in
+    one _subset_values call, and the first `room` of all those evaluated are
+    stored. A row does not depend on the batch it was evaluated in, and fsum
+    is exactly rounded, so the mean has the same bits however many rows are
+    stored and in whatever order its terms come.
+    """
     count = math.comb(len(pool), picks)
     if count > TEMPLATE_CAP:
         raise CapacityError(f"{magnitude(count)} co-member subsets exceed the cap of "
                             f"{TEMPLATE_CAP}; use Monte-Carlo sampling")
-    values = _subset_values(success, combinations(pool, picks), count, grid)
+    # a pool's subsets are distinct, so only rows stored before this call can match
+    earlier = bool(rows)
+    values = np.empty((grid.size, count))
+    subsets = combinations(pool, picks)
+    for first in range(0, count, MC_CHUNK):
+        chunk = list(islice(subsets, MC_CHUNK))
+        new = [subset for subset in chunk if subset not in rows] if earlier else chunk
+        # the chunk's evaluated columns first, then its stored ones
+        stop = first + len(new)
+        values[:, first:stop] = _subset_values(success, iter(new), len(new), grid)
+        if len(new) < len(chunk):
+            values[:, stop : first + len(chunk)] = np.transpose(
+                [rows[subset] for subset in chunk if subset in rows])
+        keep = min(room, len(new))
+        rows.update(zip(new[:keep], values[:, first : first + keep].T.copy()))
+        room -= keep
     return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))

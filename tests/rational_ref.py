@@ -21,7 +21,9 @@ reduction that replaced them), `_block_divergence`, the block
 evaluator that evaluates every co-member pool on its own (bit for bit
 against the cached, count-keyed one), and the known-entry mixture over
 every row of its support (bit for bit against `spc_known_entries`, which
-evaluates the light rows only where they can move the rounded sum).
+evaluates the light rows only where they can move the rounded sum), and
+the oracle's per-run simulator `_McRuns` with its serial histograms (bit
+for bit against the histograms of distinct count tuples).
 """
 
 from __future__ import annotations
@@ -35,14 +37,17 @@ import numpy as np
 
 from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_lanes,
                              _kov_total, _log_factorials, gaussian_sigma_for)
+from spacct.compose import NonadaptiveSpec, ThresholdTree
 from spacct.curve import (_binomial_above, as_grid, fsum_terms, per_epsilon, shift_pair_delta,
                           shift_pair_rows)
 from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows, shift,
                             sum_bracket)
 from spacct.errors import CapacityError, DomainError
+from spacct.oracle import MC_DRAW_TRIALS, _count, _shuffle_ranks
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
-from spacct.spc import (KnownEntries, _known_block_divergence, _known_weights, _subset_mean,
-                        _require_sample_size, spc_iid, success_prob)
+from spacct.spc import (KnownEntries, PropertyQuery, Scenario, _known_block_divergence,
+                        _known_weights, _require_sample_size, _subset_values, spc_iid,
+                        success_prob)
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -537,14 +542,18 @@ def _block_divergence(scenario, pool, size: int, query, grid: np.ndarray) -> np.
     """Exact divergence of a block of `size` holding the critical index, per grid
     point, over co-members drawn uniformly from `pool` (0-based non-critical
     indices): one branch per entry model, known entries at the pool's counts.
-    Every pool is evaluated on its own, its known entries counted with np.isin."""
+    Every pool is evaluated on its own, its known entries counted with np.isin
+    and its explicit co-member subsets all evaluated, none of them stored."""
     entries = scenario.entries
     if scenario.is_iid:
         return spc_iid(scenario, size, grid, query)
     if isinstance(entries, KnownEntries):
         known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
         return _known_block_divergence(entries.p, len(pool), known, size, query, grid)
-    return _subset_mean(query.success_probs(scenario.probs_matrix()), pool, size - 1, grid)
+    count = math.comb(len(pool), size - 1)
+    values = _subset_values(query.success_probs(scenario.probs_matrix()),
+                            combinations(pool, size - 1), count, grid)
+    return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))
 
 
 def spc_known_entries_every_row(scenario, sample_size: int, epsilon, query, *,
@@ -560,3 +569,137 @@ def spc_known_entries_every_row(scenario, sample_size: int, epsilon, query, *,
     unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
     terms = weights.masses * shift_pair_delta(unknown, p, as_grid(epsilon))
     return per_epsilon(epsilon, np.minimum(1.0, fsum_terms(terms.T)))
+
+
+class _McRuns:
+    """The oracle's former run simulator, for one critical value: shuffle
+    ranks and entries, kept per run.
+
+    `ranks` holds each entry's place in each run's shuffle as an (n x runs)
+    array (entries ranked at or after the format's total are left out of the
+    sample); `entries` holds the runs' attribute values, shaped
+    (runs, n, attributes). A block's answer to a query is a count over
+    entries, made once per (query, block) for every spec and tree node that
+    asks.
+    """
+
+    def __init__(self, ranks: np.ndarray, entries: np.ndarray) -> None:
+        self.ranks = ranks
+        self.entries = entries
+        # answers lie in [0, n] and thresholds are clipped to [0, n + 1]
+        self.count_type = np.min_scalar_type(entries.shape[1] + 1)
+        self.planes: dict[tuple[int, bool], np.ndarray] = {}
+        self.counts: dict[tuple[int, bool, int, int], np.ndarray] = {}
+
+    @classmethod
+    def sample(cls, rng: np.random.Generator, scenario: Scenario, value: int,
+               trials: int) -> _McRuns:
+        """`trials` sampled runs: shuffle keys first, then the entries.
+
+        Both are drawn MC_DRAW_TRIALS trials at a time. A generator fills an
+        array in C order from one stream, so the chunks hold the very numbers
+        of one draw of all the trials.
+        """
+        n, num_attrs = scenario.n, scenario.num_attributes
+        chunks = [slice(first, min(first + MC_DRAW_TRIALS, trials))
+                  for first in range(0, trials, MC_DRAW_TRIALS)]
+        ranks = np.empty((n, trials), dtype=np.min_scalar_type(n))
+        for chunk in chunks:
+            ranks[:, chunk] = _shuffle_ranks(rng.random((chunk.stop - chunk.start, n)))
+        probs = scenario.probs_matrix()[None]
+        entries = np.empty((trials, n, num_attrs), dtype=bool)
+        for chunk in chunks:
+            np.less(rng.random((chunk.stop - chunk.start, n, num_attrs)), probs,
+                    out=entries[chunk])
+        entries[:, scenario.critical_index - 1, :] = (value >> np.arange(num_attrs)) & 1
+        return cls(ranks, entries)
+
+    def plane(self, query: PropertyQuery) -> np.ndarray:
+        """(n x runs) indicators of the entries the query counts."""
+        key = (query.attribute, query.negate)
+        if key not in self.planes:
+            query.require_attribute(self.entries.shape[2])
+            plane = np.ascontiguousarray(self.entries[:, :, query.attribute].T)
+            self.planes[key] = ~plane if query.negate else plane
+        return self.planes[key]
+
+    def answers(self, query: PropertyQuery, lo: int, hi: int) -> np.ndarray:
+        """Per-run answer of `query` on the block at shuffle places lo..hi-1."""
+        key = (query.attribute, query.negate, lo, hi)
+        if key not in self.counts:
+            hits = self.plane(query)
+            if lo > 0 or hi < self.entries.shape[1]:
+                hits = hits & (self.ranks >= lo) & (self.ranks < hi)
+            self.counts[key] = _count(hits, self.count_type)
+        return self.counts[key]
+
+    def _tree_answers(self, nodes: list[ThresholdTree], node: np.ndarray,
+                      lo: int, hi: int) -> np.ndarray:
+        """Per-run answer of the query at each run's node (an index into `nodes`)."""
+        queries = list(dict.fromkeys(tree.query for tree in nodes))
+        first = self.answers(queries[0], lo, hi)
+        if len(queries) == 1:
+            return first
+        which = np.array([queries.index(tree.query) for tree in nodes])[node]
+        a = first.copy()
+        for i, query in enumerate(queries[1:], start=1):
+            # a select by arithmetic: exact, since the wrapped difference is undone
+            a += (self.answers(query, lo, hi) - first) * (which == i)
+        return a
+
+    def flat_answers(self, spec: CompositionSpec) -> np.ndarray:
+        """Every run's answer tuple, flattened by mixed radix with bases n_k + 1
+        (the C-order np.ravel_multi_index).
+
+        Adaptive specs carry each run's tree node as an index into the nodes
+        that some run reaches at that depth, so the ids stay compact however
+        deep the tree is: the high child of node i is 2i + 1 and the low one
+        2i before they are renumbered.
+        """
+        sizes = spec.format.sizes
+        # entries placed after the last block are left out of the sample
+        starts = np.cumsum((0,) + sizes).tolist()
+        code = np.zeros(self.entries.shape[0], dtype=np.intp)
+        if isinstance(spec, NonadaptiveSpec):
+            for k, (size, query) in enumerate(zip(sizes, spec.queries)):
+                code *= size + 1
+                code += self.answers(query, starts[k], starts[k + 1])
+            return code
+        nodes, node = [spec.tree], np.zeros_like(code)
+        for k, size in enumerate(sizes):
+            a = self._tree_answers(nodes, node, starts[k], starts[k + 1])
+            code *= size + 1
+            code += a
+            if k + 1 < len(sizes):
+                nodes, node = self._descend(nodes, node, a)
+        return code
+
+    def _descend(self, nodes: list[ThresholdTree], node: np.ndarray,
+                 a: np.ndarray) -> tuple[list[ThresholdTree], np.ndarray]:
+        """Each run's child node, numbered among the children some run reaches."""
+        n = self.entries.shape[1]
+        # answers lie in [0, n], so clipping the thresholds keeps every comparison
+        thresholds = np.array([min(max(tree.threshold, 0), n + 1) for tree in nodes],
+                              dtype=self.count_type)
+        child = 2 * node + (a >= (thresholds if len(nodes) == 1 else thresholds[node]))
+        counts = np.bincount(child, minlength=2 * len(nodes))
+        reached = np.flatnonzero(counts)
+        children = [(nodes[c // 2].low, nodes[c // 2].high)[c % 2] for c in reached.tolist()]
+        if reached.size == counts.size:
+            return children, child
+        renumber = np.zeros(counts.size, dtype=np.intp)
+        renumber[reached] = np.arange(reached.size)
+        return children, renumber[child]
+
+
+def per_run_histograms(scenario, specs, trials: int, seed: int) -> list[dict[int, np.ndarray]]:
+    """oracle._mc_histograms as the former serial loop: per critical value, the
+    runs of _McRuns.sample, every run's answer tuple and one np.bincount per spec."""
+    children = np.random.SeedSequence(seed).spawn(scenario.num_values)
+    hists = [{} for _ in specs]
+    for v in range(scenario.num_values):
+        runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
+        for hist, spec in zip(hists, specs):
+            bins = math.prod(s + 1 for s in spec.format.sizes)
+            hist[v] = np.bincount(runs.flat_answers(spec), minlength=bins) / trials
+    return hists

@@ -637,6 +637,67 @@ class TestOneBlockEvaluator:
             [t.delta.tobytes() for t in want.per_block]
         assert got.total_delta.tobytes() == want.total_delta.tobytes()
 
+    @staticmethod
+    def explicit_walk():
+        # adaptive-n9's shape: 28 co-member pairs per query at every level, held
+        # by the 56 level-1 pools many times over; entries and queries differ, so
+        # no two (query, subset) pairs give the same success row
+        probs = tuple(map(tuple, np.random.default_rng(7).random((9, 2))))
+        tree = ThresholdTree(
+            PropertyQuery(0), 1,
+            low=ThresholdTree(PropertyQuery(1, negate=True), 2,
+                              low=ThresholdTree(PropertyQuery(0)),
+                              high=ThresholdTree(PropertyQuery(1))),
+            high=ThresholdTree(PropertyQuery(0, negate=True), 1,
+                               low=ThresholdTree(PropertyQuery(1, negate=True)),
+                               high=ThresholdTree(PropertyQuery(0))))
+        return (Scenario(9, ExplicitEntries(probs), critical_index=4),
+                AdaptiveSpec(TemplateFormat((3, 3, 3)), tree))
+
+    def test_explicit_walk_evaluates_each_subset_once(self, monkeypatch):
+        sc, spec = self.explicit_walk()
+        rows, binomial_rows = [], spacct.spc.poisson_binomial_rows
+
+        def counting(success):
+            rows.extend(map(tuple, success.tolist()))
+            return binomial_rows(success)
+
+        monkeypatch.setattr(spacct.spc, "poisson_binomial_rows", counting)
+        got = adaptive_general(sc, spec, (0.0, 0.5))
+        evaluated = len(rows)
+        assert len(set(rows)) == evaluated
+        rows.clear()
+        monkeypatch.setattr(spacct.compose, "_block_divergences", lambda scenario, grid: cache(
+            partial(_block_divergence, scenario, grid=grid)))
+        want = adaptive_general(sc, spec, (0.0, 0.5))
+        # every pool on its own evaluates the same pairs, most of them many times
+        assert len(set(rows)) == evaluated < len(rows)
+        assert [t.delta.tobytes() for t in got.per_block] == \
+            [t.delta.tobytes() for t in want.per_block]
+        assert got.total_delta.tobytes() == want.total_delta.tobytes()
+
+    @pytest.mark.parametrize("bound", [0, 1, 40])
+    def test_explicit_walk_stores_at_most_the_bound(self, monkeypatch, bound):
+        # 112 distinct rows against a bound of 0, 1 or 40: past the bound, pools
+        # evaluate their other subsets again, some chunks mixing stored and fresh rows
+        sc, spec = self.explicit_walk()
+        stores, subset_mean = {}, spacct.spc._subset_mean
+
+        def keeping(success, pool, picks, grid, rows, room):
+            stores[id(rows)] = rows
+            return subset_mean(success, pool, picks, grid, rows, room)
+
+        monkeypatch.setattr(spacct.spc, "STORED_ROWS", bound)
+        monkeypatch.setattr(spacct.spc, "_subset_mean", keeping)
+        got = adaptive_general(sc, spec, (0.0, 0.5))
+        assert sum(map(len, stores.values())) == bound
+        monkeypatch.setattr(spacct.compose, "_block_divergences", lambda scenario, grid: cache(
+            partial(_block_divergence, scenario, grid=grid)))
+        want = adaptive_general(sc, spec, (0.0, 0.5))
+        assert [t.delta.tobytes() for t in got.per_block] == \
+            [t.delta.tobytes() for t in want.per_block]
+        assert got.total_delta.tobytes() == want.total_delta.tobytes()
+
 
 class TestAdaptiveSpecTree:
     def test_path_lengths_must_match_the_format(self):

@@ -5,7 +5,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spacct.oracle
@@ -28,13 +28,16 @@ from spacct import (
     mc_distinguish,
     verification_matrix,
 )
-from spacct.oracle import MATRIX_EPSILONS, _mc_histograms, _McRuns, _shuffle_ranks
+from spacct.oracle import (MATRIX_EPSILONS, _block_ends, _counts_below, _mc_histograms,
+                           _mc_stream, _Runs, _shuffle_ranks)
 from spacct.spc import MC_TRIALS_CAP
 
 from rational_ref import (
+    _McRuns,
     block_answer_law,
     enumerate_set_partitions,
     masked_count_answers,
+    per_run_histograms,
     per_template_exact_hist,
 )
 
@@ -139,17 +142,20 @@ class TestDomination:
 
 class TestAttributeOutOfRange:
     """A query on an attribute the entries lack is refused by the bound and
-    by both oracles, which read every block answer through one plane accessor."""
+    by both oracles, which read every block answer through one accessor."""
 
     SCENARIO = Scenario(4, IidEntries((0.5,)))
     NONADAPTIVE = NonadaptiveSpec(TemplateFormat((2, 2)),
                                   (PropertyQuery(), PropertyQuery(attribute=1)))
+    # no query reads an attribute the entries have, so the runs hold no count
+    NO_COUNT = NonadaptiveSpec(TemplateFormat((2,)), (PropertyQuery(attribute=1),))
     # the root's two children are both reached, so the bad node is evaluated
     ADAPTIVE = AdaptiveSpec(TemplateFormat((2, 2)), ThresholdTree(
         PropertyQuery(), 1, low=ThresholdTree(PropertyQuery()),
         high=ThresholdTree(PropertyQuery(attribute=1, negate=True))))
 
-    @pytest.mark.parametrize("spec", [NONADAPTIVE, ADAPTIVE], ids=["nonadaptive", "adaptive"])
+    @pytest.mark.parametrize("spec", [NONADAPTIVE, ADAPTIVE, NO_COUNT],
+                             ids=["nonadaptive", "adaptive", "no count"])
     def test_bound_and_both_oracles_refuse(self, spec):
         with pytest.raises(DomainError, match="attribute 1"):
             composition_delta(self.SCENARIO, spec, 0.1)
@@ -195,6 +201,27 @@ class TestMcDistinguish:
         sc = Scenario(2, IidEntries((0.5,)))
         with pytest.raises(CapacityError, match="cap"):
             mc_distinguish(sc, single_query(2, 1), 0.1, trials=MC_TRIALS_CAP + 1, seed=0)
+
+    def test_no_spec_draws_nothing(self, monkeypatch):
+        # every number a stream draws passes through its generator's random()
+        drawn, default_rng = [], np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, *args, **kwargs):
+                numbers = self.rng.random(*args, **kwargs)
+                drawn.append(numbers.size)
+                return numbers
+
+        monkeypatch.setattr(spacct.oracle.np.random, "default_rng", Counting)
+        sc = Scenario(5, IidEntries((0.3,)))
+        assert mc_distinguish(sc, [], 0.1, trials=1000, seed=0) == []
+        assert drawn == []
+        # one spec: per critical value, one sort key and one entry draw per (trial, entry)
+        mc_distinguish(sc, [single_query(5, 2)], 0.1, trials=1000, seed=0)
+        assert sum(drawn) == sc.num_values * 1000 * 5 * 2
 
     def test_deterministic(self):
         sc = Scenario(4, IidEntries((0.2,)))
@@ -314,14 +341,16 @@ class TestShuffleRanks:
         scenario = Scenario(6, ExplicitEntries(((0.3, 0.8), (0.6, 0.1), (0.5, 0.5),
                                                 (0.9, 0.4), (0.2, 0.7), (0.4, 0.6))),
                             critical_index=4)
-        trials, value = 3000, 0b10
+        trials = 3000
         rng = np.random.default_rng(21)
-        perm = np.argsort(rng.random((trials, 6)), axis=1)
-        entries = (rng.random((trials, 6, 2)) < scenario.probs_matrix()[None]).astype(np.int8)
+        keys = rng.random((trials, 6))
+        perm = np.argsort(keys, axis=1)
+        entries = rng.random((trials, 6, 2)) < scenario.probs_matrix()[None]
         entries[:, 3, :] = (0, 1)
-        runs = _McRuns.sample(np.random.default_rng(21), scenario, value, trials)
+        pairs = [(a, t) for a in (0, 1) for t in (2, 3, 6)]
+        runs = _Runs(pairs, _counts_below(_shuffle_ranks(keys), entries.T, pairs), 6, 2)
         for query in (PropertyQuery(0), PropertyQuery(1, negate=True)):
-            plane = entries[:, :, query.attribute]
+            plane = entries[:, :, query.attribute].astype(np.int8)
             plane = 1 - plane if query.negate else plane
             for lo, hi in ((0, 2), (2, 3), (3, 6), (0, 6)):
                 slots = np.take_along_axis(plane, perm[:, lo:hi], axis=1).sum(axis=1)
@@ -392,7 +421,9 @@ class TestBatchedRunsAgainstFormerLoops:
         spec = AdaptiveSpec(TemplateFormat((2, 2, 2)), tree)
         runs = _McRuns.sample(np.random.default_rng(0), scenario, 2, 2000)
         want = masked_count_answers(runs.ranks, runs.entries, spec)
-        assert np.array_equal(runs.flat_answers(spec), want)
+        pairs = _block_ends([spec], 2)
+        got = _Runs(pairs, _counts_below(runs.ranks, runs.entries.T, pairs), 6, 2)
+        assert np.array_equal(got.flat_answers(spec), want)
 
     @given(case=oracle_cases(), chunk_runs=st.sampled_from((1, 100, 1 << 16)))
     @settings(max_examples=60, deadline=None)
@@ -412,16 +443,88 @@ class TestBatchedRunsAgainstFormerLoops:
             assert np.array_equal(got.laws[v].masses, ref.masses)
 
 
-def _serial_histograms(scenario, specs, trials, seed):
-    """_mc_histograms as one loop over the critical values in this thread."""
-    children = np.random.SeedSequence(seed).spawn(scenario.num_values)
-    hists = [{} for _ in specs]
-    for v in range(scenario.num_values):
-        runs = _McRuns.sample(np.random.default_rng(children[v]), scenario, v, trials)
-        for hist, spec in zip(hists, specs):
-            bins = math.prod(s + 1 for s in spec.format.sizes)
-            hist[v] = np.bincount(runs.flat_answers(spec), minlength=bins) / trials
-    return hists
+@st.composite
+def stream_cases(draw):
+    """Explicit scenario with n in [2, 9] and 1-3 attributes (2, 4 or 8
+    critical values), and 1-2 specs, each on a format of 1-3 blocks whose total
+    may be below n: nonadaptive with negations, or a threshold tree whose
+    nodes switch attributes."""
+    num_attrs = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 9))
+    probs = draw(st.lists(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0))),
+                                   min_size=num_attrs, max_size=num_attrs),
+                          min_size=n, max_size=n))
+    scenario = Scenario(n, ExplicitEntries(tuple(tuple(row) for row in probs)),
+                        critical_index=draw(st.integers(1, n)))
+    queries = st.builds(PropertyQuery, st.integers(0, num_attrs - 1), st.booleans())
+
+    def spec():
+        sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=3)
+                     .filter(lambda sizes: sum(sizes) <= n))
+        fmt = TemplateFormat(tuple(sizes))
+        if draw(st.booleans()):
+            return NonadaptiveSpec(fmt, tuple(draw(queries) for _ in sizes))
+
+        def tree(depth: int) -> ThresholdTree:
+            if depth == len(sizes):
+                return ThresholdTree(draw(queries))
+            return ThresholdTree(draw(queries), draw(st.integers(-1, n + 2)),
+                                 low=tree(depth + 1), high=tree(depth + 1))
+
+        return AdaptiveSpec(fmt, tree(1))
+
+    return scenario, [spec() for _ in range(draw(st.integers(1, 2)))]
+
+
+# nine singleton blocks: counts below every end 1..9, a key space of
+# 2 x 3 x ... x 10 = 3,628,800 against 16,385 runs, so every run keeps its column
+SINGLETONS = (Scenario(9, ExplicitEntries(tuple((0.1 * i,) for i in range(1, 10))),
+                       critical_index=5),
+              [NonadaptiveSpec(TemplateFormat((1,) * 9),
+                               tuple(PropertyQuery(negate=i % 2 == 1) for i in range(9)))])
+
+
+class TestDistinctCountTuples:
+    """The histograms of distinct count tuples against the former per-run pipeline."""
+
+    @given(case=stream_cases(), trials=st.sampled_from((1000, 2**14, 2**14 + 1)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(case=SINGLETONS, trials=2**14 + 1, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_histograms_equal_the_per_run_pipeline(self, case, trials, seed):
+        scenario, specs = case
+        got = _mc_histograms(scenario, specs, trials, seed)
+        want = per_run_histograms(scenario, specs, trials, seed)
+        for got_hist, want_hist in zip(got, want, strict=True):
+            assert list(got_hist) == list(want_hist)
+            for v in want_hist:
+                assert np.array_equal(got_hist[v], want_hist[v])
+
+    def test_a_key_space_above_the_runs_keeps_every_run(self):
+        scenario, specs = SINGLETONS
+        pairs = _block_ends(specs, 1)
+        assert math.prod(t + 1 for _, t in pairs) > 2**14 + 1
+        below = np.random.default_rng(0).integers(0, 2, (len(pairs), 2**14 + 1)).cumsum(axis=0)
+        runs = _Runs.distinct(pairs, below.astype(np.uint8), 9, 1)
+        assert runs.weights is None and runs.size == 2**14 + 1
+
+    def test_a_base_as_large_as_the_key_space(self):
+        # 255 entries in one block: one pair (0, 255), whose base 256 is the
+        # whole key space, one past the largest uint8
+        scenario = Scenario(255, IidEntries((0.5,)))
+        specs = [NonadaptiveSpec(TemplateFormat((255,)), (PropertyQuery(),))]
+        got = _mc_histograms(scenario, specs, 1000, 0)
+        want = per_run_histograms(scenario, specs, 1000, 0)
+        assert all(np.array_equal(got[0][v], want[0][v]) for v in range(2))
+
+    def test_distinct_columns_carry_their_run_counts(self):
+        # keys P(0, 2) * 5 + P(0, 4) in a space of 15, against 18 runs
+        pairs = [(0, 2), (0, 4)]
+        below = np.tile(np.array([[0, 1, 0, 2, 1, 0], [1, 3, 1, 2, 3, 0]], dtype=np.uint8), 3)
+        runs = _Runs.distinct(pairs, below, 4, 1)
+        assert runs.below[0, 2].tolist() == [0, 0, 1, 2]
+        assert runs.below[0, 4].tolist() == [0, 1, 3, 2]
+        assert runs.weights.tolist() == [3, 6, 6, 3]
 
 
 class TestConcurrentStreams:
@@ -444,17 +547,17 @@ class TestConcurrentStreams:
     def test_equal_to_the_serial_loop(self, monkeypatch, name, cpus):
         scenario = getattr(self, name)
         specs = self.specs(scenario)
-        want = _serial_histograms(scenario, specs, 3001, 17)
-        sample = _McRuns.sample
+        want = per_run_histograms(scenario, specs, 3001, 17)
+        stream = _mc_stream
         before = threading.active_count()
         seen = []
 
-        def counting(cls, *args):
+        def counting(*args):
             seen.append(threading.active_count() - before)
-            return sample(*args)
+            return stream(*args)
 
         monkeypatch.setattr(spacct.oracle, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(_McRuns, "sample", classmethod(counting))
+        monkeypatch.setattr(spacct.oracle, "_mc_stream", counting)
         got = _mc_histograms(scenario, specs, 3001, 17)
         assert threading.active_count() == before
         # the calling thread runs one stream share, so it starts one thread fewer
@@ -472,7 +575,7 @@ class TestConcurrentStreams:
                                                 (0.9, 0.1, 0.6), (0.3, 0.6, 0.8))),
                             critical_index=2)
         specs = [NonadaptiveSpec(TemplateFormat((2, 1)), (PropertyQuery(2), PropertyQuery(1)))]
-        want = _serial_histograms(scenario, specs, 2000, 3)
+        want = per_run_histograms(scenario, specs, 2000, 3)
         monkeypatch.setattr(spacct.oracle, "_usable_cpus", lambda: 8)
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -487,15 +590,15 @@ class TestConcurrentStreams:
 
     @pytest.mark.parametrize("failing,raised", [((1,), 1), ((3, 2), 2), ((0, 3), 0)])
     def test_first_error_in_value_order_reaches_the_caller(self, monkeypatch, failing, raised):
-        sample = _McRuns.sample
+        stream = _mc_stream
 
-        def refuse(cls, rng, scenario, value, trials):
+        def refuse(rng, scenario, value, trials, specs):
             if value in failing:
                 raise DomainError(f"stream {value} refused")
-            return sample(rng, scenario, value, trials)
+            return stream(rng, scenario, value, trials, specs)
 
         monkeypatch.setattr(spacct.oracle, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(_McRuns, "sample", classmethod(refuse))
+        monkeypatch.setattr(spacct.oracle, "_mc_stream", refuse)
         before = threading.active_count()
         with pytest.raises(DomainError, match=f"stream {raised} refused"):
             mc_distinguish(self.four_values, self.specs(self.four_values), 0.1, trials=1000,
@@ -503,16 +606,30 @@ class TestConcurrentStreams:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("trials", [1000, 2**14, 2**14 + 1, 40000])
-    def test_chunked_draws_equal_one_draw(self, trials):
+    def test_chunked_draws_equal_one_draw(self, monkeypatch, trials):
         scenario = self.four_values
         rng = np.random.default_rng(9)
         ranks = _shuffle_ranks(rng.random((trials, scenario.n)))
         entries = rng.random((trials, scenario.n, 2)) < scenario.probs_matrix()[None]
         entries[:, scenario.critical_index - 1, :] = (1, 0)
-        runs = _McRuns.sample(np.random.default_rng(9), scenario, 1, trials)
-        assert runs.ranks.dtype == np.uint8
-        assert np.array_equal(runs.ranks, ranks)
-        assert np.array_equal(runs.entries, entries)
+        specs = self.specs(scenario)
+        seen_ranks, seen_planes = [], []
+
+        def spy(chunk_ranks, planes, pairs):
+            # the stream reuses its buffers chunk to chunk, so keep copies
+            seen_ranks.append(chunk_ranks.copy())
+            seen_planes.append(planes.copy())
+            return _counts_below(chunk_ranks, planes, pairs)
+
+        monkeypatch.setattr(spacct.oracle, "_counts_below", spy)
+        got = _mc_stream(np.random.default_rng(9), scenario, 1, trials, specs)
+        assert all(r.dtype == np.uint8 for r in seen_ranks)
+        assert np.array_equal(np.concatenate(seen_ranks, axis=1), ranks)
+        assert np.array_equal(np.concatenate(seen_planes, axis=2), entries.T)
+        for hist, spec in zip(got, specs, strict=True):
+            bins = math.prod(s + 1 for s in spec.format.sizes)
+            want = np.bincount(masked_count_answers(ranks, entries, spec), minlength=bins)
+            assert np.array_equal(hist, want / trials)
 
 
 class TestVerificationMatrix:

@@ -744,6 +744,21 @@ class TestOneBlockEvaluator:
         # a second call is served from the cache, with the same bits
         assert divergence(pool, size, query).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bound", [0, 300, 10**4])
+    def test_overlapping_pools_past_one_chunk(self, monkeypatch, bound):
+        # the first pool's 495 subsets take two chunks, and a bound of 300 stops
+        # storing in the second; the later pools' subsets are all among them, so
+        # their chunks take stored rows, fresh rows or both
+        monkeypatch.setattr(spacct.spc, "STORED_ROWS", bound)
+        probs = np.random.default_rng(bound).random((13, 2))
+        scenario = Scenario(13, ExplicitEntries(tuple(map(tuple, probs))), critical_index=5)
+        others = tuple(i for i in range(13) if i != 4)
+        divergence = _block_divergences(scenario, self.grid)
+        for pool in (others, others[1:], others[:-1], others[3:]):
+            for query in (PropertyQuery(1), PropertyQuery(0, negate=True)):
+                want = _block_divergence(scenario, pool, 5, query, self.grid)
+                assert divergence(pool, 5, query).tobytes() == want.tobytes()
+
 
 def _pair_delta(member_p: float, eps: float, shifted_first: bool) -> float:
     """Hockey stick for a single-member block: Bernoulli(p) + shift vs base."""
