@@ -11,8 +11,6 @@ divergence from sampled runs of the mechanism.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,11 +137,7 @@ def _shuffle_ranks(keys: np.ndarray) -> np.ndarray:
     puts in slot r. Pairwise comparisons cost O(n^2 trials), which suits the
     tiny instances the oracle runs on.
     """
-    # the transpose is copied a block of trials at a time, so that both sides
-    # of each copy stay in cache
-    cols = np.empty(keys.shape[::-1])
-    for first in range(0, keys.shape[0], 1024):
-        cols[:, first : first + 1024] = keys[first : first + 1024].T
+    cols = np.ascontiguousarray(keys.T)
     n = cols.shape[0]
     # start each entry at its index, as if every earlier entry sorted before it,
     # and take one off per earlier entry that sorts after it; the unsigned sums
@@ -185,18 +179,15 @@ def _counts_below(ranks: np.ndarray, planes: np.ndarray,
 
     `ranks` is (n x runs) and `planes` holds the runs' attribute values as
     (attributes, n, runs); a rank of n or more leaves an entry out of every
-    block. At t = n no rank is compared.
+    block.
     """
     n = planes.shape[1]
     below = np.empty((len(pairs), planes.shape[2]), dtype=np.min_scalar_type(n + 1))
     masks: dict[int, np.ndarray] = {}
     for i, (a, t) in enumerate(pairs):
-        hits = planes[a]
-        if t < n:
-            if t not in masks:
-                masks[t] = ranks < t
-            hits = hits & masks[t]
-        below[i] = _count(hits, below.dtype)
+        if t not in masks:
+            masks[t] = ranks < t
+        below[i] = _count(planes[a] & masks[t], below.dtype)
     return below
 
 
@@ -259,8 +250,6 @@ class _Runs:
         """Each column's answer of the query at its node (an index into `nodes`)."""
         queries = list(dict.fromkeys(tree.query for tree in nodes))
         first = self.answers(queries[0], lo, hi)
-        if len(queries) == 1:
-            return first
         which = np.array([queries.index(tree.query) for tree in nodes])[node]
         a = first.copy()
         for i, query in enumerate(queries[1:], start=1):
@@ -301,12 +290,10 @@ class _Runs:
         # answers lie in [0, n], so clipping the thresholds keeps every comparison
         thresholds = np.array([min(max(tree.threshold, 0), self.n + 1) for tree in nodes],
                               dtype=self.count_type)
-        child = 2 * node + (a >= (thresholds if len(nodes) == 1 else thresholds[node]))
+        child = 2 * node + (a >= thresholds[node])
         counts = np.bincount(child, minlength=2 * len(nodes))
         reached = np.flatnonzero(counts)
         children = [(nodes[c // 2].low, nodes[c // 2].high)[c % 2] for c in reached.tolist()]
-        if reached.size == counts.size:
-            return children, child
         renumber = np.zeros(counts.size, dtype=np.intp)
         renumber[reached] = np.arange(reached.size)
         return children, renumber[child]
@@ -350,61 +337,23 @@ def _mc_stream(rng: np.random.Generator, scenario: Scenario, value: int, trials:
             for spec in specs]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _mc_histograms(scenario: Scenario, specs: list[CompositionSpec], trials: int,
                    seed: int) -> list[dict[int, np.ndarray]]:
     """Empirical answer-tuple laws of `trials` sampled runs, per spec and critical value.
 
     A master seed is split into one child stream per critical value, and
-    each trial's randomness occupies a fixed slice of that stream, so
-    results do not depend on evaluation order and reruns are bit-identical.
-    The runs of one critical value are sampled once and histogrammed for
-    every spec (_mc_stream); with no spec nothing is sampled.
-
-    The streams run on min(critical values, usable CPUs) threads, the
-    calling thread among them, each taking every so-many-th value; numpy
-    releases the GIL inside its array work. A stream writes only its own
-    slot, so the histograms are those of a serial loop whatever the thread
-    count, and the dicts are built in critical-value order. Every thread is
-    joined before this returns or raises, and the error of the first failed
-    critical value is raised (each thread stops at its first error, so every
-    value before it has run).
+    each trial's randomness occupies a fixed slice of that stream, so reruns
+    are bit-identical. The runs of one critical value are sampled once and
+    histogrammed for every spec (_mc_stream); with no spec nothing is
+    sampled. The streams run one after another in critical-value order, the
+    order of the dicts' keys, so the error of the first failed critical
+    value is raised and no later value is drawn.
     """
     if not specs:
         return []
     children = np.random.SeedSequence(seed).spawn(scenario.num_values)
-    results: list = [None] * scenario.num_values  # per value: its histograms or its error
-
-    def run(first: int, step: int) -> None:
-        for v in range(first, scenario.num_values, step):
-            try:
-                results[v] = _mc_stream(np.random.default_rng(children[v]), scenario, v, trials,
-                                        specs)
-            except BaseException as exc:  # raised below, in the calling thread
-                results[v] = exc
-                return
-
-    workers = min(scenario.num_values, _usable_cpus())
-    started = []
-    try:
-        for first in range(1, workers):
-            thread = threading.Thread(target=run, args=(first, workers), daemon=True)
-            thread.start()
-            started.append(thread)
-        run(0, workers)
-    finally:
-        for thread in started:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
+    results = [_mc_stream(np.random.default_rng(child), scenario, v, trials, specs)
+               for v, child in enumerate(children)]
     return [{v: result[i] for v, result in enumerate(results)} for i in range(len(specs))]
 
 

@@ -43,7 +43,7 @@ from spacct.curve import (_binomial_above, as_grid, fsum_terms, per_epsilon, shi
 from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows, shift,
                             sum_bracket)
 from spacct.errors import CapacityError, DomainError
-from spacct.oracle import MC_DRAW_TRIALS, _count, _shuffle_ranks
+from spacct.oracle import MC_DRAW_TRIALS, _count
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
 from spacct.spc import (KnownEntries, PropertyQuery, Scenario, _known_block_divergence,
                         _known_weights, _require_sample_size, _subset_values, spc_iid,
@@ -598,14 +598,16 @@ class _McRuns:
 
         Both are drawn MC_DRAW_TRIALS trials at a time. A generator fills an
         array in C order from one stream, so the chunks hold the very numbers
-        of one draw of all the trials.
+        of one draw of all the trials. An entry's rank is its slot in a stable
+        argsort of the run's keys, so ties go by index.
         """
         n, num_attrs = scenario.n, scenario.num_attributes
         chunks = [slice(first, min(first + MC_DRAW_TRIALS, trials))
                   for first in range(0, trials, MC_DRAW_TRIALS)]
         ranks = np.empty((n, trials), dtype=np.min_scalar_type(n))
         for chunk in chunks:
-            ranks[:, chunk] = _shuffle_ranks(rng.random((chunk.stop - chunk.start, n)))
+            slots = np.argsort(rng.random((chunk.stop - chunk.start, n)), axis=1, kind="stable")
+            ranks[slots.T, np.arange(chunk.start, chunk.stop)] = np.arange(n)[:, None]
         probs = scenario.probs_matrix()[None]
         entries = np.empty((trials, n, num_attrs), dtype=bool)
         for chunk in chunks:
