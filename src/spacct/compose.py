@@ -186,7 +186,6 @@ def _nonadaptive(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
     if not isinstance(spec, NonadaptiveSpec):
         raise DomainError("spec must be nonadaptive")
     spec.format.require_fits(scenario.n)
-    j = scenario.critical_index
     grid = as_grid(epsilon)
     sampled = isinstance(mode, MonteCarlo)
     evaluated: dict = {}
@@ -196,9 +195,8 @@ def _nonadaptive(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
         # seed; exact blocks that share a size and a query are evaluated once
         key = k if sampled else (size, query)
         if key not in evaluated:
-            law = PartitionLaw(scenario.n, spec.format, restriction=(j, k))
             block_mode = MonteCarlo(mode.trials, (mode.seed, k)) if sampled else mode
-            evaluated[key] = spc_general(scenario, law, query, grid, block_mode)
+            evaluated[key] = spc_general(scenario, spec.format, k, query, grid, block_mode)
         est = evaluated[key]
         terms.append(BlockTerm(block=k, weight=size / scenario.n,
                                delta=est.value, half_width=est.half_width))

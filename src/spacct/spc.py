@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain, combinations, islice
 from typing import NamedTuple
 
@@ -20,7 +20,7 @@ import numpy as np
 from .curve import as_grid, fsum_terms, per_epsilon, shift_pair_delta, shift_pair_rows
 from .distkit import Pmf, cdf, hypergeometric, poisson_binomial_rows
 from .errors import CapacityError, DomainError, is_int, magnitude
-from .partition import TEMPLATE_CAP, PartitionLaw
+from .partition import TEMPLATE_CAP, TemplateFormat
 
 # Known-entry mixtures refuse hypergeometric supports with more points than this.
 KNOWN_SUPPORT_CAP = 10**6
@@ -300,8 +300,7 @@ def _require_sample_size(scenario: Scenario, sample_size) -> None:
                           f"got {sample_size!r}")
 
 
-def _known_weights(n: int, v: int, s: int, population_excludes_critical: bool) -> Pmf:
-    population = n - 1 if population_excludes_critical else n
+def _known_weights(population: int, v: int, s: int) -> Pmf:
     draws = s - 1
     support = min(draws, v) - max(0, draws - (population - v)) + 1
     if support > KNOWN_SUPPORT_CAP:
@@ -327,9 +326,20 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
     if not isinstance(scenario.entries, KnownEntries):
         raise DomainError("spc_known_entries requires a known-entries model")
     _require_sample_size(scenario, sample_size)
-    v, p = scenario.entries.known, success_prob(scenario, query)
-    weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
-    grid, masses = as_grid(epsilon), weights.masses
+    population = scenario.n - 1 if population_excludes_critical else scenario.n
+    return per_epsilon(epsilon, _known_mixture(success_prob(scenario, query), population,
+                                               scenario.entries.known, sample_size,
+                                               as_grid(epsilon)))
+
+
+def _known_mixture(p: float, population: int, known: int, sample_size: int,
+                   grid: np.ndarray) -> np.ndarray:
+    """The hypergeometric(population, known, sample_size - 1) mixture of the
+    divergences at each count of unknown co-members, success probability p,
+    per grid point and capped at 1: the one body behind spc_known_entries
+    and the known-entry block terms of _block_divergences."""
+    weights = _known_weights(population, known, sample_size)
+    masses = weights.masses
     # float counts: a sample of 10^20 entries overflows int64
     unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
     lo, hi = _heavy_run(masses, unknown[0] * p * (1.0 - p))
@@ -347,11 +357,11 @@ def spc_known_entries(scenario: Scenario, sample_size: int, epsilon,
             extra = masses[rest] * shift_pair_delta(unknown[rest], p, grid[open_])
             for i, tail in zip(open_, extra.tolist()):
                 sums[i] = math.fsum(rows[i] + tail)
-    return per_epsilon(epsilon, np.minimum(1.0, sums))
+    return np.minimum(1.0, sums)
 
 
 def _heavy_run(masses: np.ndarray, widest_variance: float) -> tuple[int, int]:
-    """The slice of mixture rows spc_known_entries evaluates first: the run
+    """The slice of mixture rows _known_mixture evaluates first: the run
     from the first to the last weight of at least _WEIGHT_FLOOR, or every row
     where a skipped row's tail window could be refused (the variance of the
     support's largest binomial above _SKIP_VARIANCE_CAP), so that a refusal
@@ -376,16 +386,17 @@ def spc_known_entries_threshold_bound(scenario: Scenario, sample_size: int, epsi
     _require_sample_size(scenario, sample_size)
     if not is_int(phi) or not 0 <= phi < sample_size - 1:
         raise DomainError(f"phi must lie in [0, {sample_size - 2}]")
-    weights = _known_weights(scenario.n, scenario.entries.known, sample_size,
-                             population_excludes_critical)
+    population = scenario.n - 1 if population_excludes_critical else scenario.n
+    weights = _known_weights(population, scenario.entries.known, sample_size)
     head = cdf(weights, phi)
     delta_phi = shift_pair_delta(sample_size - 1 - phi, scenario.entries.p, as_grid(epsilon))
     return per_epsilon(epsilon, np.minimum(1.0, (1.0 - head) + head * delta_phi))
 
 
-def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
+def spc_general(scenario: Scenario, fmt: TemplateFormat, block: int, query: PropertyQuery,
                 epsilon, mode: Enumerate | MonteCarlo = Enumerate()) -> SpcEstimate:
-    """Expected divergence of block k's answer laws under a law restricted to (j, k).
+    """Expected divergence of block k = `block` of `fmt`'s answer laws under
+    the partition law restricted to (j, k), j the scenario's critical index.
 
     Block k's answer laws are Poisson-binomial counts of the critical
     index's n_k - 1 co-members (shifted by the critical value), and under
@@ -396,16 +407,12 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     partition.sample_template, MC_CHUNK at a time (_subset_values); iid and
     known entries are exact in either mode.
     """
-    if law.restriction is None:
-        raise DomainError("spc_general requires a law restricted to (critical index, block)")
-    j, k = law.restriction
-    if j != scenario.critical_index:
-        raise DomainError("law restriction does not match the scenario's critical index")
-    if law.n != scenario.n:
-        raise DomainError("law and scenario disagree on n")
+    fmt.require_fits(scenario.n)
+    if not is_int(block) or not 1 <= block <= len(fmt.sizes):
+        raise DomainError(f"block must be an integer in [1, {len(fmt.sizes)}], got {block!r}")
     query.require_attribute(scenario.num_attributes)
-    size = law.format.sizes[k - 1]
-    others = np.delete(np.arange(law.n), j - 1)
+    size = fmt.sizes[block - 1]
+    others = np.delete(np.arange(scenario.n), scenario.critical_index - 1)
     grid = as_grid(epsilon)
     if isinstance(mode, Enumerate) or not isinstance(scenario.entries, ExplicitEntries):
         pool = None if scenario.is_iid else tuple(others.tolist())
@@ -414,7 +421,7 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     success = query.success_probs(scenario.probs_matrix())
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
-    start = sum(law.format.sizes[: k - 1])
+    start = sum(fmt.sizes[: block - 1])
     draws = (rng.permutation(others)[start : start + size - 1] for _ in range(mode.trials))
     values = _subset_values(success, draws, mode.trials, grid)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
@@ -422,15 +429,6 @@ def spc_general(scenario: Scenario, law: PartitionLaw, query: PropertyQuery,
     spreads = np.array([row.std(ddof=1) if mode.trials > 1 else 0.0 for row in values])
     return SpcEstimate(per_epsilon(epsilon, means),
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
-
-
-def _known_block_divergence(p: float, population: int, known: int, size: int,
-                            query: PropertyQuery, grid: np.ndarray) -> np.ndarray:
-    """The block divergence of known entries of probability p, over a pool of
-    `population` co-member candidates of which `known` are known: all that
-    divergence reads of the pool."""
-    return spc_known_entries(Scenario(population + 1, KnownEntries(p, known)), size, grid, query,
-                             population_excludes_critical=True)
 
 
 def _block_divergences(scenario: Scenario, grid: np.ndarray):
@@ -447,7 +445,8 @@ def _block_divergences(scenario: Scenario, grid: np.ndarray):
         return cache(lambda pool, size, query: spc_iid(scenario, size, grid, query))
     if isinstance(entries, KnownEntries):
         slots = set(entries.slots(scenario.n, scenario.critical_index).tolist())
-        by_counts = cache(partial(_known_block_divergence, entries.p, grid=grid))
+        by_counts = cache(lambda population, known, size, query: _known_mixture(
+            success_prob(scenario, query), population, known, size, grid))
         return lambda pool, size, query: by_counts(len(pool), len(slots.intersection(pool)),
                                                    size, query)
     probs = scenario.probs_matrix()

@@ -151,7 +151,7 @@ def compare(a: str, b: str) -> int:
     for name in sorted(files_a ^ files_b):
         print(f"ONLY IN {'A' if name in files_a else 'B'}: {name}")
         bad = 1
-    worst_abs, worst_rel, beyond = (0.0, None), (0.0, None), 0
+    worst_abs, worst_rel, beyond = (0.0, "no file"), (0.0, "no file"), 0
     for name in sorted(files_a & files_b):
         va, vb = _leaves(a / name), _leaves(b / name)
         if len(va) != len(vb):
@@ -170,8 +170,11 @@ def compare(a: str, b: str) -> int:
                 bad = 1
         if dev_abs:
             print(f"{name}: max abs {dev_abs:.3g}, max rel {dev_rel:.3g}")
-        worst_abs = max(worst_abs, (dev_abs, str(name)))
-        worst_rel = max(worst_rel, (dev_rel, str(name)))
+        # identical trees leave every deviation 0: name a file only when it deviates
+        if dev_abs > worst_abs[0]:
+            worst_abs = (dev_abs, str(name))
+        if dev_rel > worst_rel[0]:
+            worst_rel = (dev_rel, str(name))
     print(f"largest absolute deviation {worst_abs[0]:.3g} ({worst_abs[1]}), "
           f"largest relative deviation {worst_rel[0]:.3g} ({worst_rel[1]}); "
           f"{beyond} values beyond both 1e-13 absolute and 1e-10 relative")

@@ -45,8 +45,8 @@ from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows,
 from spacct.errors import CapacityError, DomainError
 from spacct.oracle import MC_DRAW_TRIALS, _count
 from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
-from spacct.spc import (KnownEntries, PropertyQuery, Scenario, _known_block_divergence,
-                        _known_weights, _require_sample_size, _subset_values, spc_iid,
+from spacct.spc import (KnownEntries, PropertyQuery, Scenario, _known_weights,
+                        _require_sample_size, _subset_values, spc_iid, spc_known_entries,
                         success_prob)
 
 
@@ -549,7 +549,8 @@ def _block_divergence(scenario, pool, size: int, query, grid: np.ndarray) -> np.
         return spc_iid(scenario, size, grid, query)
     if isinstance(entries, KnownEntries):
         known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
-        return _known_block_divergence(entries.p, len(pool), known, size, query, grid)
+        return spc_known_entries(Scenario(len(pool) + 1, KnownEntries(entries.p, known)), size,
+                                 grid, query, population_excludes_critical=True)
     count = math.comb(len(pool), size - 1)
     values = _subset_values(query.success_probs(scenario.probs_matrix()),
                             combinations(pool, size - 1), count, grid)
@@ -564,7 +565,8 @@ def spc_known_entries_every_row(scenario, sample_size: int, epsilon, query, *,
         raise DomainError("spc_known_entries requires a known-entries model")
     _require_sample_size(scenario, sample_size)
     v, p = scenario.entries.known, success_prob(scenario, query)
-    weights = _known_weights(scenario.n, v, sample_size, population_excludes_critical)
+    population = scenario.n - 1 if population_excludes_critical else scenario.n
+    weights = _known_weights(population, v, sample_size)
     # float counts: a sample of 10^20 entries overflows int64
     unknown = sample_size - 1 - np.arange(weights.offset, weights.top + 1, dtype=np.float64)
     terms = weights.masses * shift_pair_delta(unknown, p, as_grid(epsilon))

@@ -18,7 +18,6 @@ from spacct import (
     KnownEntries,
     MonteCarlo,
     NonadaptiveSpec,
-    PartitionLaw,
     PropertyQuery,
     Scenario,
     TemplateFormat,
@@ -166,8 +165,7 @@ class TestSharedEnumeratedBlocks:
         query = PropertyQuery()
         eps = (0.0, 0.3)
         # the block terms as evaluated one by one
-        per_block = [spc_general(sc, PartitionLaw(16, fmt, restriction=(7, k)), query, eps).value
-                     for k in range(1, 5)]
+        per_block = [spc_general(sc, fmt, k, query, eps).value for k in range(1, 5)]
         calls = []
 
         def counting(*args, **kwargs):
@@ -620,13 +618,13 @@ class TestOneBlockEvaluator:
         # the walk that evaluates every pool
         sc = Scenario(18, KnownEntries(0.3, 8, 3), critical_index=5)
         spec = AdaptiveSpec(TemplateFormat((3, 5)), README_TREE)
-        calls, known_entries = [], spacct.spc.spc_known_entries
+        calls, known_mixture = [], spacct.spc._known_mixture
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return known_entries(*args, **kwargs)
+            return known_mixture(*args, **kwargs)
 
-        monkeypatch.setattr(spacct.spc, "spc_known_entries", counting)
+        monkeypatch.setattr(spacct.spc, "_known_mixture", counting)
         got = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
         assert len(calls) == 9
         monkeypatch.setattr(spacct.compose, "_block_divergences", lambda scenario, grid: cache(

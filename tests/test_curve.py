@@ -14,7 +14,6 @@ from spacct import (
     IidEntries,
     KnownEntries,
     NonadaptiveSpec,
-    PartitionLaw,
     Pmf,
     PropertyQuery,
     Scenario,
@@ -577,7 +576,7 @@ class TestEvalCurve:
 _IID = Scenario(10, IidEntries(0.5))
 _KNOWN = Scenario(10, KnownEntries(0.5, 3, 1))
 _EXPLICIT = Scenario(4, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.3,))), critical_index=2)
-_RESTRICTED = PartitionLaw(4, TemplateFormat((2, 2)), restriction=(2, 1))
+_PAIRS = TemplateFormat((2, 2))
 _SPLIT = NonadaptiveSpec(TemplateFormat((5, 5)), (PropertyQuery(), PropertyQuery()))
 _TINY = Scenario(2, IidEntries(0.5))
 _TINY_SPEC = NonadaptiveSpec(TemplateFormat((2,)), (PropertyQuery(),))
@@ -598,7 +597,7 @@ EPSILON_ENTRY_POINTS = {
     "spc_known_entries": (lambda e: spc_known_entries(_KNOWN, 5, e), True),
     "spc_known_entries_threshold_bound": (
         lambda e: spc_known_entries_threshold_bound(_KNOWN, 5, e, 1), True),
-    "spc_general": (lambda e: spc_general(_EXPLICIT, _RESTRICTED, PropertyQuery(), e), True),
+    "spc_general": (lambda e: spc_general(_EXPLICIT, _PAIRS, 1, PropertyQuery(), e), True),
 }
 
 

@@ -429,8 +429,7 @@ class TestSpcGeneral:
     def test_iid_entries_collapse(self):
         probs = tuple(((0.35,),) * 5)
         sc = Scenario(5, ExplicitEntries(probs), critical_index=2)
-        law = PartitionLaw(5, TemplateFormat((3,)), restriction=(2, 1))
-        est = spc_general(sc, law, PropertyQuery(), 0.1)
+        est = spc_general(sc, TemplateFormat((3,)), 1, PropertyQuery(), 0.1)
         iid = spc_iid(Scenario(5, IidEntries((0.35,)), critical_index=2), 3, 0.1)
         assert est.value == pytest.approx(iid, abs=1e-12)
         assert est.half_width is None
@@ -438,7 +437,6 @@ class TestSpcGeneral:
     def test_hand_enumeration(self):
         # block of 2 containing j=3 plus one of entries {1, 2, 4}
         sc = Scenario(4, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.5,))), critical_index=3)
-        law = PartitionLaw(4, TemplateFormat((2,)), restriction=(3, 1))
         eps = 0.1
         expected = np.mean([
             max(
@@ -447,35 +445,38 @@ class TestSpcGeneral:
             )
             for pm in (0.2, 0.8, 0.5)
         ])
-        est = spc_general(sc, law, PropertyQuery(), eps)
+        est = spc_general(sc, TemplateFormat((2,)), 1, PropertyQuery(), eps)
         assert est.value == pytest.approx(float(expected), abs=1e-12)
 
     def test_monte_carlo_consistency(self):
         sc = Scenario(4, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.5,))), critical_index=3)
-        law = PartitionLaw(4, TemplateFormat((2,)), restriction=(3, 1))
-        exact = spc_general(sc, law, PropertyQuery(), 0.1).value
-        mc = spc_general(sc, law, PropertyQuery(), 0.1, MonteCarlo(trials=10**4, seed=11))
+        fmt = TemplateFormat((2,))
+        exact = spc_general(sc, fmt, 1, PropertyQuery(), 0.1).value
+        mc = spc_general(sc, fmt, 1, PropertyQuery(), 0.1, MonteCarlo(trials=10**4, seed=11))
         assert mc.half_width is not None
         assert abs(mc.value - exact) <= 3 * mc.half_width + 1e-12
 
     def test_monte_carlo_deterministic(self):
         sc = Scenario(6, ExplicitEntries(((0.2,), (0.8,), (0.5,), (0.5,), (0.1,), (0.9,))),
                       critical_index=1)
-        law = PartitionLaw(6, TemplateFormat((3,)), restriction=(1, 1))
-        a = spc_general(sc, law, PropertyQuery(), 0.3, MonteCarlo(trials=2000, seed=5))
-        b = spc_general(sc, law, PropertyQuery(), 0.3, MonteCarlo(trials=2000, seed=5))
+        fmt = TemplateFormat((3,))
+        a = spc_general(sc, fmt, 1, PropertyQuery(), 0.3, MonteCarlo(trials=2000, seed=5))
+        b = spc_general(sc, fmt, 1, PropertyQuery(), 0.3, MonteCarlo(trials=2000, seed=5))
         assert a == b
 
-    def test_requires_restricted_law(self):
+    def test_requires_a_block_of_a_format_that_fits(self):
         sc = Scenario(4, ExplicitEntries(((0.5,),) * 4))
-        with pytest.raises(DomainError):
-            spc_general(sc, PartitionLaw(4, TemplateFormat((2,))), PropertyQuery(), 0.1)
+        for block in (0, 3, 1.5, True):
+            with pytest.raises(DomainError, match=r"block must be an integer in \[1, 2\]"):
+                spc_general(sc, TemplateFormat((2, 1)), block, PropertyQuery(), 0.1)
+        with pytest.raises(DomainError, match="format uses 5 indices but n=4"):
+            spc_general(sc, TemplateFormat((2, 3)), 1, PropertyQuery(), 0.1)
 
     def test_values_in_unit_interval_and_monotone_in_eps(self):
         sc = Scenario(5, ExplicitEntries(((0.2,), (0.4,), (0.6,), (0.8,), (0.5,))),
                       critical_index=5)
-        law = PartitionLaw(5, TemplateFormat((2, 2)), restriction=(5, 2))
-        vals = [spc_general(sc, law, PropertyQuery(), e).value for e in (0.0, 0.5, 2.0)]
+        vals = [spc_general(sc, TemplateFormat((2, 2)), 2, PropertyQuery(), e).value
+                for e in (0.0, 0.5, 2.0)]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert vals == sorted(vals, reverse=True)
 
@@ -484,10 +485,9 @@ class TestSpcGeneral:
     def test_monte_carlo_mode_is_exact_for_iid_and_known_entries(self, entries):
         # only explicit entries are sampled; the others take the exact evaluator
         sc = Scenario(9, entries, critical_index=4)
-        law = PartitionLaw(9, TemplateFormat((3, 4)), restriction=(4, 2))
-        eps = [0.0, 0.3]
-        sampled = spc_general(sc, law, PropertyQuery(negate=True), eps, MonteCarlo(50, seed=2))
-        exact = spc_general(sc, law, PropertyQuery(negate=True), eps, Enumerate())
+        fmt, eps = TemplateFormat((3, 4)), [0.0, 0.3]
+        sampled = spc_general(sc, fmt, 2, PropertyQuery(negate=True), eps, MonteCarlo(50, seed=2))
+        exact = spc_general(sc, fmt, 2, PropertyQuery(negate=True), eps, Enumerate())
         assert sampled.half_width is None and exact.half_width is None
         assert sampled.value.tolist() == exact.value.tolist()
 
@@ -499,7 +499,7 @@ EDGE_PROBS = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 1e-160, 1
 
 @st.composite
 def restricted_explicit_cases(draw):
-    """Explicit scenario (n <= 8), 1-3 block format, and a restricted law."""
+    """Explicit scenario (n <= 8), 1-3 block format, the critical index's block and a query."""
     n = draw(st.integers(1, 8))
     sizes, left = [], n
     for _ in range(draw(st.integers(1, 3))):
@@ -512,8 +512,11 @@ def restricted_explicit_cases(draw):
     j = draw(st.integers(1, n))
     k = draw(st.integers(1, len(sizes)))
     scenario = Scenario(n, ExplicitEntries(tuple((p,) for p in probs)), critical_index=j)
-    law = PartitionLaw(n, TemplateFormat(tuple(sizes)), restriction=(j, k))
-    return scenario, law, PropertyQuery(negate=draw(st.booleans()))
+    return scenario, TemplateFormat(tuple(sizes)), k, PropertyQuery(negate=draw(st.booleans()))
+
+
+def _restricted_law(scenario, fmt, k):
+    return PartitionLaw(scenario.n, fmt, restriction=(scenario.critical_index, k))
 
 
 def _template_block_delta(scenario, template, law, query, eps):
@@ -528,25 +531,27 @@ class TestSpcGeneralSubsets:
     @given(case=restricted_explicit_cases(), eps=st.sampled_from((0.0, 0.3, 1.0)))
     @settings(max_examples=40, deadline=None)
     def test_enumerate_matches_template_average(self, case, eps):
-        scenario, law, query = case
+        scenario, fmt, k, query = case
+        law = _restricted_law(scenario, fmt, k)
         expected = math.fsum(
             w * _template_block_delta(scenario, tpl, law, query, eps)
             for tpl, w in enumerate_templates(law)
         )
-        got = spc_general(scenario, law, query, eps)
+        got = spc_general(scenario, fmt, k, query, eps)
         assert got.value == pytest.approx(expected, abs=1e-12)
 
     @given(case=restricted_explicit_cases(), trials=st.integers(2, 30),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_monte_carlo_equals_sample_template_loop(self, case, trials, seed):
-        scenario, law, query = case
+        scenario, fmt, k, query = case
+        law = _restricted_law(scenario, fmt, k)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         values = np.array([
             _template_block_delta(scenario, sample_template(law, rng), law, query, 0.3)
             for _ in range(trials)
         ])
-        got = spc_general(scenario, law, query, 0.3, MonteCarlo(trials, seed=seed))
+        got = spc_general(scenario, fmt, k, query, 0.3, MonteCarlo(trials, seed=seed))
         assert got.value == float(values.mean())
         assert got.half_width == 1.96 * float(values.std(ddof=1)) / math.sqrt(trials)
 
@@ -565,20 +570,20 @@ class TestSpcGeneralSubsets:
                                   hockey_stick_dicts(law0, law1, eps)))
             assert len(deltas) == 455
             for k in (1, 4):
-                law = PartitionLaw(16, TemplateFormat((4, 4, 4, 4)), restriction=(j, k))
-                got = spc_general(scenario, law, PropertyQuery(negate=negate), eps)
+                got = spc_general(scenario, TemplateFormat((4, 4, 4, 4)), k,
+                                  PropertyQuery(negate=negate), eps)
                 assert got.value == pytest.approx(math.fsum(deltas) / 455, abs=1e-12)
 
     @given(case=restricted_explicit_cases(), trials=st.integers(2, 30),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_epsilon_grid_equals_scalar_calls(self, case, trials, seed):
-        scenario, law, query = case
+        scenario, fmt, k, query = case
         grid = (0.0, 0.05, 0.3, 1.0, 750.0)
         for mode in (Enumerate(), MonteCarlo(trials, seed=seed)):
-            got = spc_general(scenario, law, query, grid, mode)
+            got = spc_general(scenario, fmt, k, query, grid, mode)
             for i, eps in enumerate(grid):
-                one = spc_general(scenario, law, query, eps, mode)
+                one = spc_general(scenario, fmt, k, query, eps, mode)
                 assert got.value[i] == one.value
                 if one.half_width is None:
                     assert got.half_width is None
@@ -588,20 +593,19 @@ class TestSpcGeneralSubsets:
     def test_cap_counts_co_member_subsets(self, monkeypatch):
         # C(9, 2) = 36 subsets for a block of 3 among 10 entries
         scenario = Scenario(10, ExplicitEntries(((0.5,),) * 10))
-        law = PartitionLaw(10, TemplateFormat((3, 3, 3)), restriction=(1, 2))
+        fmt = TemplateFormat((3, 3, 3))
         monkeypatch.setattr(spacct.spc, "TEMPLATE_CAP", 10)
         with pytest.raises(CapacityError, match="36"):
-            spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate())
+            spc_general(scenario, fmt, 2, PropertyQuery(), 0.1, Enumerate())
         monkeypatch.setattr(spacct.spc, "TEMPLATE_CAP", 36)
-        assert spc_general(scenario, law, PropertyQuery(), 0.1, Enumerate()).value > 0.0
+        assert spc_general(scenario, fmt, 2, PropertyQuery(), 0.1, Enumerate()).value > 0.0
 
 
-def _per_trial_monte_carlo(scenario, law, query, grid, trials, seed):
+def _per_trial_monte_carlo(scenario, fmt, k, query, grid, trials, seed):
     """MonteCarlo spc_general with one poisson_binomial and indicator_laws per trial."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    j, k = law.restriction
-    others = np.delete(np.arange(law.n), j - 1)
-    start, picks = sum(law.format.sizes[: k - 1]), law.format.sizes[k - 1] - 1
+    others = np.delete(np.arange(scenario.n), scenario.critical_index - 1)
+    start, picks = sum(fmt.sizes[: k - 1]), fmt.sizes[k - 1] - 1
     probs = scenario.probs_matrix()
     values = np.array([
         d_hat(indicator_laws(query, probs[rng.permutation(others)[start : start + picks], :]),
@@ -622,9 +626,9 @@ class TestMonteCarloBatches:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_equals_per_trial_loop(self, case, trials, seed):
-        scenario, law, query = case
-        got = spc_general(scenario, law, query, self.grid, MonteCarlo(trials, seed=seed))
-        means, half_widths = _per_trial_monte_carlo(scenario, law, query, self.grid,
+        scenario, fmt, k, query = case
+        got = spc_general(scenario, fmt, k, query, self.grid, MonteCarlo(trials, seed=seed))
+        means, half_widths = _per_trial_monte_carlo(scenario, fmt, k, query, self.grid,
                                                     trials, seed)
         assert got.value.tolist() == means.tolist()
         assert got.half_width.tolist() == half_widths.tolist()
@@ -634,24 +638,23 @@ class TestMonteCarloBatches:
         probs = np.random.default_rng(trials).uniform(0.0, 1.0, 12)
         probs[3], probs[8] = 0.0, 1.0
         scenario = Scenario(12, ExplicitEntries(tuple((p,) for p in probs)), critical_index=4)
+        fmt = TemplateFormat((5, 4, 2))
         for k, negate in ((1, False), (2, True), (3, False)):
-            law = PartitionLaw(12, TemplateFormat((5, 4, 2)), restriction=(4, k))
             query = PropertyQuery(negate=negate)
-            got = spc_general(scenario, law, query, self.grid, MonteCarlo(trials, seed=trials))
-            means, half_widths = _per_trial_monte_carlo(scenario, law, query, self.grid,
+            got = spc_general(scenario, fmt, k, query, self.grid, MonteCarlo(trials, seed=trials))
+            means, half_widths = _per_trial_monte_carlo(scenario, fmt, k, query, self.grid,
                                                         trials, trials)
             assert got.value.tolist() == means.tolist()
             assert got.half_width.tolist() == half_widths.tolist()
 
 
-def _per_subset_enumerate(scenario, law, query, grid):
+def _per_subset_enumerate(scenario, fmt, k, query, grid):
     """Enumerate spc_general on explicit entries with one poisson_binomial,
     indicator_laws and d_hat per co-member subset."""
-    j, k = law.restriction
-    others = [i for i in range(law.n) if i != j - 1]
-    picks = law.format.sizes[k - 1] - 1
+    others = [i for i in range(scenario.n) if i != scenario.critical_index - 1]
+    picks = fmt.sizes[k - 1] - 1
     probs = scenario.probs_matrix()
-    weight = 1.0 / math.comb(law.n - 1, picks)
+    weight = 1.0 / math.comb(scenario.n - 1, picks)
     terms = [weight * d_hat(indicator_laws(query, probs[list(co), :]), grid)
              for co in combinations(others, picks)]
     return np.minimum(1.0, fsum_terms(terms))
@@ -665,10 +668,10 @@ class TestEnumerateBatches:
     @given(case=restricted_explicit_cases())
     @settings(max_examples=60, deadline=None)
     def test_equals_per_subset_loop(self, case):
-        scenario, law, query = case
-        got = spc_general(scenario, law, query, self.grid)
+        scenario, fmt, k, query = case
+        got = spc_general(scenario, fmt, k, query, self.grid)
         assert got.half_width is None
-        assert got.value.tolist() == _per_subset_enumerate(scenario, law, query,
+        assert got.value.tolist() == _per_subset_enumerate(scenario, fmt, k, query,
                                                            self.grid).tolist()
 
     @pytest.mark.parametrize("subsets", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 1])
@@ -678,21 +681,21 @@ class TestEnumerateBatches:
         probs = np.random.default_rng(subsets).uniform(0.0, 1.0, n)
         probs[1], probs[5], probs[9] = 0.0, 1.0, 1e-160
         scenario = Scenario(n, ExplicitEntries(tuple((p,) for p in probs)), critical_index=3)
+        fmt = TemplateFormat((2, 2))
         for k, negate in ((1, False), (2, True)):
-            law = PartitionLaw(n, TemplateFormat((2, 2)), restriction=(3, k))
             query = PropertyQuery(negate=negate)
-            got = spc_general(scenario, law, query, self.grid)
-            assert got.value.tolist() == _per_subset_enumerate(scenario, law, query,
+            got = spc_general(scenario, fmt, k, query, self.grid)
+            assert got.value.tolist() == _per_subset_enumerate(scenario, fmt, k, query,
                                                                self.grid).tolist()
 
     def test_single_member_block_has_no_co_members(self):
         scenario = Scenario(5, ExplicitEntries(((0.2,), (0.0,), (1.0,), (0.7,), (0.4,))),
                             critical_index=2)
-        law = PartitionLaw(5, TemplateFormat((1, 3)), restriction=(2, 1))
-        got = spc_general(scenario, law, PropertyQuery(), self.grid)
+        fmt = TemplateFormat((1, 3))
+        got = spc_general(scenario, fmt, 1, PropertyQuery(), self.grid)
         # a point mass against its shift: total variation 1, and 1 at every epsilon
         assert got.value.tolist() == [1.0, 1.0, 1.0]
-        assert got.value.tolist() == _per_subset_enumerate(scenario, law, PropertyQuery(),
+        assert got.value.tolist() == _per_subset_enumerate(scenario, fmt, 1, PropertyQuery(),
                                                            self.grid).tolist()
 
 
