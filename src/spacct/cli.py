@@ -85,7 +85,7 @@ def cmd_curve(args) -> int:
         if args.known or args.known_positive else IidEntries((args.p,))
     )
     scenario = Scenario(args.n, entries)
-    epsilons = _parse_eps_list(args.eps) if args.eps else DEFAULT_EPS_GRID
+    epsilons = _parse_eps_list(args.eps) if args.eps is not None else DEFAULT_EPS_GRID
     size = args.sample_size if args.sample_size is not None else scenario.n
 
     if isinstance(scenario.entries, KnownEntries):

@@ -26,6 +26,7 @@ from .spc import (
     PropertyQuery,
     Scenario,
     _block_divergences,
+    _root_pool,
     spc_general,
     success_prob,
 )
@@ -187,19 +188,16 @@ def _nonadaptive(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
         raise DomainError("spec must be nonadaptive")
     spec.format.require_fits(scenario.n)
     grid = as_grid(epsilon)
-    sampled = isinstance(mode, MonteCarlo)
-    evaluated: dict = {}
+    divergence, pool = _block_divergences(scenario, grid), _root_pool(scenario)
     terms = []
     for k, (size, query) in enumerate(zip(spec.format.sizes, spec.queries), start=1):
         # Monte-Carlo blocks take independent streams derived from the one configured
-        # seed; exact blocks that share a size and a query are evaluated once
-        key = k if sampled else (size, query)
-        if key not in evaluated:
-            block_mode = MonteCarlo(mode.trials, (mode.seed, k)) if sampled else mode
-            evaluated[key] = spc_general(scenario, spec.format, k, query, grid, block_mode)
-        est = evaluated[key]
+        # seed; the evaluator's cache evaluates exact blocks of one size and query once
+        delta, half_width = ((divergence(pool, size, query), None) if isinstance(mode, Enumerate)
+                             else spc_general(scenario, spec.format, k, query, grid,
+                                              MonteCarlo(mode.trials, (mode.seed, k))))
         terms.append(BlockTerm(block=k, weight=size / scenario.n,
-                               delta=est.value, half_width=est.half_width))
+                               delta=delta, half_width=half_width))
     return _report(epsilon, terms, label)
 
 
@@ -230,12 +228,10 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
         raise DomainError("spec must be adaptive")
     spec.format.require_fits(scenario.n)
     sizes = spec.format.sizes
-    grid = as_grid(epsilon)
+    grid, pool = as_grid(epsilon), _root_pool(scenario)
     if scenario.is_iid:
         # exchangeable entries: one prefix per level stands for all of them, a
         # block is just its size u, and the divergence needs no pool
-        pool = None
-
         def prefixes(pool, size: int, weight: float):
             return ((size, pool, weight),)
 
@@ -251,7 +247,6 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             if count > TEMPLATE_CAP:
                 raise CapacityError(
                     f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
-        pool = tuple(i for i in range(scenario.n) if i != j - 1)
 
         def prefixes(pool: tuple[int, ...], size: int, weight: float):
             share = weight / math.comb(len(pool), size)

@@ -1,10 +1,11 @@
 """Ground truth for the composition bounds on tiny instances.
 
 exact_mechanism_law enumerates every template, every assignment of the
-non-critical entries, and every critical value, and accumulates the exact
-joint answer laws of the partition mechanism. It deliberately avoids the
-convolution machinery used by the bound computations, so agreement between
-the two is a genuine cross-check. mc_distinguish estimates the same
+non-critical entries that the entry model leaves random, and every
+critical value, and accumulates the exact joint answer laws of the
+partition mechanism. It deliberately avoids the convolution machinery used
+by the bound computations, so agreement between the two is a genuine
+cross-check. mc_distinguish estimates the same
 divergence from sampled runs of the mechanism.
 """
 
@@ -22,9 +23,9 @@ from .curve import _scales, d_hat, per_epsilon
 from .distkit import Pmf
 from .errors import CapacityError, DomainError, is_int, magnitude
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
-from .spc import IidEntries, MonteCarlo, PropertyQuery, Scenario
+from .spc import IidEntries, KnownEntries, MonteCarlo, PropertyQuery, Scenario
 
-# Ceiling on |W|^(n-1) * template count * answer-tuple count.
+# Ceiling on 2^(random bits) * template count * answer-tuple count (_random_bits).
 ORACLE_CAP = 10**7
 
 # exact_mechanism_law evaluates whole templates at a time, about this many
@@ -65,8 +66,9 @@ class McEstimate(NamedTuple):
 def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMechanismLaw:
     """Exact joint answer laws by brute-force enumeration.
 
-    Cost is |W|^(n-1) * #templates * #answer tuples and is checked against
-    ORACLE_CAP before any work happens.
+    Cost is 2^(random bits) * #templates * #answer tuples and is checked
+    against ORACLE_CAP before any work happens: an (entry, attribute) bit of
+    probability 0 or 1, as every known entry's, takes its one value.
     """
     fmt = spec.format
     n = scenario.n
@@ -76,26 +78,26 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
     n_templates = template_count(law)
     radix = tuple(s + 1 for s in fmt.sizes)
     n_answers = math.prod(radix)
-    budget = num_values ** (n - 1) * n_templates * n_answers
+    random_bits = _random_bits(scenario)
+    budget = (1 << random_bits) * n_templates * n_answers
     if budget > ORACLE_CAP:
         raise CapacityError(
             f"exact enumeration needs {magnitude(budget)} law evaluations, above the cap of "
             f"{ORACLE_CAP}")
+    # every block has at least 2 answers, so the budget leaves at most 5 * 10^6
+    # templates; enumerate_templates refuses more than TEMPLATE_CAP
+    templates = enumerate_templates(law)
     j0 = scenario.critical_index - 1
-    probs = scenario.probs_matrix()
+    probs_nc = np.delete(scenario.probs_matrix(), j0, axis=0)
 
-    num_rows = num_values ** (n - 1)
-    ids = np.arange(num_rows, dtype=np.int64)
-    place = num_values ** np.arange(n - 1, dtype=np.int64)
-    digits = (ids[:, None] // place[None, :]) % num_values
-    bits = ((digits[:, :, None] >> np.arange(num_attrs)) & 1).astype(np.int8)
-    probs_nc = np.delete(probs, j0, axis=0)
+    # assignment r gives the random bits, entry-major and attribute-minor, the
+    # binary digits of r; the other bits take their one value at probability 1
+    num_rows = 1 << random_bits
+    bits = np.broadcast_to(probs_nc == 1.0, (num_rows, *probs_nc.shape)).astype(np.int8)
+    bits[:, (probs_nc > 0.0) & (probs_nc < 1.0)] = (
+        np.arange(num_rows)[:, None] >> np.arange(random_bits)) & 1
     row_prob = np.prod(np.where(bits == 1, probs_nc[None], 1.0 - probs_nc[None]), axis=(1, 2))
 
-    # every entry takes at least 2 values and every block 2 answers, so the
-    # budget keeps the templates within TEMPLATE_CAP: at most 10^7 / 2^n from
-    # n = 4 on, and at most 3! = 6 below
-    templates = enumerate_templates(law)
     # each template's places of the entries in the blocks laid end to end,
     # shared by every assignment; entries outside every block go after the last
     places = np.full((n, len(templates)), n, dtype=np.min_scalar_type(n))
@@ -121,6 +123,18 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
                       np.concatenate([w * row_prob for _, w in chunk]))
     laws = {v: Pmf(0, h) for v, h in hist.items()}
     return ExactMechanismLaw(laws=laws, radix=radix)
+
+
+def _random_bits(scenario: Scenario) -> int:
+    """The number of (non-critical entry, attribute) bits of probability
+    strictly between 0 and 1, read off the entry model with no per-entry array."""
+    entries = scenario.entries
+    if isinstance(entries, IidEntries):
+        return (scenario.n - 1) * sum(0.0 < p < 1.0 for p in entries.probs)
+    if isinstance(entries, KnownEntries):
+        return (scenario.n - 1 - entries.known) * (0.0 < entries.p < 1.0)
+    j0 = scenario.critical_index - 1
+    return sum(0.0 < p < 1.0 for row in entries.probs[:j0] + entries.probs[j0 + 1 :] for p in row)
 
 
 def _count(hits: np.ndarray, dtype: np.dtype) -> np.ndarray:

@@ -9,6 +9,7 @@ sampled templates keep the drawn order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -77,15 +78,17 @@ class PartitionLaw:
             object.__setattr__(self, "restriction", (int(j), int(k)))
 
 
-def _reduced(law: PartitionLaw) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _reduced(law: PartitionLaw) -> tuple[Sequence[int], tuple[int, ...]]:
     """The indices a law partitions and the block sizes it fills.
 
     A law restricted to (j, k) is the uniform law over the indices other
-    than j with block k one smaller; j then joins block k.
+    than j with block k one smaller; j then joins block k. An unrestricted
+    law's indices are a range, so that counting its templates takes O(1)
+    memory at any n.
     """
     sizes = law.format.sizes
     if law.restriction is None:
-        return tuple(range(1, law.n + 1)), sizes
+        return range(1, law.n + 1), sizes
     j, k = law.restriction
     pool = tuple(i for i in range(1, law.n + 1) if i != j)
     return pool, sizes[: k - 1] + (sizes[k - 1] - 1,) + sizes[k:]
@@ -117,7 +120,7 @@ def enumerate_templates(law: PartitionLaw) -> list[tuple[tuple[tuple[int, ...], 
     weight = 1.0 / count
     out: list[tuple[tuple[tuple[int, ...], ...], float]] = []
 
-    def build(block_idx: int, available: tuple[int, ...], chosen: tuple) -> None:
+    def build(block_idx: int, available: Sequence[int], chosen: tuple) -> None:
         if block_idx == len(sizes):
             out.append((chosen, weight))
             return

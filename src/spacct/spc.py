@@ -412,12 +412,11 @@ def spc_general(scenario: Scenario, fmt: TemplateFormat, block: int, query: Prop
         raise DomainError(f"block must be an integer in [1, {len(fmt.sizes)}], got {block!r}")
     query.require_attribute(scenario.num_attributes)
     size = fmt.sizes[block - 1]
-    others = np.delete(np.arange(scenario.n), scenario.critical_index - 1)
     grid = as_grid(epsilon)
     if isinstance(mode, Enumerate) or not isinstance(scenario.entries, ExplicitEntries):
-        pool = None if scenario.is_iid else tuple(others.tolist())
         return SpcEstimate(per_epsilon(epsilon, _block_divergences(scenario, grid)(
-            pool, size, query)))
+            _root_pool(scenario), size, query)))
+    others = np.delete(np.arange(scenario.n), scenario.critical_index - 1)
     success = query.success_probs(scenario.probs_matrix())
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
@@ -431,15 +430,21 @@ def spc_general(scenario: Scenario, fmt: TemplateFormat, block: int, query: Prop
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
 
 
+def _root_pool(scenario: Scenario) -> tuple[int, ...] | None:
+    """The co-member pool of a block with no block before it: the 0-based
+    non-critical indices, or None for iid entries, which read no pool."""
+    j0 = scenario.critical_index - 1
+    return None if scenario.is_iid else (*range(j0), *range(j0 + 1, scenario.n))
+
+
 def _block_divergences(scenario: Scenario, grid: np.ndarray):
     """The exact divergence of a block of `size` holding the critical index,
-    per grid point, over co-members drawn uniformly from `pool` (a tuple of
-    0-based non-critical indices; iid entries read none and take None), as a
-    cached function of (pool, size, query): one branch per entry model.
-    Known entries are cached by the pool's size and the known entries in it,
-    so pools that share those counts share one evaluation. Explicit entries
-    keep the divergence rows of up to STORED_ROWS (query, subset) pairs, so
-    a stored subset that many pools hold is evaluated once (_subset_mean)."""
+    per grid point, over co-members drawn uniformly from `pool` (_root_pool,
+    or what earlier blocks leave of it), as a cached function of (pool, size,
+    query): one branch per entry model. Known entries are cached by the
+    pool's size and the known entries in it, so pools that share those counts
+    share one evaluation. Explicit entries keep the rows of up to STORED_ROWS
+    (query, subset) pairs: a stored subset is evaluated once (_subset_mean)."""
     entries = scenario.entries
     if scenario.is_iid:
         return cache(lambda pool, size, query: spc_iid(scenario, size, grid, query))

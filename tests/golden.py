@@ -3,15 +3,18 @@
     python3 tests/golden.py OUTDIR
     python3 tests/golden.py --compare A B
 
-Runs 40 commands through `spacct.cli.main`, in this process. 32 are
+Runs 46 commands through `spacct.cli.main`, in this process. 32 are
 perfbench's workloads: `table1` and `table2 --check --format json`, the 12
 `curve` commands, and at seeds 1, 2 and 3 the five `compose` scenario files
 and `verify --trials 100000 --json`. perfbench/workloads.py builds their
 inputs and is only imported. 4 are `dp-compare` searches outside the
-tables (DP_COMPARE), and 4 are known-entry `curve` commands outside the
-workload (KNOWN_CURVES). Each command's output file lands under
-OUTDIR/<workload>-<seed>/, OUTDIR/dp-compare/ or OUTDIR/known-curves/,
-and OUTDIR/status.json records every exit code and stderr. spacct is
+tables (DP_COMPARE), 4 are known-entry `curve` commands outside the
+workload (KNOWN_CURVES), 2 are known-entry `compose` scenario files, one
+nonadaptive and one adaptive (KNOWN_SCENARIOS), and 4 write the CSV and
+text renderings that no other command writes (RENDERINGS). Each command's
+output file lands under OUTDIR/<workload>-<seed>/, OUTDIR/dp-compare/,
+OUTDIR/known-curves/, OUTDIR/known-compose/ or OUTDIR/renderings/, and
+OUTDIR/status.json records every exit code and stderr. spacct is
 imported from the src/ of the checkout holding this file, so to show that
 a change alters no output, run the script in a checkout of the parent and
 in the change and compare with `diff -r`.
@@ -72,6 +75,37 @@ KNOWN_CURVES = (
                           "--eps", "0,0.01,5,700"]),
 )
 
+# Known-entry composition, which no workload reaches: nonadaptive blocks over
+# the n - 1 non-critical entries, and ROADMAP's adaptive witness, whose walk
+# keys each pool by its counts.
+KNOWN_SCENARIOS = (
+    ("known-n4096", {
+        "schema_version": 1, "n": 4096,
+        "entry_model": {"kind": "known", "p": 0.3, "known": 1000, "known_positive": 300},
+        "critical_index": 7, "format": [256] * 4,
+        "queries": {"mode": "nonadaptive",
+                    "list": [{"attribute": 0, "negate": k % 2 == 1} for k in range(4)]},
+        "epsilons": [0.0, 0.01, 0.1]}),
+    ("known-adaptive-n18", {
+        "schema_version": 1, "n": 18,
+        "entry_model": {"kind": "known", "p": 0.3, "known": 8, "known_positive": 3},
+        "critical_index": 5, "format": [3, 5],
+        "queries": {"mode": "adaptive", "tree": workloads.README_TREE},
+        "epsilons": [0.0, 0.2, 0.5]}),
+)
+
+# The renderings no other command writes: the README's first `curve` and its
+# `dp-compare` example as CSV, the delta and sigma cells of Table 2 as CSV,
+# and the README's `verify` as text.
+RENDERINGS = (
+    ("curve.csv", ["curve", "--n", "32768", "--p", "0.5", "--sample-size", "1024",
+                   "--eps", "0.005,0.01,0.02"]),
+    ("dp-compare.csv", ["dp-compare", "--eps", "0.02", "--delta", "0.0163", "--sigma", "0.0153",
+                        "--n", "32768"]),
+    ("table2.csv", ["table2", "--check", "--skip-dp"]),
+    ("verify.txt", ["verify", "--trials", "100000", "--seed", "7"]),
+)
+
 
 def _run(status: dict, key: str, argv: list[str]) -> None:
     err = io.StringIO()
@@ -100,6 +134,17 @@ def main(outdir: str) -> int:
     for label, args in KNOWN_CURVES:
         _run(status, f"{workdir}/{label}",
              ["curve", *args, "--format", "json", "--out", str(workdir / f"{label}.json")])
+    workdir = Path("known-compose")
+    workdir.mkdir(exist_ok=True)
+    for label, doc in KNOWN_SCENARIOS:
+        path = workdir / f"{label}.scenario.json"
+        path.write_text(json.dumps(doc, indent=1))
+        _run(status, f"{workdir}/{label}",
+             ["compose", "--scenario", str(path), "--out", str(workdir / f"{label}.json")])
+    workdir = Path("renderings")
+    workdir.mkdir(exist_ok=True)
+    for name, argv in RENDERINGS:
+        _run(status, f"{workdir}/{name}", [*argv, "--out", str(workdir / name)])
     Path("status.json").write_text(json.dumps(status, indent=1) + "\n")
     return 0
 

@@ -85,6 +85,13 @@ class TestCurveCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("eps", ["", ",", " "])
+    def test_empty_eps_grid_exits_2(self, capsys, eps):
+        # an empty --eps is a grid with no points, not a request for the default one
+        code, out, err = run(capsys, "curve", "--n", "100", "--p", "0.5", "--eps", eps)
+        assert (code, out) == (2, "")
+        assert "epsilon grid must be nonempty" in err
+
     def test_scenario_is_an_unknown_argument(self, capsys):
         # scenario files go to `compose --scenario`; curve reads --n and --p only
         with pytest.raises(SystemExit) as info:
@@ -285,6 +292,22 @@ class TestComposeCommand:
         assert code == 0
         payload = json.loads(out)
         assert all(check["dominated"] for check in payload["verify"])
+
+    def test_verify_enumerates_only_the_entries_left_random(self, capsys, tmp_path):
+        # 8 of the 11 non-critical entries are known: 2^3 assignments, not 2^11
+        # (54,743,040 law evaluations, over the oracle's cap of 10^7)
+        doc = self.scenario_doc()
+        doc.update(n=12, entry_model={"kind": "known", "p": 0.3, "known": 8,
+                                      "known_positive": 3},
+                   critical_index=5, format=[2, 2], epsilons=[0.0, 0.1, 1.0])
+        doc["queries"]["list"][1]["negate"] = True
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path), "--verify")
+        assert code == 0
+        checks = json.loads(out)["verify"]
+        assert [round(c["exact_delta"], 4) for c in checks] == [0.1650, 0.1241, 0.0029]
+        assert all(c["dominated"] for c in checks)
 
     def test_capacity_exit_3(self, capsys, tmp_path):
         doc = self.scenario_doc()

@@ -155,8 +155,21 @@ class TestNonadaptiveGeneral:
         assert abs(mc.total_delta - exact) <= 4 * mc.total_half_width + 5e-3
 
 
+def spy(monkeypatch, module, name: str) -> list:
+    """Count the calls of module.name, which still does its work."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestSharedEnumeratedBlocks:
-    """Enumerated blocks with the same size and query are evaluated once."""
+    """Enumerated blocks with the same size and query are evaluated once, by
+    the report's one evaluator (spc._block_divergences)."""
 
     def test_repeated_query_makes_one_spc_call(self, monkeypatch):
         probs = [0.1 + 0.05 * i for i in range(16)]
@@ -166,13 +179,7 @@ class TestSharedEnumeratedBlocks:
         eps = (0.0, 0.3)
         # the block terms as evaluated one by one
         per_block = [spc_general(sc, fmt, k, query, eps).value for k in range(1, 5)]
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return spc_general(*args, **kwargs)
-
-        monkeypatch.setattr(spacct.compose, "spc_general", counting)
+        calls = spy(monkeypatch, spacct.spc, "_subset_mean")
         report = nonadaptive_general(sc, NonadaptiveSpec(fmt, (query,) * 4), eps)
         assert len(calls) == 1
         for i, one in enumerate(report.split()):
@@ -185,16 +192,26 @@ class TestSharedEnumeratedBlocks:
                       critical_index=2)
         spec = NonadaptiveSpec(TemplateFormat((2, 3, 2, 2)), (
             PropertyQuery(), PropertyQuery(), PropertyQuery(negate=True), PropertyQuery()))
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return spc_general(*args, **kwargs)
-
         unshared = nonadaptive_general(sc, spec, 0.2)
-        monkeypatch.setattr(spacct.compose, "spc_general", counting)
+        calls = spy(monkeypatch, spacct.spc, "_subset_mean")
         assert nonadaptive_general(sc, spec, 0.2) == unshared
         assert len(calls) == 3  # (2, ones), (3, ones), (2, zeros)
+
+    @pytest.mark.parametrize("entries", [
+        IidEntries((0.3,)),
+        KnownEntries(0.3, 4, 1),
+        ExplicitEntries(tuple((0.1 * i,) for i in range(1, 10))),
+    ])
+    def test_exact_blocks_make_no_spc_general_call(self, monkeypatch, entries):
+        sc = Scenario(9, entries, critical_index=2)
+        spec = NonadaptiveSpec(TemplateFormat((2, 3)),
+                               (PropertyQuery(), PropertyQuery(negate=True)))
+        calls = spy(monkeypatch, spacct.compose, "spc_general")
+        report = composition_delta(sc, spec, (0.0, 0.2))
+        assert calls == []
+        assert [t.delta.tolist() for t in report.per_block] == \
+            [spc_general(sc, spec.format, k, q, (0.0, 0.2)).value.tolist()
+             for k, q in enumerate(spec.queries, start=1)]
 
     def test_monte_carlo_blocks_keep_their_own_streams(self, monkeypatch):
         sc = Scenario(8, ExplicitEntries(tuple((0.1 * i,) for i in range(1, 9))))

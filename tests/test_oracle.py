@@ -112,6 +112,16 @@ class TestExactMechanismLaw:
             exact_mechanism_law(sc, spec)
         assert len(str(info.value)) < 200
 
+    def test_capacity_is_refused_before_any_per_entry_array(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("no per-entry array may be built")
+
+        monkeypatch.setattr(Scenario, "probs_matrix", refuse)
+        sc = Scenario(10**9, IidEntries((0.5,)))
+        spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
+        with pytest.raises(CapacityError, match="law evaluations"):
+            exact_mechanism_law(sc, spec)
+
     def test_rebuilt_law_gives_the_same_delta(self):
         sc = Scenario(4, IidEntries((0.5,)))
         spec = single_query(4, 2)
