@@ -19,13 +19,15 @@ import numpy as np
 from .curve import _binomial_above, as_grid, fsum_terms
 from .distkit import cdf, poisson_binomial
 from .errors import CapacityError, DomainError, is_int, magnitude
-from .partition import TEMPLATE_CAP, PartitionLaw, TemplateFormat, template_count
+from .partition import TEMPLATE_CAP, TemplateFormat
 from .spc import (
     Enumerate,
+    ExplicitEntries,
     MonteCarlo,
     PropertyQuery,
     Scenario,
     _block_divergences,
+    _others,
     _root_pool,
     spc_general,
     success_prob,
@@ -219,9 +221,9 @@ def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
 
 
 def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> CompositionReport:
-    """One walk over prefixes (disjoint blocks 1..k-1 of the non-critical
-    indices) serves every block k: a prefix adds P(reach a depth-k node)
-    times the node query's divergence on block k, given the pool of indices
+    """One walk over prefixes (disjoint blocks 1..k-1 of non-critical
+    positions) serves every block k: a prefix adds P(reach a depth-k node)
+    times the node query's divergence on block k, given the pool of positions
     left (spc._block_divergences). The entry model supplies prefixes and tails.
     """
     if not isinstance(spec, AdaptiveSpec):
@@ -240,21 +242,23 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             return (float(_binomial_above(u, 1.0 - p, u - threshold)),
                     float(_binomial_above(u, p, threshold - 1)))
     else:
-        probs = scenario.probs_matrix()
-        j = scenario.critical_index
-        for k in range(1, len(sizes) + 1):
-            count = template_count(PartitionLaw(scenario.n, TemplateFormat(sizes[:k]), (j, k)))
+        # level k visits the prefixes of blocks 1..k-1, times block k's subsets if explicit
+        visited, left, explicit = 1, scenario.n - 1, isinstance(scenario.entries, ExplicitEntries)
+        for before, size in zip((0,) + sizes, sizes):
+            visited, left = visited * math.comb(left, before), left - before
+            count = visited * math.comb(left, size - 1) if explicit else visited
             if count > TEMPLATE_CAP:
                 raise CapacityError(
                     f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
+        rows = _others(scenario) if len(sizes) > 1 else None  # one block reads no tails
 
-        def prefixes(pool: tuple[int, ...], size: int, weight: float):
+        def prefixes(pool, size: int, weight: float):
             share = weight / math.comb(len(pool), size)
             return ((block, tuple(i for i in pool if i not in block), share)
                     for block in combinations(pool, size))
 
         def tails(block: tuple[int, ...], query: PropertyQuery, threshold: int):
-            law = poisson_binomial(query.success_probs(probs[list(block)]))
+            law = poisson_binomial(query.success_probs(rows[list(block)]))
             below = cdf(law, threshold - 1)
             return below, (1.0 - below if threshold <= law.top else 0.0)
 
@@ -291,8 +295,8 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composition
 
 def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
     """Adaptive bound for any entry model. iid entries take one prefix per
-    level, as in adaptive_iid; others enumerate every prefix, with the
-    template count of blocks 1..k capped for every k before any work."""
+    level, as in adaptive_iid; others enumerate every prefix, with each
+    level's prefixes (and explicit co-member subsets) capped before any work."""
     return _adaptive(scenario, spec, epsilon, "adaptive-general")
 
 

@@ -23,7 +23,7 @@ from .curve import _scales, d_hat, per_epsilon
 from .distkit import Pmf
 from .errors import CapacityError, DomainError, is_int, magnitude
 from .partition import PartitionLaw, TemplateFormat, enumerate_templates, template_count
-from .spc import IidEntries, KnownEntries, MonteCarlo, PropertyQuery, Scenario
+from .spc import IidEntries, KnownEntries, MonteCarlo, PropertyQuery, Scenario, _others
 
 # Ceiling on 2^(random bits) * template count * answer-tuple count (_random_bits).
 ORACLE_CAP = 10**7
@@ -79,16 +79,18 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
     radix = tuple(s + 1 for s in fmt.sizes)
     n_answers = math.prod(radix)
     random_bits = _random_bits(scenario)
-    budget = (1 << random_bits) * n_templates * n_answers
+    # 2^(random bits) can have 10^9 bits; past 2^40 > 10^12, where magnitude
+    # names only the power of ten, that power is summed from logs
+    budget = n_templates * n_answers << min(random_bits, 40)
     if budget > ORACLE_CAP:
+        power = math.log10(budget) + max(random_bits - 40, 0) * math.log10(2)
+        needs = magnitude(budget) if random_bits <= 40 else f"about 10^{math.floor(power)}"
         raise CapacityError(
-            f"exact enumeration needs {magnitude(budget)} law evaluations, above the cap of "
-            f"{ORACLE_CAP}")
+            f"exact enumeration needs {needs} law evaluations, above the cap of {ORACLE_CAP}")
     # every block has at least 2 answers, so the budget leaves at most 5 * 10^6
     # templates; enumerate_templates refuses more than TEMPLATE_CAP
     templates = enumerate_templates(law)
-    j0 = scenario.critical_index - 1
-    probs_nc = np.delete(scenario.probs_matrix(), j0, axis=0)
+    probs_nc = _others(scenario)
 
     # assignment r gives the random bits, entry-major and attribute-minor, the
     # binary digits of r; the other bits take their one value at probability 1
@@ -107,11 +109,9 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
     per_chunk = max(1, LAW_CHUNK_RUNS // num_rows)
     pairs = _block_ends([spec], num_attrs)
     hist = {v: np.zeros(n_answers) for v in range(num_values)}
-    noncrit = [i for i in range(n) if i != j0]
     for v in range(num_values):
-        planes = np.empty((num_attrs, n, num_rows), dtype=bool)
-        planes[:, noncrit, :] = bits.T
-        planes[:, j0, :] = ((v >> np.arange(num_attrs)) & 1)[:, None]
+        planes = np.insert(bits.T, scenario.critical_index - 1,
+                           ((v >> np.arange(num_attrs)) & 1)[:, None], axis=1).astype(bool)
         # template-major runs, accumulated in template order as one template at a
         # time would be; the weights are floats, so every run keeps its own np.add.at
         for first in range(0, len(templates), per_chunk):
@@ -127,14 +127,13 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
 
 def _random_bits(scenario: Scenario) -> int:
     """The number of (non-critical entry, attribute) bits of probability
-    strictly between 0 and 1, read off the entry model with no per-entry array."""
+    strictly between 0 and 1, read off iid and known entries with no per-entry array."""
     entries = scenario.entries
     if isinstance(entries, IidEntries):
         return (scenario.n - 1) * sum(0.0 < p < 1.0 for p in entries.probs)
     if isinstance(entries, KnownEntries):
         return (scenario.n - 1 - entries.known) * (0.0 < entries.p < 1.0)
-    j0 = scenario.critical_index - 1
-    return sum(0.0 < p < 1.0 for row in entries.probs[:j0] + entries.probs[j0 + 1 :] for p in row)
+    return sum(0.0 < p < 1.0 for p in _others(scenario).flat)
 
 
 def _count(hits: np.ndarray, dtype: np.dtype) -> np.ndarray:

@@ -10,6 +10,7 @@ becomes a hypergeometric mixture with a cheap threshold upper bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice
@@ -78,7 +79,7 @@ class IidEntries:
     def num_attributes(self) -> int:
         return len(self.probs)
 
-    def matrix(self, n: int) -> np.ndarray:
+    def matrix(self, n: int, critical_index: int = 1) -> np.ndarray:
         return np.tile(np.asarray(self.probs), (n, 1))
 
 
@@ -107,9 +108,7 @@ class ExplicitEntries:
     def num_attributes(self) -> int:
         return len(self.probs[0])
 
-    def matrix(self, n: int) -> np.ndarray:
-        if len(self.probs) != n:
-            raise DomainError(f"{len(self.probs)} entries given for a database of size {n}")
+    def matrix(self, n: int, critical_index: int = 1) -> np.ndarray:
         return np.asarray(self.probs, dtype=np.float64)
 
 
@@ -137,15 +136,11 @@ class KnownEntries:
     def num_attributes(self) -> int:
         return 1
 
-    def slots(self, n: int, critical_index: int = 1) -> np.ndarray:
-        """0-based indices of the known entries: the first `known` non-critical places."""
-        return np.flatnonzero(np.arange(n) != critical_index - 1)[: self.known]
-
     def matrix(self, n: int, critical_index: int = 1) -> np.ndarray:
-        out = np.full((n, 1), self.p)
-        slots = self.slots(n, critical_index)
-        out[slots, 0] = np.arange(slots.size) < self.known_positive  # positives first
-        return out
+        # the known entries take the first `known` non-critical positions, positives first
+        others = np.full(n - 1, self.p)
+        others[: self.known] = np.arange(self.known) < self.known_positive
+        return np.insert(others, critical_index - 1, self.p)[:, None]
 
 
 EntryModel = IidEntries | ExplicitEntries | KnownEntries
@@ -186,9 +181,7 @@ class Scenario:
 
     def probs_matrix(self) -> np.ndarray:
         """(n, T) Bernoulli parameters; known entries appear as 0/1 rows."""
-        if isinstance(self.entries, KnownEntries):
-            return self.entries.matrix(self.n, self.critical_index)
-        return self.entries.matrix(self.n)
+        return self.entries.matrix(self.n, self.critical_index)
 
 
 @dataclass(frozen=True)
@@ -416,12 +409,11 @@ def spc_general(scenario: Scenario, fmt: TemplateFormat, block: int, query: Prop
     if isinstance(mode, Enumerate) or not isinstance(scenario.entries, ExplicitEntries):
         return SpcEstimate(per_epsilon(epsilon, _block_divergences(scenario, grid)(
             _root_pool(scenario), size, query)))
-    others = np.delete(np.arange(scenario.n), scenario.critical_index - 1)
-    success = query.success_probs(scenario.probs_matrix())
+    success = query.success_probs(_others(scenario))
     rng = np.random.default_rng(np.random.SeedSequence(mode.seed))
     # block k's co-members follow the blocks before it in sample_template's shuffle
     start = sum(fmt.sizes[: block - 1])
-    draws = (rng.permutation(others)[start : start + size - 1] for _ in range(mode.trials))
+    draws = (rng.permutation(scenario.n - 1)[start : start + size - 1] for _ in range(mode.trials))
     values = _subset_values(success, draws, mode.trials, grid)
     # one contiguous row per epsilon, reduced exactly as a 1-D sample
     means = np.array([row.mean() for row in values])
@@ -430,31 +422,36 @@ def spc_general(scenario: Scenario, fmt: TemplateFormat, block: int, query: Prop
                        per_epsilon(epsilon, 1.96 * spreads / math.sqrt(mode.trials)))
 
 
-def _root_pool(scenario: Scenario) -> tuple[int, ...] | None:
-    """The co-member pool of a block with no block before it: the 0-based
-    non-critical indices, or None for iid entries, which read no pool."""
-    j0 = scenario.critical_index - 1
-    return None if scenario.is_iid else (*range(j0), *range(j0 + 1, scenario.n))
+def _others(scenario: Scenario) -> np.ndarray:
+    """The (n - 1, T) Bernoulli rows of the non-critical entries, in index
+    order. Every pool is an increasing sequence of positions into them."""
+    return np.delete(scenario.probs_matrix(), scenario.critical_index - 1, axis=0)
+
+
+def _root_pool(scenario: Scenario) -> range:
+    """The co-member pool of a block with no block before it: every row of _others."""
+    return range(scenario.n - 1)
 
 
 def _block_divergences(scenario: Scenario, grid: np.ndarray):
     """The exact divergence of a block of `size` holding the critical index,
     per grid point, over co-members drawn uniformly from `pool` (_root_pool,
-    or what earlier blocks leave of it), as a cached function of (pool, size,
-    query): one branch per entry model. Known entries are cached by the
-    pool's size and the known entries in it, so pools that share those counts
-    share one evaluation. Explicit entries keep the rows of up to STORED_ROWS
-    (query, subset) pairs: a stored subset is evaluated once (_subset_mean)."""
+    or the positions earlier blocks leave of it), as a cached function of
+    (pool, size, query), one branch per entry model: known entries (the first
+    `known` positions) are keyed by the pool's size and its positions below
+    `known`; explicit entries keep the rows of up to STORED_ROWS (query,
+    subset) pairs, so a stored subset is evaluated once (_subset_mean)."""
     entries = scenario.entries
     if scenario.is_iid:
         return cache(lambda pool, size, query: spc_iid(scenario, size, grid, query))
     if isinstance(entries, KnownEntries):
-        slots = set(entries.slots(scenario.n, scenario.critical_index).tolist())
         by_counts = cache(lambda population, known, size, query: _known_mixture(
             success_prob(scenario, query), population, known, size, grid))
-        return lambda pool, size, query: by_counts(len(pool), len(slots.intersection(pool)),
-                                                   size, query)
-    probs = scenario.probs_matrix()
+        # len() ends at 2^63, so the root pool is counted from n
+        return lambda pool, size, query: by_counts(
+            *((scenario.n - 1, entries.known) if pool == _root_pool(scenario)
+              else (len(pool), bisect_left(pool, entries.known))), size, query)
+    probs = _others(scenario)
     rows: dict[tuple[PropertyQuery, int], dict] = {}
 
     def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:

@@ -540,20 +540,24 @@ def two_branch_sample_template(law: PartitionLaw, seed) -> tuple[tuple[int, ...]
 
 def _block_divergence(scenario, pool, size: int, query, grid: np.ndarray) -> np.ndarray:
     """Exact divergence of a block of `size` holding the critical index, per grid
-    point, over co-members drawn uniformly from `pool` (0-based non-critical
-    indices): one branch per entry model, known entries at the pool's counts.
-    Every pool is evaluated on its own, its known entries counted with np.isin
-    and its explicit co-member subsets all evaluated, none of them stored."""
+    point, over co-members drawn uniformly from `pool` (positions among the
+    non-critical entries, mapped here to 0-based indices): one branch per entry
+    model, known entries at the pool's counts. Every pool is evaluated on its
+    own, its known entries (the first `known` non-critical indices) counted
+    with np.isin and its explicit co-member subsets all evaluated, none of
+    them stored."""
     entries = scenario.entries
     if scenario.is_iid:
         return spc_iid(scenario, size, grid, query)
+    noncritical = np.delete(np.arange(scenario.n), scenario.critical_index - 1)
+    indices = noncritical[list(pool)]
     if isinstance(entries, KnownEntries):
-        known = np.count_nonzero(np.isin(pool, entries.slots(scenario.n, scenario.critical_index)))
+        known = np.count_nonzero(np.isin(indices, noncritical[: entries.known]))
         return spc_known_entries(Scenario(len(pool) + 1, KnownEntries(entries.p, known)), size,
                                  grid, query, population_excludes_critical=True)
     count = math.comb(len(pool), size - 1)
     values = _subset_values(query.success_probs(scenario.probs_matrix()),
-                            combinations(pool, size - 1), count, grid)
+                            combinations(indices.tolist(), size - 1), count, grid)
     return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import spacct.cli
+import spacct.compose
 import spacct.oracle
 from spacct import (
     CapacityError,
@@ -352,6 +354,85 @@ class TestComposeCommand:
         scenario = Scenario(32768, KnownEntries(0.5, 16000))
         block = spc_known_entries(scenario, 1024, 0.1, population_excludes_critical=True)
         assert report["total_delta"] == math.fsum([1024 / 32768 * block] * 2)
+
+    KNOWN_100 = {"kind": "known", "p": 0.5, "known": 100, "known_positive": 50}
+
+    @pytest.mark.parametrize("n", [2**60, 10**20], ids=["2^60", "10^20"])
+    @pytest.mark.parametrize("mode", ["nonadaptive", "adaptive"])
+    def test_known_entries_past_float64_counts_exit_2(self, capsys, tmp_path, n, mode):
+        # a root pool of n - 1 positions; len() of a range ends at 2^63
+        doc = self.scenario_doc()
+        doc.update(n=n, format=[4096] * 4 if mode == "nonadaptive" else [4096],
+                   queries={"mode": "nonadaptive", "list": [{"attribute": 0}] * 4}
+                   if mode == "nonadaptive" else {"mode": "adaptive",
+                                                  "tree": {"query": {"attribute": 0}}})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**doc, "entry_model": self.KNOWN_100}))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "needs exact float64 counts" in err and "Traceback" not in err
+        path.write_text(json.dumps({**doc, "entry_model": {"kind": "iid", "p": 0.5}}))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        assert all(0.0 < r["total_delta"] < 1.0 for r in json.loads(out)["reports"])
+
+    def test_known_entries_build_no_per_entry_array(self, capsys, tmp_path):
+        # the block terms read two counts: n = 2^22 peaked at 192 MB when the
+        # root pool and the known slots were per-entry arrays
+        doc = self.scenario_doc()
+        doc.update(n=2**22, format=[4096] * 4, entry_model=self.KNOWN_100,
+                   queries={"mode": "nonadaptive", "list": [{"attribute": 0}] * 4})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "compose", "--scenario", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+        scenario = Scenario(2**22, KnownEntries(0.5, 100, 50))
+        block = spc_known_entries(scenario, 4096, 0.1, population_excludes_critical=True)
+        (report,) = json.loads(out)["reports"]
+        assert report["total_delta"] == math.fsum([4096 / 2**22 * block] * 4)
+
+    def adaptive_known_doc(self, n):
+        # 10 known entries (3 positive) and a first block of 2: C(n - 1, 2) prefixes
+        doc = self.scenario_doc()
+        doc.update(n=n, critical_index=5, format=[2, 30], epsilons=[0.0, 0.1, 1.0],
+                   entry_model={"kind": "known", "p": 0.3, "known": 10, "known_positive": 3},
+                   queries={"mode": "adaptive", "tree": {
+                       "query": {"attribute": 0}, "next": {
+                           "threshold": 1, "low": {"query": {"attribute": 0, "negate": True}},
+                           "high": {"query": {"attribute": 0}}}}})
+        return doc
+
+    def test_adaptive_known_entries_cap_the_prefixes_only(self, capsys, tmp_path, monkeypatch):
+        # 4,851 prefixes at n = 100; counting C(98, 29) co-member subsets as well
+        # refused the walk with about 10^28 templates, though known block terms
+        # are keyed by counts and enumerate no subsets
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.adaptive_known_doc(100)))
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        config = load_scenario(path)
+        monkeypatch.setattr(spacct.compose, "TEMPLATE_CAP", 10**40)
+        want = composition_delta(config.scenario, config.spec, config.epsilons)
+        # JSON floats round-trip, so this is bit for bit
+        assert json.loads(out)["reports"] == [r.to_dict() for r in want.split()]
+
+    def test_adaptive_known_cap_runs_before_any_per_entry_array(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        def refuse(self):
+            raise AssertionError("no per-entry array may be built")
+
+        monkeypatch.setattr(Scenario, "probs_matrix", refuse)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.adaptive_known_doc(2**30)))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert (code, out) == (3, "")
+        assert "about 10^17 templates exceed the cap" in err
 
     def test_monte_carlo_trials_over_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

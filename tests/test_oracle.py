@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import groupby
 
 import numpy as np
@@ -24,8 +25,10 @@ from spacct import (
     enumerate_templates,
     exact_mechanism_law,
     mc_distinguish,
+    template_count,
     verification_matrix,
 )
+from spacct.errors import magnitude
 from spacct.oracle import (MATRIX_EPSILONS, _block_ends, _counts_below, _mc_histograms,
                            _mc_stream, _Runs, _shuffle_ranks)
 from spacct.spc import MC_TRIALS_CAP
@@ -121,6 +124,30 @@ class TestExactMechanismLaw:
         spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
         with pytest.raises(CapacityError, match="law evaluations"):
             exact_mechanism_law(sc, spec)
+
+    def test_capacity_refusal_builds_no_huge_integer(self):
+        # 2^(10^9 - 1) alone has 10^9 bits; the refusal names the budget's power of ten
+        sc = Scenario(10**9, IidEntries((0.5,)))
+        spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"needs about 10\^301030031 law evaluations"):
+                exact_mechanism_law(sc, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [12, 41, 42, 43, 64, 300, 4000])
+    def test_capacity_message_names_the_budget(self, n):
+        # 2^40 > 10^12: up to 40 random bits the budget is multiplied out, past
+        # them its power of ten is summed from logs
+        sc = Scenario(n, IidEntries((0.5,)))
+        spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
+        budget = (1 << (n - 1)) * template_count(PartitionLaw(n, spec.format)) * 9
+        with pytest.raises(CapacityError) as refusal:
+            exact_mechanism_law(sc, spec)
+        assert f"needs {magnitude(budget)} law evaluations" in str(refusal.value)
 
     def test_rebuilt_law_gives_the_same_delta(self):
         sc = Scenario(4, IidEntries((0.5,)))
