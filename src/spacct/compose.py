@@ -242,14 +242,16 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             return (float(_binomial_above(u, 1.0 - p, u - threshold)),
                     float(_binomial_above(u, p, threshold - 1)))
     else:
-        # level k visits the prefixes of blocks 1..k-1, times block k's subsets if explicit
+        # level k visits the prefixes of blocks 1..k-1; each copied the pool its
+        # last block was drawn from, and an explicit one enumerates block k's subsets
         visited, left, explicit = 1, scenario.n - 1, isinstance(scenario.entries, ExplicitEntries)
         for before, size in zip((0,) + sizes, sizes):
+            copied = left if before else 1
             visited, left = visited * math.comb(left, before), left - before
-            count = visited * math.comb(left, size - 1) if explicit else visited
+            count = visited * (math.comb(left, size - 1) if explicit else copied)
             if count > TEMPLATE_CAP:
-                raise CapacityError(
-                    f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
+                what = "templates" if explicit else "copied pool positions"
+                raise CapacityError(f"{magnitude(count)} {what} exceed the cap of {TEMPLATE_CAP}")
         rows = _others(scenario) if len(sizes) > 1 else None  # one block reads no tails
 
         def prefixes(pool, size: int, weight: float):

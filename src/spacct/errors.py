@@ -12,9 +12,11 @@ class CapacityError(RuntimeError):
     """An exhaustive computation would exceed its configured cap."""
 
 
-def magnitude(count: int) -> str:
-    """A count for a message; math.log10 takes any int, where float() overflows."""
-    return str(count) if count < 10**12 else f"about 10^{math.floor(math.log10(count))}"
+def magnitude(count: int, shift: int = 0) -> str:
+    """count * 2^shift for a message, exact below 10^12; past 2^40 > 10^12 the
+    shift is added as a log, not multiplied out. math.log10 takes any int."""
+    head, tail = count << min(shift, 40), max(shift - 40, 0) * math.log10(2)
+    return str(head) if head < 10**12 else f"about 10^{math.floor(math.log10(head) + tail)}"
 
 
 def is_int(value) -> bool:

@@ -78,15 +78,11 @@ def exact_mechanism_law(scenario: Scenario, spec: CompositionSpec) -> ExactMecha
     n_templates = template_count(law)
     radix = tuple(s + 1 for s in fmt.sizes)
     n_answers = math.prod(radix)
-    random_bits = _random_bits(scenario)
-    # 2^(random bits) can have 10^9 bits; past 2^40 > 10^12, where magnitude
-    # names only the power of ten, that power is summed from logs
-    budget = n_templates * n_answers << min(random_bits, 40)
-    if budget > ORACLE_CAP:
-        power = math.log10(budget) + max(random_bits - 40, 0) * math.log10(2)
-        needs = magnitude(budget) if random_bits <= 40 else f"about 10^{math.floor(power)}"
-        raise CapacityError(
-            f"exact enumeration needs {needs} law evaluations, above the cap of {ORACLE_CAP}")
+    random_bits, work = _random_bits(scenario), n_templates * n_answers
+    # 2^(random bits) can have 10^9 bits, and 2^40 alone is past the cap
+    if (work << min(random_bits, 40)) > ORACLE_CAP:
+        raise CapacityError(f"exact enumeration needs {magnitude(work, random_bits)} law "
+                            f"evaluations, above the cap of {ORACLE_CAP}")
     # every block has at least 2 answers, so the budget leaves at most 5 * 10^6
     # templates; enumerate_templates refuses more than TEMPLATE_CAP
     templates = enumerate_templates(law)
@@ -133,7 +129,7 @@ def _random_bits(scenario: Scenario) -> int:
         return (scenario.n - 1) * sum(0.0 < p < 1.0 for p in entries.probs)
     if isinstance(entries, KnownEntries):
         return (scenario.n - 1 - entries.known) * (0.0 < entries.p < 1.0)
-    return sum(0.0 < p < 1.0 for p in _others(scenario).flat)
+    return int(sum(0.0 < p < 1.0 for p in _others(scenario).flat))  # numpy ints overflow
 
 
 def _count(hits: np.ndarray, dtype: np.dtype) -> np.ndarray:

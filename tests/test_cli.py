@@ -33,6 +33,7 @@ from spacct import (
     verification_matrix,
 )
 from spacct.cli import _emit_json, main
+from spacct.errors import magnitude
 from spacct.scenario_io import load_scenario
 
 from rational_ref import spc_known_entries_every_row
@@ -432,7 +433,23 @@ class TestComposeCommand:
         path.write_text(json.dumps(self.adaptive_known_doc(2**30)))
         code, out, err = run(capsys, "compose", "--scenario", str(path))
         assert (code, out) == (3, "")
-        assert "about 10^17 templates exceed the cap" in err
+        assert "about 10^26 copied pool positions exceed the cap" in err
+
+    @pytest.mark.parametrize("n", [128, 4473])
+    def test_adaptive_known_cap_counts_the_copied_pools(self, capsys, tmp_path, monkeypatch,
+                                                        n):
+        # each of the C(n - 1, 2) prefixes copies the n - 1 root positions into
+        # its rest: 1,016,127 positions at n = 128, just over the cap
+        def refuse(scenario):
+            raise AssertionError("the walk may not start")
+
+        monkeypatch.setattr(spacct.compose, "_others", refuse)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.adaptive_known_doc(n)))
+        code, out, err = run(capsys, "compose", "--scenario", str(path))
+        assert (code, out) == (3, "")
+        count = math.comb(n - 1, 2) * (n - 1)
+        assert f"{magnitude(count)} copied pool positions exceed the cap" in err
 
     def test_monte_carlo_trials_over_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -138,10 +138,20 @@ class TestExactMechanismLaw:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_explicit_random_bits_past_the_int64_range_are_refused(self):
+        # 40 random bits and 749,398 * 222 evaluations each: 2^40 times that is
+        # past 2^63, where a numpy bit count would wrap the budget in int64
+        sc = Scenario(41, ExplicitEntries(((0.5,),) * 41))
+        spec = NonadaptiveSpec(TemplateFormat((5, 36)), (PropertyQuery(), PropertyQuery()))
+        budget = (1 << 40) * template_count(PartitionLaw(41, spec.format)) * 6 * 37
+        with pytest.raises(CapacityError) as refusal:
+            exact_mechanism_law(sc, spec)
+        assert f"needs {magnitude(budget)} law evaluations" in str(refusal.value)
+
     @pytest.mark.parametrize("n", [12, 41, 42, 43, 64, 300, 4000])
     def test_capacity_message_names_the_budget(self, n):
-        # 2^40 > 10^12: up to 40 random bits the budget is multiplied out, past
-        # them its power of ten is summed from logs
+        # 2^40 > 10^12: magnitude(count, shift) multiplies out at most 2^40 and
+        # adds the rest of the shift as a log; it names the exact budget's magnitude
         sc = Scenario(n, IidEntries((0.5,)))
         spec = NonadaptiveSpec(TemplateFormat((2, 2)), (PropertyQuery(), PropertyQuery()))
         budget = (1 << (n - 1)) * template_count(PartitionLaw(n, spec.format)) * 9
