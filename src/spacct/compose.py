@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .curve import _binomial_above, as_grid, fsum_terms
-from .distkit import cdf, poisson_binomial
+from .distkit import cdf, hypergeometric, poisson_binomial
 from .errors import CapacityError, DomainError, is_int, magnitude
 from .partition import TEMPLATE_CAP, TemplateFormat
 from .spc import (
@@ -221,37 +221,25 @@ def nonadaptive_general(scenario: Scenario, spec: NonadaptiveSpec, epsilon,
 
 
 def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> CompositionReport:
-    """One walk over prefixes (disjoint blocks 1..k-1 of non-critical
-    positions) serves every block k: a prefix adds P(reach a depth-k node)
-    times the node query's divergence on block k, given the pool of positions
-    left (spc._block_divergences). The entry model supplies prefixes and tails.
-    """
+    """One walk over prefixes (disjoint blocks 1..k-1 of non-critical entries)
+    serves every block k: a prefix adds P(reach a depth-k node) times the node
+    query's divergence on block k, given the pool left (spc._block_divergences).
+    Explicit entries walk positions; a pool or block of exchangeable (iid and
+    known) entries is its counts of known ones, known zeros and unknown entries."""
     if not isinstance(spec, AdaptiveSpec):
         raise DomainError("spec must be adaptive")
     spec.format.require_fits(scenario.n)
     sizes = spec.format.sizes
     grid, pool = as_grid(epsilon), _root_pool(scenario)
-    if scenario.is_iid:
-        # exchangeable entries: one prefix per level stands for all of them, a
-        # block is just its size u, and the divergence needs no pool
-        def prefixes(pool, size: int, weight: float):
-            return ((size, pool, weight),)
-
-        def tails(u: int, query: PropertyQuery, threshold: int):  # P(B < t), P(B >= t)
-            p = success_prob(scenario, query)
-            return (float(_binomial_above(u, 1.0 - p, u - threshold)),
-                    float(_binomial_above(u, p, threshold - 1)))
-    else:
-        # level k visits the prefixes of blocks 1..k-1; each copied the pool its
-        # last block was drawn from, and an explicit one enumerates block k's subsets
-        visited, left, explicit = 1, scenario.n - 1, isinstance(scenario.entries, ExplicitEntries)
+    if isinstance(scenario.entries, ExplicitEntries):
+        # level k visits the prefixes of blocks 1..k-1 and enumerates block k's subsets
+        visited, left = 1, scenario.n - 1
         for before, size in zip((0,) + sizes, sizes):
-            copied = left if before else 1
             visited, left = visited * math.comb(left, before), left - before
-            count = visited * (math.comb(left, size - 1) if explicit else copied)
+            count = visited * math.comb(left, size - 1)
             if count > TEMPLATE_CAP:
-                what = "templates" if explicit else "copied pool positions"
-                raise CapacityError(f"{magnitude(count)} {what} exceed the cap of {TEMPLATE_CAP}")
+                raise CapacityError(
+                    f"{magnitude(count)} templates exceed the cap of {TEMPLATE_CAP}")
         rows = _others(scenario) if len(sizes) > 1 else None  # one block reads no tails
 
         def prefixes(pool, size: int, weight: float):
@@ -263,6 +251,26 @@ def _adaptive(scenario: Scenario, spec: AdaptiveSpec, epsilon, label: str) -> Co
             law = poisson_binomial(query.success_probs(rows[list(block)]))
             below = cdf(law, threshold - 1)
             return below, (1.0 - below if threshold <= law.top else 0.0)
+    else:
+        # a block of s holds at most min(ones, s) known ones and min(zeros, s) known zeros
+        count = math.prod((min(pool[0], s) + 1) * (min(pool[1], s) + 1) for s in sizes[:-1])
+        if count > TEMPLATE_CAP:
+            raise CapacityError(f"{magnitude(count)} count states exceed the cap of {TEMPLATE_CAP}")
+
+        def prefixes(pool, size: int, weight: float):
+            # the block's known entries, then the ones among them, are hypergeometric
+            ones, zeros, unknown = pool
+            for known, w in hypergeometric(sum(pool), ones + zeros, size).items():
+                for a, v in hypergeometric(ones + zeros, ones, known).items():
+                    b, u = known - a, size - known
+                    yield (a, b, u), (ones - a, zeros - b, unknown - u), weight * w * v
+
+        def tails(block, query: PropertyQuery, threshold: int):  # P(A < t), P(A >= t)
+            # the answer A is the known ones (zeros if negated) plus Bin(u, q)
+            q, u = success_prob(scenario, query), block[2]
+            t = threshold - (block[1] if query.negate else block[0])
+            return (float(_binomial_above(u, 1.0 - q, u - t)),
+                    float(_binomial_above(u, q, t - 1)))
 
     tails, divergence = cache(tails), _block_divergences(scenario, grid)
     terms = [[] for _ in sizes]
@@ -296,9 +304,9 @@ def adaptive_iid(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> Composition
 
 
 def adaptive_general(scenario: Scenario, spec: AdaptiveSpec, epsilon) -> CompositionReport:
-    """Adaptive bound for any entry model. iid entries take one prefix per
-    level, as in adaptive_iid; others enumerate every prefix, with each
-    level's prefixes (and explicit co-member subsets) capped before any work."""
+    """Adaptive bound for any entry model. iid and known entries walk their
+    blocks' counts, explicit ones every prefix block and co-member subset;
+    count states or templates are capped before any work."""
     return _adaptive(scenario, spec, epsilon, "adaptive-general")
 
 

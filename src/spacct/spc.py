@@ -10,7 +10,6 @@ becomes a hypergeometric mixture with a cheap threshold upper bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice
@@ -424,33 +423,35 @@ def spc_general(scenario: Scenario, fmt: TemplateFormat, block: int, query: Prop
 
 def _others(scenario: Scenario) -> np.ndarray:
     """The (n - 1, T) Bernoulli rows of the non-critical entries, in index
-    order. Every pool is an increasing sequence of positions into them."""
+    order. An explicit-entry pool is an increasing sequence of positions into them."""
     return np.delete(scenario.probs_matrix(), scenario.critical_index - 1, axis=0)
 
 
-def _root_pool(scenario: Scenario) -> range:
-    """The co-member pool of a block with no block before it: every row of _others."""
-    return range(scenario.n - 1)
+def _root_pool(scenario: Scenario) -> range | tuple[int, int, int]:
+    """The co-member pool of a block with no block before it: every row of _others
+    for explicit entries, and (known ones, known zeros, unknown) for iid and known."""
+    entries = scenario.entries
+    if isinstance(entries, ExplicitEntries):
+        return range(scenario.n - 1)
+    ones, known = ((entries.known_positive, entries.known) if isinstance(entries, KnownEntries)
+                   else (0, 0))
+    return ones, known - ones, scenario.n - 1 - known
 
 
 def _block_divergences(scenario: Scenario, grid: np.ndarray):
     """The exact divergence of a block of `size` holding the critical index,
     per grid point, over co-members drawn uniformly from `pool` (_root_pool,
-    or the positions earlier blocks leave of it), as a cached function of
-    (pool, size, query), one branch per entry model: known entries (the first
-    `known` positions) are keyed by the pool's size and its positions below
-    `known`; explicit entries keep the rows of up to STORED_ROWS (query,
-    subset) pairs, so a stored subset is evaluated once (_subset_mean)."""
+    or what earlier blocks leave of it), as a cached function of (pool, size,
+    query), one branch per entry model: known entries are keyed by the pool's
+    size and known count; explicit entries keep the rows of up to STORED_ROWS
+    (query, subset) pairs, so a stored subset is evaluated once (_subset_mean)."""
     entries = scenario.entries
     if scenario.is_iid:
         return cache(lambda pool, size, query: spc_iid(scenario, size, grid, query))
     if isinstance(entries, KnownEntries):
         by_counts = cache(lambda population, known, size, query: _known_mixture(
             success_prob(scenario, query), population, known, size, grid))
-        # len() ends at 2^63, so the root pool is counted from n
-        return lambda pool, size, query: by_counts(
-            *((scenario.n - 1, entries.known) if pool == _root_pool(scenario)
-              else (len(pool), bisect_left(pool, entries.known))), size, query)
+        return lambda pool, size, query: by_counts(sum(pool), pool[0] + pool[1], size, query)
     probs = _others(scenario)
     rows: dict[tuple[PropertyQuery, int], dict] = {}
 

@@ -3,14 +3,14 @@
     python3 tests/golden.py OUTDIR
     python3 tests/golden.py --compare A B
 
-Runs 46 commands through `spacct.cli.main`, in this process. 32 are
+Runs 51 commands through `spacct.cli.main`, in this process. 32 are
 perfbench's workloads: `table1` and `table2 --check --format json`, the 12
 `curve` commands, and at seeds 1, 2 and 3 the five `compose` scenario files
 and `verify --trials 100000 --json`. perfbench/workloads.py builds their
 inputs and is only imported. 4 are `dp-compare` searches outside the
 tables (DP_COMPARE), 4 are known-entry `curve` commands outside the
-workload (KNOWN_CURVES), 2 are known-entry `compose` scenario files, one
-nonadaptive and one adaptive (KNOWN_SCENARIOS), and 4 write the CSV and
+workload (KNOWN_CURVES), 7 are known-entry `compose` scenario files, one
+nonadaptive and six adaptive (KNOWN_SCENARIOS), and 4 write the CSV and
 text renderings that no other command writes (RENDERINGS). Each command's
 output file lands under OUTDIR/<workload>-<seed>/, OUTDIR/dp-compare/,
 OUTDIR/known-curves/, OUTDIR/known-compose/ or OUTDIR/renderings/, and
@@ -75,9 +75,27 @@ KNOWN_CURVES = (
                           "--eps", "0,0.01,5,700"]),
 )
 
+
+def _known_walk(n: int, sizes: list[int], known: int, known_positive: int) -> dict:
+    """Adaptive known entries, p = 0.5, critical index 5, with README_TREE's
+    shape and its threshold at half the first block."""
+    half = {**workloads.README_TREE["next"], "threshold": sizes[0] // 2}
+    return {"schema_version": 1, "n": n,
+            "entry_model": {"kind": "known", "p": 0.5, "known": known,
+                            "known_positive": known_positive},
+            "critical_index": 5, "format": sizes,
+            "queries": {"mode": "adaptive", "tree": {**workloads.README_TREE, "next": half}},
+            "epsilons": [0.0, 0.1, 1.0]}
+
+
+_NEGATED_README_TREE = {
+    "query": {"attribute": 0, "negate": True},
+    "next": {"threshold": 1, "low": {"query": {"attribute": 0}},
+             "high": {"query": {"attribute": 0, "negate": True}}}}
+
 # Known-entry composition, which no workload reaches: nonadaptive blocks over
-# the n - 1 non-critical entries, and ROADMAP's adaptive witness, whose walk
-# keys each pool by its counts.
+# the n - 1 non-critical entries, ROADMAP's adaptive witness, and walks over
+# counts at any n (one refused for its count states) and three levels deep.
 KNOWN_SCENARIOS = (
     ("known-n4096", {
         "schema_version": 1, "n": 4096,
@@ -91,6 +109,21 @@ KNOWN_SCENARIOS = (
         "entry_model": {"kind": "known", "p": 0.3, "known": 8, "known_positive": 3},
         "critical_index": 5, "format": [3, 5],
         "queries": {"mode": "adaptive", "tree": workloads.README_TREE},
+        "epsilons": [0.0, 0.2, 0.5]}),
+    ("known-adaptive-n4096", _known_walk(4096, [64, 64], 100, 50)),
+    ("known-adaptive-n2^20", _known_walk(2**20, [1024, 1024], 100, 50)),
+    ("known-adaptive-n2^20-half", _known_walk(2**20, [2**19, 2], 100, 50)),
+    # 1025^2 count states at the first block, over the cap (exit 3)
+    ("known-adaptive-count-states", _known_walk(32768, [1024, 1024], 16000, 8000)),
+    # a tree whose inner nodes count the known zeros, and a first block of 8
+    # that can draw all 6 known entries
+    ("known-adaptive-depth3", {
+        "schema_version": 1, "n": 40,
+        "entry_model": {"kind": "known", "p": 0.35, "known": 6, "known_positive": 2},
+        "critical_index": 3, "format": [8, 4, 5],
+        "queries": {"mode": "adaptive", "tree": {
+            "query": {"attribute": 0, "negate": True}, "next": {
+                "threshold": 5, "low": _NEGATED_README_TREE, "high": workloads.README_TREE}}},
         "epsilons": [0.0, 0.2, 0.5]}),
 )
 

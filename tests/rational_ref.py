@@ -19,7 +19,10 @@ the partition law's two-branch template count, enumeration and sampling,
 which spelled out restricted laws separately (exactly against the one
 reduction that replaced them), `_block_divergence`, the block
 evaluator that evaluates every co-member pool on its own (bit for bit
-against the cached, count-keyed one), and the known-entry mixture over
+against the cached, count-keyed one), adaptive composition's walk over
+prefixes of positions for known entries (within a few ulps of the walk
+over counts, whose weights are hypergeometric masses rather than
+reciprocal binomial coefficients), and the known-entry mixture over
 every row of its support (bit for bit against `spc_known_entries`, which
 evaluates the light rows only where they can move the rounded sum), and
 the oracle's per-run simulator `_McRuns` with its serial histograms (bit
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -37,17 +41,17 @@ import numpy as np
 
 from spacct.baseline import (DELTA0_GRID_POINTS, MAX_QUERIES, DpCalibration, _kov_lanes,
                              _kov_total, _log_factorials, gaussian_sigma_for)
-from spacct.compose import NonadaptiveSpec, ThresholdTree
+from spacct.compose import BlockTerm, NonadaptiveSpec, ThresholdTree, _report
 from spacct.curve import (_binomial_above, as_grid, fsum_terms, per_epsilon, shift_pair_delta,
                           shift_pair_rows)
 from spacct.distkit import (cdf, point, poisson_binomial, poisson_binomial_rows, shift,
                             sum_bracket)
-from spacct.errors import CapacityError, DomainError
+from spacct.errors import CapacityError, DomainError, magnitude
 from spacct.oracle import MC_DRAW_TRIALS, _count
-from spacct.partition import PartitionLaw, TemplateFormat, enumerate_templates
-from spacct.spc import (KnownEntries, PropertyQuery, Scenario, _known_weights,
-                        _require_sample_size, _subset_values, spc_iid, spc_known_entries,
-                        success_prob)
+from spacct.partition import TEMPLATE_CAP, PartitionLaw, TemplateFormat, enumerate_templates
+from spacct.spc import (KnownEntries, PropertyQuery, Scenario, _block_divergences,
+                        _known_weights, _others, _require_sample_size, _subset_values, spc_iid,
+                        spc_known_entries, success_prob)
 
 
 def binom_pmf_exact(n: int, p: Fraction) -> dict[int, Fraction]:
@@ -559,6 +563,61 @@ def _block_divergence(scenario, pool, size: int, query, grid: np.ndarray) -> np.
     values = _subset_values(query.success_probs(scenario.probs_matrix()),
                             combinations(indices.tolist(), size - 1), count, grid)
     return np.minimum(1.0, fsum_terms((values * (1.0 / count)).T))
+
+
+def position_walk_adaptive(scenario, spec, epsilon, cap: int = TEMPLATE_CAP):
+    """compose._adaptive's former walk for known entries, over prefixes of
+    positions among the non-critical entries (the known ones first, their
+    positives first): each prefix block is a subset of the pool it was drawn
+    from, each prefix copies that pool into its rest, and a block's tails
+    come from the Poisson-binomial law of its rows. The cap counts the
+    copied pool positions, refused above `cap`. A pool's divergence is the
+    package's evaluator at the pool's counts, so only the walk differs from
+    the count walk. Returns the report; `spec` is an AdaptiveSpec."""
+    sizes = spec.format.sizes
+    grid, entries = as_grid(epsilon), scenario.entries
+    visited, left = 1, scenario.n - 1
+    for before, size in zip((0,) + sizes, sizes):
+        copied = left if before else 1
+        visited, left = visited * math.comb(left, before), left - before
+        count = visited * copied
+        if count > cap:
+            raise CapacityError(f"{magnitude(count)} copied pool positions exceed the cap of {cap}")
+    rows = _others(scenario) if len(sizes) > 1 else None  # one block reads no tails
+
+    def prefixes(pool, size: int, weight: float):
+        share = weight / math.comb(len(pool), size)
+        return ((block, tuple(i for i in pool if i not in block), share)
+                for block in combinations(pool, size))
+
+    def tails(block: tuple[int, ...], query: PropertyQuery, threshold: int):
+        law = poisson_binomial(query.success_probs(rows[list(block)]))
+        below = cdf(law, threshold - 1)
+        return below, (1.0 - below if threshold <= law.top else 0.0)
+
+    tails, by_counts = functools.cache(tails), _block_divergences(scenario, grid)
+
+    def divergence(pool, size: int, query: PropertyQuery) -> np.ndarray:
+        ones, known = bisect_left(pool, entries.known_positive), bisect_left(pool, entries.known)
+        return by_counts((ones, known - ones, len(pool) - known), size, query)
+
+    terms = [[] for _ in sizes]
+
+    def walk(level: int, pool, reach: list, weight: float) -> None:
+        terms[level] += [weight * prob * divergence(pool, sizes[level], node.query)
+                         for node, prob in reach]
+        if level + 1 < len(sizes):
+            for block, rest, share in prefixes(pool, sizes[level], weight):
+                below = [(child, prob * branch) for node, prob in reach
+                         for child, branch in zip((node.low, node.high),
+                                                  tails(block, node.query, node.threshold))
+                         if branch > 0.0]
+                walk(level + 1, rest, below, share)
+
+    walk(0, range(scenario.n - 1), [(spec.tree, 1.0)], 1.0)
+    return _report(epsilon, [BlockTerm(block=k, weight=size / scenario.n, delta=fsum_terms(t))
+                             for k, (size, t) in enumerate(zip(sizes, terms), start=1)],
+                   "adaptive-general")
 
 
 def spc_known_entries_every_row(scenario, sample_size: int, epsilon, query, *,

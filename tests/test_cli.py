@@ -325,11 +325,17 @@ class TestComposeCommand:
         # nonadaptive composition has a Monte-Carlo mode, so the advice applies
         assert "Monte-Carlo" in err
 
-    def test_known_entries_capacity_message_is_short(self, capsys, tmp_path):
-        # adaptive known entries are still capped by their template count, C(32767, 1023)
+    def test_known_entries_capacity_message_is_short(self, capsys, tmp_path, monkeypatch):
+        # adaptive known entries are capped by their count states: a first block
+        # of 1024 holds 0..1024 known ones and 0..1024 known zeros, 1025^2 states
+        def refuse(*args):
+            raise AssertionError("no mixture may be evaluated")
+
+        monkeypatch.setattr(spacct.spc, "_known_mixture", refuse)
         doc = self.scenario_doc()
         doc.update(n=32768, format=[1024, 1024],
-                   entry_model={"kind": "known", "p": 0.5, "known": 16000},
+                   entry_model={"kind": "known", "p": 0.5, "known": 16000,
+                                "known_positive": 8000},
                    queries={"mode": "adaptive", "tree": {
                        "query": {"attribute": 0}, "next": {
                            "threshold": 512, "low": {"query": {"attribute": 0}},
@@ -339,7 +345,7 @@ class TestComposeCommand:
         code, out, err = run(capsys, "compose", "--scenario", str(path))
         assert code == 3
         assert out == ""
-        assert "cap" in err and len(err) < 200
+        assert "1050625 count states exceed the cap" in err and len(err) < 200
         # adaptive composition refuses Monte-Carlo mode, so it must not be advised
         assert "Monte-Carlo" not in err
 
@@ -425,31 +431,44 @@ class TestComposeCommand:
 
     def test_adaptive_known_cap_runs_before_any_per_entry_array(self, capsys, tmp_path,
                                                                  monkeypatch):
+        # the cap and the walk read counts: n = 2^30 exits 0 with no row per entry
         def refuse(self):
             raise AssertionError("no per-entry array may be built")
 
         monkeypatch.setattr(Scenario, "probs_matrix", refuse)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(self.adaptive_known_doc(2**30)))
-        code, out, err = run(capsys, "compose", "--scenario", str(path))
-        assert (code, out) == (3, "")
-        assert "about 10^26 copied pool positions exceed the cap" in err
+        code, out, _ = run(capsys, "compose", "--scenario", str(path))
+        assert code == 0
+        config = load_scenario(path)
+        want = composition_delta(config.scenario, config.spec, config.epsilons)
+        assert json.loads(out)["reports"] == [r.to_dict() for r in want.split()]
 
-    @pytest.mark.parametrize("n", [128, 4473])
-    def test_adaptive_known_cap_counts_the_copied_pools(self, capsys, tmp_path, monkeypatch,
-                                                        n):
-        # each of the C(n - 1, 2) prefixes copies the n - 1 root positions into
-        # its rest: 1,016,127 positions at n = 128, just over the cap
-        def refuse(scenario):
-            raise AssertionError("the walk may not start")
+    @pytest.mark.parametrize("zeros,refused", [(999, False), (1000, True)])
+    def test_adaptive_known_cap_counts_the_count_states(self, capsys, tmp_path, monkeypatch,
+                                                        zeros, refused):
+        # a first block of 1024 holds 0..999 known ones and 0..zeros known zeros:
+        # 1000 x (zeros + 1) count states, at the cap of 10^6 or just over it
+        class Started(Exception):
+            pass
 
-        monkeypatch.setattr(spacct.compose, "_others", refuse)
+        def start(scenario, grid):
+            raise Started
+
+        monkeypatch.setattr(spacct.compose, "_block_divergences", start)
+        doc = self.adaptive_known_doc(32768)
+        doc.update(format=[1024, 1024],
+                   entry_model={"kind": "known", "p": 0.5, "known": 999 + zeros,
+                                "known_positive": 999})
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(self.adaptive_known_doc(n)))
+        path.write_text(json.dumps(doc))
+        if not refused:
+            with pytest.raises(Started):
+                run(capsys, "compose", "--scenario", str(path))
+            return
         code, out, err = run(capsys, "compose", "--scenario", str(path))
         assert (code, out) == (3, "")
-        count = math.comb(n - 1, 2) * (n - 1)
-        assert f"{magnitude(count)} copied pool positions exceed the cap" in err
+        assert f"{magnitude(1000 * 1001)} count states exceed the cap of 1000000" in err
 
     def test_monte_carlo_trials_over_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -43,6 +43,7 @@ from rational_ref import (
     level_loop_adaptive_iid,
     nonadaptive_theorem_sum,
     per_template_adaptive_general,
+    position_walk_adaptive,
     tree_choice,
 )
 
@@ -474,15 +475,17 @@ class TestDispatcher:
 
 
 @st.composite
-def threshold_trees(draw, sizes: tuple[int, ...], depth: int = 1) -> ThresholdTree:
-    """Random trees over two attributes and both negations; thresholds run
-    from -1 to n_l + 2, so some branches are certain and some impossible."""
-    query = PropertyQuery(draw(st.integers(0, 1)), draw(st.booleans()))
+def threshold_trees(draw, sizes: tuple[int, ...], depth: int = 1,
+                    attributes: int = 2) -> ThresholdTree:
+    """Random trees over two attributes (or `attributes`) and both negations;
+    thresholds run from -1 to n_l + 2, so some branches are certain and some
+    impossible."""
+    query = PropertyQuery(draw(st.integers(0, attributes - 1)), draw(st.booleans()))
     if depth == len(sizes):
         return ThresholdTree(query)
     return ThresholdTree(query, draw(st.integers(-1, sizes[depth - 1] + 2)),
-                         low=draw(threshold_trees(sizes, depth + 1)),
-                         high=draw(threshold_trees(sizes, depth + 1)))
+                         low=draw(threshold_trees(sizes, depth + 1, attributes)),
+                         high=draw(threshold_trees(sizes, depth + 1, attributes)))
 
 
 PROBS = st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.77, 1.0])
@@ -599,6 +602,89 @@ class TestPrefixWalkAgainstTemplateLoop:
             assert np.max(np.abs(term.delta - block)) <= 1e-15
 
 
+@st.composite
+def known_walk_cases(draw):
+    """Known entries at n <= 20 under a tree of depth <= 3 over attribute 0,
+    negations and thresholds outside the answer range included, and the
+    epsilons. The blocks before the last leave the position walk at most
+    2,000 prefixes, so that its reference stays quick."""
+    n = draw(st.integers(1, 20))
+    known = draw(st.integers(0, n - 1))
+    sc = Scenario(n, KnownEntries(draw(PROBS), known, draw(st.integers(0, known))),
+                  critical_index=draw(st.integers(1, n)))
+    sizes, left, visited = [], n - 1, 1
+    for _ in range(draw(st.integers(0, 2))):
+        fits = [s for s in range(1, left + 1) if visited * math.comb(left, s) <= 2000]
+        if not fits:
+            break
+        size = draw(st.sampled_from(fits))
+        visited, left = visited * math.comb(left, size), left - size
+        sizes.append(size)
+    sizes = tuple(sizes + [draw(st.integers(1, left + 1))])
+    spec = AdaptiveSpec(TemplateFormat(sizes), draw(threshold_trees(sizes, attributes=1)))
+    return sc, spec, sorted(draw(st.sets(EPSILONS, min_size=1)))
+
+
+def assert_within_ulps(got, want, ulps: int = 16) -> None:
+    """Every block term and the raw total agree within `ulps` units in the last
+    place of the reference value."""
+    for a, b in [*((t.delta, w.delta) for t, w in zip(got.per_block, want.per_block,
+                                                      strict=True)),
+                 (got.raw_delta, want.raw_delta)]:
+        assert np.all(np.abs(np.subtract(a, b)) <= ulps * np.spacing(np.abs(b))), (a, b)
+
+
+class TestCountWalkAgainstPositionWalk:
+    """The adaptive walk over counts against the position walk it replaced
+    for known entries (rational_ref.position_walk_adaptive, with its cap
+    raised). The weights are hypergeometric masses on one side and
+    reciprocal binomial coefficients on the other, so the sums agree within
+    a few ulps, not bit for bit: the largest deviation seen over 3,300 cases
+    was 7.8e-16, or 7 ulps."""
+
+    @given(case=known_walk_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_position_walk(self, case):
+        sc, spec, eps = case
+        assert_within_ulps(adaptive_general(sc, spec, eps),
+                           position_walk_adaptive(sc, spec, eps, cap=10**40))
+
+
+class TestRelabelling:
+    """Known entries with every query negated are the relabelled scenario
+    (p -> 1 - p, known positives -> known negatives) with the queries as
+    given. A query negated on the relabelled side reads 1 - (1 - p), which
+    can differ from p in the last bit, so the two agree within a few ulps:
+    at most 8 over 1,800 cases."""
+
+    @staticmethod
+    def negated(tree: ThresholdTree) -> ThresholdTree:
+        query = PropertyQuery(tree.query.attribute, not tree.query.negate)
+        if tree.threshold is None:
+            return ThresholdTree(query)
+        return ThresholdTree(query, tree.threshold, low=TestRelabelling.negated(tree.low),
+                             high=TestRelabelling.negated(tree.high))
+
+    @given(case=known_walk_cases(), nonadaptive=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_negated_queries_equal_the_relabelled_scenario(self, case, nonadaptive):
+        sc, spec, eps = case
+        entries = sc.entries
+        relabelled = Scenario(sc.n, KnownEntries(1.0 - entries.p, entries.known,
+                                                 entries.known - entries.known_positive),
+                              critical_index=sc.critical_index)
+        plain = spec
+        if nonadaptive:
+            plain = NonadaptiveSpec(spec.format, tuple(
+                PropertyQuery(negate=k % 2 == 1) for k in range(spec.format.num_blocks)))
+            spec = NonadaptiveSpec(spec.format, tuple(
+                PropertyQuery(negate=not q.negate) for q in plain.queries))
+        else:
+            spec = AdaptiveSpec(spec.format, self.negated(spec.tree))
+        assert_within_ulps(composition_delta(sc, spec, eps),
+                           composition_delta(relabelled, plain, eps))
+
+
 class TestOneBlockEvaluator:
     """Both composition paths take block divergences from spc._block_divergences;
     only explicit entries average over co-member subsets."""
@@ -631,26 +717,22 @@ class TestOneBlockEvaluator:
 
     def test_known_walk_evaluates_each_pool_count_once(self, monkeypatch):
         # a known-entries divergence reads only the pool size and the known entries
-        # in it: 9 distinct keys here, against 1,188 pools; the totals are those of
-        # the walk that evaluates every pool
+        # in it: 9 distinct keys here, against 1,188 pools of the position walk,
+        # which asks the same evaluator at its pools' counts for the same 9 keys
         sc = Scenario(18, KnownEntries(0.3, 8, 3), critical_index=5)
         spec = AdaptiveSpec(TemplateFormat((3, 5)), README_TREE)
         calls, known_mixture = [], spacct.spc._known_mixture
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(args[:4])  # (p, population, known, sample size) without the grid
             return known_mixture(*args, **kwargs)
 
         monkeypatch.setattr(spacct.spc, "_known_mixture", counting)
         got = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
         assert len(calls) == 9
-        monkeypatch.setattr(spacct.compose, "_block_divergences", lambda scenario, grid: cache(
-            partial(_block_divergence, scenario, grid=grid)))
-        want = adaptive_general(sc, spec, (0.0, 0.2, 0.5))
-        assert len(calls) == 9 + 1188
-        assert [t.delta.tobytes() for t in got.per_block] == \
-            [t.delta.tobytes() for t in want.per_block]
-        assert got.total_delta.tobytes() == want.total_delta.tobytes()
+        want = position_walk_adaptive(sc, spec, (0.0, 0.2, 0.5))
+        assert len(calls) == 18 and sorted(calls[:9]) == sorted(calls[9:])
+        assert_within_ulps(got, want)
 
     @staticmethod
     def explicit_walk():
@@ -742,6 +824,13 @@ class TestAdaptiveSpecTree:
         with pytest.raises(DomainError):
             AdaptiveSpec(TemplateFormat((2, 2)), node)
 
+    def test_explicit_walk_refuses_over_the_template_cap(self):
+        # block 1 holds the critical index with C(39, 19) co-member subsets
+        sc = Scenario(40, ExplicitEntries(((0.5,),) * 40))
+        spec = AdaptiveSpec(TemplateFormat((20, 20)), README_TREE)
+        with pytest.raises(CapacityError, match=f"^{math.comb(39, 19)} templates exceed"):
+            adaptive_general(sc, spec, 0.1)
+
     def test_unreachable_branches_are_not_evaluated(self):
         # every first answer is below 5, so the high child (attribute 7 of
         # one) is never reached and never checked
@@ -755,3 +844,11 @@ class TestAdaptiveSpecTree:
             nonadaptive_iid(sc_iid, flat, 0.1).total_delta, abs=1e-15)
         assert adaptive_general(sc_exp, spec, 0.1).total_delta == pytest.approx(
             nonadaptive_general(sc_exp, flat, 0.1).total_delta, abs=1e-15)
+        # 4 of the 5 non-critical entries are known zeros, so a first block of 4
+        # holds at least 3 zeros and its negated answer is never below 3
+        sc_known = Scenario(6, KnownEntries(0.3, 4), critical_index=2)
+        negated = AdaptiveSpec(TemplateFormat((4, 2)), ThresholdTree(
+            PropertyQuery(negate=True), 3, low=bad, high=ThresholdTree(PropertyQuery())))
+        plain = NonadaptiveSpec(TemplateFormat((4, 2)), (PropertyQuery(),) * 2)
+        assert adaptive_general(sc_known, negated, 0.1).total_delta == pytest.approx(
+            nonadaptive_general(sc_known, plain, 0.1).total_delta, abs=1e-15)

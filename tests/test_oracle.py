@@ -4,7 +4,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spacct.oracle
@@ -14,6 +14,7 @@ from spacct import (
     DomainError,
     ExplicitEntries,
     IidEntries,
+    KnownEntries,
     NonadaptiveSpec,
     PartitionLaw,
     Pmf,
@@ -430,6 +431,66 @@ def oracle_cases(draw):
                              low=tree(depth + 1), high=tree(depth + 1))
 
     return scenario, AdaptiveSpec(fmt, tree(1))
+
+
+# known_oracle_cases keeps the exact law's work below this, so that the sweep stays quick
+KNOWN_ORACLE_WORK = 10**5
+
+
+@st.composite
+def known_oracle_cases(draw):
+    """Known entries with n <= 12 (p among 0, 1 and the floats between), a
+    format of 1-3 blocks whose total may be below n, and a nonadaptive spec
+    or a threshold tree, with negations and thresholds beyond the answer range;
+    cases whose exact law would take more than KNOWN_ORACLE_WORK evaluations
+    are rejected."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 12))
+    n = draw(st.integers(sum(sizes), 12))
+    known = draw(st.integers(0, n - 1))
+    entries = KnownEntries(draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0)))),
+                           known, draw(st.integers(0, known)))
+    scenario = Scenario(n, entries, critical_index=draw(st.integers(1, n)))
+    queries = st.builds(PropertyQuery, st.just(0), st.booleans())
+    fmt = TemplateFormat(tuple(sizes))
+    # the exact law's work: 2^(unknown entries) x templates x answer tuples
+    unknown = n - 1 - known if 0.0 < entries.p < 1.0 else 0
+    assume(template_count(PartitionLaw(n, fmt)) * math.prod(s + 1 for s in sizes)
+           << unknown <= KNOWN_ORACLE_WORK)
+    if draw(st.booleans()):
+        return scenario, NonadaptiveSpec(fmt, tuple(draw(queries) for _ in sizes))
+
+    def tree(depth: int) -> ThresholdTree:
+        if depth == len(sizes):
+            return ThresholdTree(draw(queries))
+        return ThresholdTree(draw(queries), draw(st.integers(-1, sizes[depth - 1] + 2)),
+                             low=tree(depth + 1), high=tree(depth + 1))
+
+    return scenario, AdaptiveSpec(fmt, tree(1))
+
+
+class TestDominationSweep:
+    """The theorem bound is at least the exact law's delta, less 1e-9, at
+    every epsilon of a small grid: explicit cases (oracle_cases) and known
+    entries (known_oracle_cases). Derandomized, so every run checks the same
+    cases; the 400 explicit and 400 known cases take about 9 s on one core."""
+
+    EPSILONS = np.array([0.0, 0.1, 0.5, 1.0])
+
+    def check(self, scenario, spec) -> None:
+        exact = exact_mechanism_law(scenario, spec).delta(self.EPSILONS)
+        theorem = composition_delta(scenario, spec, self.EPSILONS).total_delta
+        assert np.all(theorem >= exact - 1e-9), (theorem, exact)
+
+    @given(case=oracle_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_explicit_entries(self, case):
+        self.check(*case)
+
+    @given(case=known_oracle_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_known_entries(self, case):
+        self.check(*case)
 
 
 class TestBatchedRunsAgainstFormerLoops:

@@ -740,10 +740,18 @@ class TestOneBlockEvaluator:
                    (0, 2, 3, 4), 3, PropertyQuery(1, negate=True)))
     @settings(max_examples=150, deadline=None)
     def test_equals_the_every_pool_reference(self, case):
-        scenario, pool, size, query = case
+        scenario, positions, size, query = case
+        entries, pool = scenario.entries, positions
+        if not isinstance(entries, ExplicitEntries):
+            # exchangeable entries: the pool is its counts of known ones, known
+            # zeros and unknown entries, the known ones the first positions
+            ones, known = ((entries.known_positive, entries.known)
+                           if isinstance(entries, KnownEntries) else (0, 0))
+            pool = (sum(i < ones for i in positions), sum(ones <= i < known for i in positions),
+                    sum(i >= known for i in positions))
         divergence = _block_divergences(scenario, self.grid)
         got = divergence(pool, size, query)
-        want = _block_divergence(scenario, pool, size, query, self.grid)
+        want = _block_divergence(scenario, positions, size, query, self.grid)
         assert got.tobytes() == want.tobytes()
         # a second call is served from the cache, with the same bits
         assert divergence(pool, size, query).tobytes() == want.tobytes()
